@@ -229,10 +229,10 @@ def _flow_from_jet(F: TruncatedSeries, bp: BasePoint, h: TruncatedSeries, order:
 class ChartData:
     """All metric data of the adapted chart, as series in (t, xi1, xi2).
 
-    ``chi`` and ``sqrt_detg`` are None in exact mode when the respective
-    constant terms are not rational perfect squares; the combination
-    ``chi_sqrt_detg`` (the flow-map Jacobian determinant) is always present
-    and is all the tensor pipeline needs.
+    ``chi`` and ``sqrt(det g)`` are not stored: the tensor pipeline needs only
+    their product ``chi_sqrt_detg`` (the flow-map Jacobian determinant), which
+    is square-root free.  Take ``chi2.sqrt()`` or ``detg.sqrt()`` where a
+    factor on its own is wanted.
     """
 
     bp: BasePoint
@@ -243,7 +243,6 @@ class ChartData:
     x: tuple
     f_jet: TruncatedSeries
     chi2: TruncatedSeries
-    chi: TruncatedSeries | None
     g11: TruncatedSeries
     g12: TruncatedSeries
     g22: TruncatedSeries
@@ -251,7 +250,6 @@ class ChartData:
     ginv12: TruncatedSeries
     ginv22: TruncatedSeries
     detg: TruncatedSeries
-    sqrt_detg: TruncatedSeries | None
     chi_sqrt_detg: TruncatedSeries
     flow_residual: float
 
@@ -346,21 +344,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int,
         raise DomainError("degenerate chart: flow Jacobian vanishes at the base point")
     chi_sqrt_detg = jac if jac.constant_term() > 0 else -jac
 
-    chi = None
-    sqrt_detg = None
-    if exact:
-        try:
-            chi = chi2.sqrt()
-        except DomainError:
-            chi = None
-        try:
-            sqrt_detg = detg.sqrt()
-        except DomainError:
-            sqrt_detg = None
-    else:
-        chi = chi2.sqrt()
-        sqrt_detg = detg.sqrt()
-
     composed = compose3(f_jet.truncate(order), x)
     target = TruncatedSeries.constant(CHART_VARS, order, bp.level, exact=exact)
     tvar = TruncatedSeries.variable(CHART_VARS, order, "t", exact=exact)
@@ -384,7 +367,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int,
         x=x,
         f_jet=f_jet,
         chi2=chi2,
-        chi=chi,
         g11=g11,
         g12=g12,
         g22=g22,
@@ -392,7 +374,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int,
         ginv12=ginv12,
         ginv22=ginv22,
         detg=detg,
-        sqrt_detg=sqrt_detg,
         chi_sqrt_detg=chi_sqrt_detg,
         flow_residual=flow_residual,
     )

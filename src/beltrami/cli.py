@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +33,7 @@ from .fd_oracle import P_point_fd
 from .obstruction import obstruction_P, obstruction_Pijkl, tensor_T
 
 CONFIG_KEYS = ("t_order", "xi_order", "mode", "frame", "patch_radius", "seed", "samples")
+CHOICES = {"mode": ("double", "rational"), "frame": ("auto", "graph", "rotated")}
 
 
 @dataclass
@@ -66,16 +65,48 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
+def _number(text: str, what: str, kind: str = "double"):
+    """A finite number from a flag or config value.
+
+    Accepts integers, decimals and ``p/q`` rationals.  ``kind`` is
+    ``"rational"`` (a Fraction), ``"double"`` (a float) or ``"int"``; anything
+    else, including nan, inf and a float overflow, is a BeltramiError.
+    """
+    try:
+        value = Fraction(text)
+        if kind == "double":
+            return float(value)
+        if kind == "int":
+            if value.denominator != 1:
+                raise ValueError(text)
+            return int(value)
+        return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        noun = "an integer" if kind == "int" else "a finite number"
+        raise BeltramiError(f"{what} needs {noun}, got {text!r}") from None
+
+
 def _merge_config(args) -> RunConfig:
+    """Built-in defaults, then the subcommand's defaults, then the config
+    file, then the flags: each layer overrides the ones before it."""
     cfg = RunConfig()
-    file_values = _load_config(getattr(args, "config", None))
-    for key, value in file_values.items():
-        current = getattr(cfg, key)
-        setattr(cfg, key, type(current)(value) if not isinstance(current, str) else value)
+    for key, value in getattr(args, "defaults", {}).items():
+        setattr(cfg, key, value)
+    for key, text in _load_config(getattr(args, "config", None)).items():
+        if key in CHOICES:
+            if text not in CHOICES[key]:
+                raise BeltramiError(
+                    f"config key {key!r} must be one of {CHOICES[key]}, got {text!r}")
+            setattr(cfg, key, text)
+        else:
+            kind = "int" if isinstance(getattr(cfg, key), int) else "double"
+            setattr(cfg, key, _number(text, f"config key {key!r}", kind))
     for key in CONFIG_KEYS:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    if cfg.samples < 1:
+        raise BeltramiError(f"samples must be at least 1, got {cfg.samples}")
     return cfg
 
 
@@ -85,7 +116,7 @@ def _parse_params(items, mode: str) -> dict:
         if "=" not in item:
             raise BeltramiError(f"--param needs name=value, got {item!r}")
         name, value = item.split("=", 1)
-        out[name.strip()] = Fraction(value) if mode == "rational" else float(Fraction(value))
+        out[name.strip()] = _number(value, f"--param {name.strip()}", mode)
     return out
 
 
@@ -93,9 +124,7 @@ def _parse_point(text: str, mode: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise BeltramiError(f"--point needs three comma-separated values, got {text!r}")
-    if mode == "rational":
-        return tuple(Fraction(p) for p in parts)
-    return tuple(float(Fraction(p)) for p in parts)
+    return tuple(_number(p, "--point", mode) for p in parts)
 
 
 def _write_report(args, payload, default_newline=True):
@@ -111,13 +140,6 @@ def _write_report(args, payload, default_newline=True):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _workers() -> int:
-    cap = os.environ.get("BELTRAMI_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(4, os.cpu_count() or 1)
 
 
 def _enc(value, mode):
@@ -145,7 +167,7 @@ def _cmd_p_hierarchy(args):
     f = ex.parse(args.f)
     bindings = _parse_params(args.param, cfg.mode)
     point = _parse_point(args.point, cfg.mode)
-    indices = tuple(int(v) for v in args.indices.split(","))
+    indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
     poly = obstruction_Pijkl(
         f, bindings, point, indices, degree=args.degree, t_order=cfg.t_order,
         xi_order=cfg.xi_order, frame=cfg.frame, mode=cfg.mode,
@@ -157,8 +179,8 @@ def _cmd_p_hierarchy(args):
 def _cmd_coeffs_prop3(args):
     cfg = _merge_config(args)
     mode = cfg.mode
-    a = Fraction(args.a) if mode == "rational" else float(Fraction(args.a))
-    b = Fraction(args.b) if mode == "rational" else float(Fraction(args.b))
+    a = _number(args.a, "--a", mode)
+    b = _number(args.b, "--b", mode)
     f = ex.parse("1+a*x1+b*x1^3+x3")
     degree = 4 if a == 0 else 3
     poly = obstruction_P(
@@ -205,7 +227,7 @@ def _cmd_coeffs_prop3(args):
 def _cmd_coeffs_prop4(args):
     cfg = _merge_config(args)
     mode = cfg.mode
-    a = Fraction(args.a) if mode == "rational" else float(Fraction(args.a))
+    a = _number(args.a, "--a", mode)
     f = ex.parse("1+x1^2+a*x2^2+x3")
     poly = obstruction_P(
         f, {"a": a}, (0, 0, 0), degree=2, t_order=cfg.t_order,
@@ -247,15 +269,14 @@ def _cmd_coeffs_prop4(args):
 
 def _cmd_verify_affine(args):
     cfg = _merge_config(args)
-    a = float(args.a)
+    a = _number(args.a, "--a")
     u = affine_field(1.0, (a, 0.0, 1.0), _orthogonal_seed_vector(a))
     f = ex.parse("1+a*x1+x3")
     bindings = {"a": a}
     rng = np.random.default_rng(cfg.seed)
     points = rng.uniform(-1.0, 1.0, size=(cfg.samples, 3))
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        samples = list(pool.map(lambda p: sample_point(u, f, bindings, p), points))
+    samples = [sample_point(u, f, bindings, p) for p in points]
     bel = max(s.beltrami for s in samples)
     ell = max(s.elliptic for s in samples)
 
@@ -335,9 +356,7 @@ def _cmd_conformal_check(args):
         denom = max(1.0, float(np.linalg.norm(rhs)))
         return float(np.linalg.norm(lhs - rhs)) / denom
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        errs = list(pool.map(rel_err, points))
-    worst = max(errs)
+    worst = max(rel_err(p) for p in points)
     _write_report(
         args,
         {
@@ -412,6 +431,11 @@ def _cmd_evolve(args):
     if not sep or not n1.isdigit() or not n2.isdigit():
         raise BeltramiError(f"--grid needs the form n1xn2, got {args.grid!r}")
     n1, n2 = int(n1), int(n2)
+    t_max = _number(args.tmax, "--tmax")
+    dt = _number(args.dt, "--dt")
+    spacing = _number(args.spacing, "--spacing")
+    if dt <= 0:
+        raise BeltramiError(f"--dt must be positive, got {args.dt!r}")
     if args.init == "affine-exact":
         j2 = ex.jet(f, bindings, point, 2)
         grad = [float(j2.coeff(m)) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -433,8 +457,8 @@ def _cmd_evolve(args):
     else:
         raise BeltramiError("--init must be 'affine-exact' or 'psi:<expr>'")
     report = evolution_run(
-        f, bindings, point, init, t_max=args.tmax, dt=args.dt, n1=n1, n2=n2,
-        h1=args.spacing, h2=args.spacing, t_order=cfg.t_order,
+        f, bindings, point, init, t_max=t_max, dt=dt, n1=n1, n2=n2,
+        h1=spacing, h2=spacing, t_order=cfg.t_order,
         xi_order=cfg.xi_order, frame=cfg.frame, patch_radius=cfg.patch_radius,
     )
     if args.format == "json":
@@ -468,8 +492,8 @@ def _add_common(sp, point=True, f=True, degree=False):
         sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--t-order", dest="t_order", type=int, default=None)
     sp.add_argument("--xi-order", dest="xi_order", type=int, default=None)
-    sp.add_argument("--mode", choices=("double", "rational"), default=None)
-    sp.add_argument("--frame", choices=("auto", "graph", "rotated"), default=None)
+    sp.add_argument("--mode", choices=CHOICES["mode"], default=None)
+    sp.add_argument("--frame", choices=CHOICES["frame"], default=None)
     sp.add_argument("--config", default=None, help="flat key=value config file")
     sp.add_argument("--out", default="-", help="output path or '-' for stdout")
     sp.add_argument("--seed", type=int, default=None)
@@ -495,12 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, point=False, f=False)
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.set_defaults(fn=_cmd_coeffs_prop3, mode_default="rational")
+    sp.set_defaults(fn=_cmd_coeffs_prop3, defaults={"mode": "rational"})
 
     sp = sub.add_parser("coeffs-prop4", help="quadratic-family form vs closed forms")
     _add_common(sp, point=False, f=False)
     sp.add_argument("--a", required=True)
-    sp.set_defaults(fn=_cmd_coeffs_prop4, mode_default="rational")
+    sp.set_defaults(fn=_cmd_coeffs_prop4, defaults={"mode": "rational"})
 
     sp = sub.add_parser("verify-affine", help="residual checks for the explicit solution")
     _add_common(sp, point=False, f=False)
@@ -511,15 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("conformal-check", help="conformal curl transformation law")
     _add_common(sp, point=False, f=False)
     sp.add_argument("--f", default="1+x1^2+x2^2+x3^2")
-    sp.add_argument("--samples", type=int, default=50)
-    sp.set_defaults(fn=_cmd_conformal_check)
+    sp.add_argument("--samples", type=int, default=None)
+    sp.set_defaults(fn=_cmd_conformal_check, defaults={"samples": 50})
 
     sp = sub.add_parser("evolve", help="grid evolution with drift monitoring")
     _add_common(sp)
-    sp.add_argument("--tmax", type=float, required=True)
-    sp.add_argument("--dt", type=float, required=True)
+    sp.add_argument("--tmax", required=True)
+    sp.add_argument("--dt", required=True)
     sp.add_argument("--grid", default="21x21", help="n1xn2 nodes")
-    sp.add_argument("--spacing", type=float, default=0.01)
+    sp.add_argument("--spacing", default="0.01")
     sp.add_argument("--init", required=True, help="psi:<expr> or affine-exact")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=_cmd_evolve)
@@ -538,8 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "mode", None) is None and hasattr(args, "mode_default"):
-        args.mode = args.mode_default
     try:
         return args.fn(args)
     except BeltramiError as err:

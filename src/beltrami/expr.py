@@ -176,11 +176,11 @@ class _Parser:
                 return node
 
     def _fold_div(self, lhs, rhs, off):
+        if isinstance(rhs, Num) and rhs.value == 0:
+            raise ParseError("division by a literal zero", off)
         # numeric/numeric quotients become exact rational literals
         if isinstance(lhs, Num) and isinstance(rhs, Num):
             if isinstance(lhs.value, Fraction) and isinstance(rhs.value, Fraction):
-                if rhs.value == 0:
-                    raise ParseError("division by zero in numeric literal", off)
                 return Num(lhs.value / rhs.value)
         return Div(lhs, rhs)
 
@@ -391,40 +391,6 @@ def evaluate(node, bindings: dict | None, point):
     if single:
         return float(out)
     return np.asarray(out, dtype=np.float64)
-
-
-def evaluate_exact(node, bindings: dict | None, point) -> Fraction:
-    """Exact rational evaluation; restricted to the polynomial fragment."""
-    bindings = bindings or {}
-    pt = [as_fraction(c) for c in point]
-
-    def ev(n):
-        if isinstance(n, Var):
-            return pt[n.index]
-        if isinstance(n, Num):
-            return as_fraction(n.value)
-        if isinstance(n, Param):
-            if n.name not in bindings:
-                raise DomainError(f"unbound parameter {n.name!r}")
-            return as_fraction(bindings[n.name])
-        if isinstance(n, Neg):
-            return -ev(n.arg)
-        if isinstance(n, Add):
-            return ev(n.lhs) + ev(n.rhs)
-        if isinstance(n, Sub):
-            return ev(n.lhs) - ev(n.rhs)
-        if isinstance(n, Mul):
-            return ev(n.lhs) * ev(n.rhs)
-        if isinstance(n, Div):
-            den = ev(n.rhs)
-            if den == 0:
-                raise DomainError("division by zero")
-            return ev(n.lhs) / den
-        if isinstance(n, Pow):
-            return ev(n.base) ** n.exp
-        raise DomainError("exact evaluation requires a polynomial expression")
-
-    return ev(node)
 
 
 # -- jets ---------------------------------------------------------------------

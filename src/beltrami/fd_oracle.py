@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
+from .chart import _minimal_rotation
 from .errors import DomainError
 
 _E3 = np.eye(3)
@@ -205,19 +206,6 @@ def _newton_graph(F, xi, c0, step, radius, tol=1e-13, max_iter=60):
     return z
 
 
-def _minimal_rotation_rows(direction):
-    r = np.asarray(direction, dtype=np.float64)
-    r = r / np.linalg.norm(r)
-    c = r[2]
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    v = np.cross(r, [0.0, 0.0, 1.0])
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
-
-
 def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
                frame: str = "graph", indices=(2, 3, 4, 5)) -> float:
     """Degree-0 obstruction coefficient at p, entirely by numerics.
@@ -240,7 +228,7 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
         R = np.eye(3)
     elif frame == "rotated":
         g = _grad_batch(F_world, p[None, :], spec.step_space, spec.radius)[0]
-        R = _minimal_rotation_rows(g)
+        R = _minimal_rotation(g)
     else:
         raise DomainError(f"oracle supports frames 'graph' and 'rotated', not {frame!r}")
 

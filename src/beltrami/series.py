@@ -15,6 +15,21 @@ hard error instead of a latent bug.
 Monomials are stored in graded order (total degree, then lexicographic on
 the exponent tuple), so the monomial list of order ``K - 1`` is a prefix of
 the list of order ``K``.
+
+Both coefficient modes run through the same index arrays, built once per
+``_Space`` (variables, order) and kept:
+
+* the pair table ``(I, J, K)`` with ``mono[I] + mono[J] = mono[K]``; a
+  product is one ``np.add.at`` over it.  In exact mode the operands enter
+  the product as integer numerators over one common denominator
+  (``math.lcm``), pairs with a zero factor are masked out, and a
+  ``Fraction`` is rebuilt only at each nonzero output;
+* per variable, the derivative and antiderivative maps ``(src, dst, k)``;
+* per target variable tuple, the map that places monomials there, shared
+  by :meth:`TruncatedSeries.slice_at_zero` and :meth:`TruncatedSeries.embed`.
+
+Scalar products, derivatives, antiderivatives and re-placements are then one
+indexed numpy operation, identical for ``Fraction`` and double entries.
 """
 
 from __future__ import annotations
@@ -56,8 +71,7 @@ class _Space:
         self.size = len(monos)
         self.degrees = np.array([sum(m) for m in monos], dtype=np.int64)
         self.expo = np.array(monos, dtype=np.int64).reshape(self.size, self.nvars)
-        self._pairs = None
-        self._diff = {}
+        self._maps = {}
 
     def var_pos(self, name: str) -> int:
         try:
@@ -65,47 +79,83 @@ class _Space:
         except ValueError:
             raise SeriesMismatchError(f"unknown variable {name!r} in {self.names}") from None
 
+    def _cached(self, key, build):
+        """Index arrays from ``build()`` (a tuple of int lists), built once."""
+        if key not in self._maps:
+            self._maps[key] = tuple(np.array(col, dtype=np.int64) for col in build())
+        return self._maps[key]
+
     def pairs(self):
         """(I, J, K) index arrays with mono[I] + mono[J] = mono[K], all degrees <= order."""
-        if self._pairs is None:
+
+        def build():
             starts = np.searchsorted(self.degrees, np.arange(self.order + 2))
             I, J, K = [], [], []
             for i, mi in enumerate(self.monos):
-                cutoff = starts[self.order - sum(mi) + 1]
-                for j in range(cutoff):
-                    mj = self.monos[j]
+                for j in range(starts[self.order - sum(mi) + 1]):
                     I.append(i)
                     J.append(j)
-                    K.append(self.index[tuple(a + b for a, b in zip(mi, mj))])
-            self._pairs = (
-                np.array(I, dtype=np.int64),
-                np.array(J, dtype=np.int64),
-                np.array(K, dtype=np.int64),
-            )
-        return self._pairs
+                    K.append(self.index[tuple(a + b for a, b in zip(mi, self.monos[j]))])
+            return I, J, K
+
+        return self._cached("pairs", build)
 
     def diff_map(self, pos: int):
         """(src, dst, factor) arrays implementing d/d(var pos) into order-1 space."""
-        if pos not in self._diff:
-            src, dst, fac = [], [], []
-            lower = _space(self.names, self.order - 1) if self.order > 0 else None
+
+        def build():
+            lower = _space(self.names, max(self.order - 1, 0))
+            src = [i for i, m in enumerate(self.monos) if m[pos]]
+            return (src, [lower.index[_shift(self.monos[i], pos, -1)] for i in src],
+                    [self.monos[i][pos] for i in src])
+
+        return self._cached(("diff", pos), build)
+
+    def integ_map(self, pos: int):
+        """(src, dst, divisor) arrays implementing the antiderivative in var pos;
+        monomials that would rise above the order are left out."""
+
+        def build():
+            src = [i for i in range(self.size) if self.degrees[i] < self.order]
+            return (src, [self.index[_shift(self.monos[i], pos, 1)] for i in src],
+                    [self.monos[i][pos] + 1 for i in src])
+
+        return self._cached(("integ", pos), build)
+
+    def onto_map(self, names: tuple):
+        """(src, dst) arrays placing every monomial that uses only variables in
+        ``names`` at its index in the space of ``names`` (same order)."""
+
+        def build():
+            target = _space(names, self.order)
+            src, dst = [], []
             for i, m in enumerate(self.monos):
-                if m[pos] == 0:
+                powers = dict(zip(self.names, m))
+                if any(e and v not in names for v, e in powers.items()):
                     continue
-                shifted = tuple(e - 1 if q == pos else e for q, e in enumerate(m))
                 src.append(i)
-                dst.append(lower.index[shifted])
-                fac.append(m[pos])
-            self._diff[pos] = (
-                np.array(src, dtype=np.int64),
-                np.array(dst, dtype=np.int64),
-                np.array(fac, dtype=np.int64),
-            )
-        return self._diff[pos]
+                dst.append(target.index[tuple(powers.get(v, 0) for v in names)])
+            return src, dst
+
+        return self._cached(("onto", names), build)
 
 
-def _is_exact_scalar(v) -> bool:
-    return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
+def _shift(mono: tuple, pos: int, step: int) -> tuple:
+    return mono[:pos] + (mono[pos] + step,) + mono[pos + 1:]
+
+
+def _integers(coeffs: np.ndarray):
+    """Exact coefficients as integer numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object), den
+
+
+def _fractions(nums: np.ndarray, den: int) -> np.ndarray:
+    """Integer numerators over ``den`` back to Fractions, reduced only where nonzero."""
+    out = np.full(nums.size, Fraction(0), dtype=object)
+    nz = np.flatnonzero(nums)
+    out[nz] = [Fraction(n, den) for n in nums[nz]]
+    return out
 
 
 def _coerce(value, exact: bool):
@@ -133,12 +183,8 @@ class TruncatedSeries:
 
     @classmethod
     def zeros(cls, vars, order, exact=False):
-        sp = _space(tuple(vars), order)
-        if exact:
-            c = np.empty(sp.size, dtype=object)
-            c[:] = [Fraction(0)] * sp.size
-        else:
-            c = np.zeros(sp.size, dtype=np.float64)
+        size = _space(tuple(vars), order).size
+        c = np.full(size, Fraction(0), dtype=object) if exact else np.zeros(size)
         return cls(tuple(vars), order, c)
 
     @classmethod
@@ -255,34 +301,19 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            scalar = _coerce(other, self.exact)
-            if self.exact:
-                out = self.coeffs.copy()
-                for i in range(out.size):
-                    out[i] = out[i] * scalar
-                return TruncatedSeries(self.vars, self.order, out)
-            return TruncatedSeries(self.vars, self.order, self.coeffs * scalar)
+            return TruncatedSeries(self.vars, self.order, self.coeffs * _coerce(other, self.exact))
         self._check(other)
-        sp = self.space
+        I, J, K = self.space.pairs()
+        a, b = self.coeffs, other.coeffs
         if self.exact:
-            out = TruncatedSeries.zeros(self.vars, self.order, exact=True)
-            starts = np.searchsorted(sp.degrees, np.arange(sp.order + 2))
-            oc = out.coeffs
-            for i, ci in enumerate(self.coeffs):
-                if ci == 0:
-                    continue
-                cutoff = starts[sp.order - sp.degrees[i] + 1]
-                row = other.coeffs
-                for j in range(cutoff):
-                    cj = row[j]
-                    if cj == 0:
-                        continue
-                    k = sp.index[tuple(a + b for a, b in zip(sp.monos[i], sp.monos[j]))]
-                    oc[k] = oc[k] + ci * cj
-            return out
-        I, J, K = sp.pairs()
-        out = np.zeros(sp.size, dtype=np.float64)
-        np.add.at(out, K, self.coeffs[I] * other.coeffs[J])
+            a, da = _integers(a)
+            b, db = _integers(b)
+            keep = (a != 0)[I] & (b != 0)[J]
+            I, J, K = I[keep], J[keep], K[keep]
+        out = np.zeros(a.size, dtype=a.dtype)
+        np.add.at(out, K, a[I] * b[J])
+        if self.exact:
+            out = _fractions(out, da * db)
         return TruncatedSeries(self.vars, self.order, out)
 
     def __rmul__(self, other):
@@ -304,14 +335,9 @@ class TruncatedSeries:
         if self.order < 1:
             raise SeriesMismatchError("cannot derive an order-0 series")
         sp = self.space
-        pos = sp.var_pos(name)
-        src, dst, fac = sp.diff_map(pos)
+        src, dst, fac = sp.diff_map(sp.var_pos(name))
         out = TruncatedSeries.zeros(self.vars, self.order - 1, exact=self.exact)
-        if self.exact:
-            for s, d, f in zip(src, dst, fac):
-                out.coeffs[d] = self.coeffs[s] * int(f)
-        else:
-            out.coeffs[dst] = self.coeffs[src] * fac
+        out.coeffs[dst] = self.coeffs[src] * fac
         return out
 
     def integrate(self, name: str):
@@ -322,17 +348,9 @@ class TruncatedSeries:
         through `order - 1`.
         """
         sp = self.space
-        pos = sp.var_pos(name)
+        src, dst, div = sp.integ_map(sp.var_pos(name))
         out = TruncatedSeries.zeros(self.vars, self.order, exact=self.exact)
-        for i, m in enumerate(sp.monos):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if sp.degrees[i] + 1 > self.order:
-                continue
-            up = tuple(e + 1 if q == pos else e for q, e in enumerate(m))
-            k = m[pos] + 1
-            out.coeffs[sp.index[up]] = c / k if self.exact else c / float(k)
+        out.coeffs[dst] = self.coeffs[src] / div
         return out
 
     def reciprocal(self):
@@ -377,29 +395,20 @@ class TruncatedSeries:
 
     def slice_at_zero(self, name: str):
         """Set variable `name` to 0 and drop it from the variable tuple."""
-        sp = self.space
-        pos = sp.var_pos(name)
-        new_vars = tuple(v for v in self.vars if v != name)
-        out = TruncatedSeries.zeros(new_vars, self.order, exact=self.exact)
-        tgt = _space(new_vars, self.order)
-        for i, m in enumerate(sp.monos):
-            if m[pos] != 0:
-                continue
-            rest = tuple(e for q, e in enumerate(m) if q != pos)
-            out.coeffs[tgt.index[rest]] = self.coeffs[i]
-        return out
+        self.space.var_pos(name)  # raises for an unknown variable
+        return self._onto(tuple(v for v in self.vars if v != name))
 
     def embed(self, vars: tuple):
         """Reinterpret over a superset variable tuple (same order)."""
         vars = tuple(vars)
-        positions = [vars.index(v) for v in self.vars]
-        out = TruncatedSeries.zeros(vars, self.order, exact=self.exact)
-        tgt = _space(vars, self.order)
-        for i, m in enumerate(self.space.monos):
-            big = [0] * len(vars)
-            for q, e in zip(positions, m):
-                big[q] = e
-            out.coeffs[tgt.index[tuple(big)]] = self.coeffs[i]
+        if not set(self.vars) <= set(vars):
+            raise SeriesMismatchError(f"{vars} is not a superset of {self.vars}")
+        return self._onto(vars)
+
+    def _onto(self, names: tuple):
+        src, dst = self.space.onto_map(names)
+        out = TruncatedSeries.zeros(names, self.order, exact=self.exact)
+        out.coeffs[dst] = self.coeffs[src]
         return out
 
     # -- evaluation / serialization -----------------------------------------
@@ -653,10 +662,3 @@ class SeriesMatrix2:
     def max_abs(self) -> float:
         return max(e.max_abs() for row in self.m for e in row)
 
-
-def mat_mul(a: SeriesMatrix2, b: SeriesMatrix2) -> SeriesMatrix2:
-    return a * b
-
-
-def mat_derive(a: SeriesMatrix2, name: str) -> SeriesMatrix2:
-    return a.derive(name)

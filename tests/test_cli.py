@@ -189,13 +189,62 @@ def test_negative_parameter_values(capsys):
     assert json.loads(out)["pass"] is True
 
 
-def test_thread_cap_env(monkeypatch):
-    from beltrami.cli import _workers
+@pytest.mark.parametrize("argv", [
+    ["verify-affine", "--a", "1/0"],
+    ["verify-affine", "--a", "nan"],
+    ["p-eval", "--f", "1+a*x1+x3", "--param", "a=foo"],
+    ["p-eval", "--f", "1+x3", "--point", "nan,0,0"],
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0", "--init", "psi:x1"],
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "inf", "--init", "psi:x1"],
+    ["p-hierarchy", "--f", "1+x3", "--indices", "2,3,x,6"],
+    ["conformal-check", "--samples", "0"],
+])
+def test_bad_numbers_are_json_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "BeltramiError"
 
-    monkeypatch.setenv("BELTRAMI_THREADS", "2")
-    assert _workers() == 2
-    monkeypatch.delenv("BELTRAMI_THREADS")
-    assert _workers() >= 1
+
+def test_verify_affine_accepts_a_rational(capsys):
+    # --a goes through the same number parser as every other numeric flag
+    _, half, _ = run_cli(capsys, "verify-affine", "--a", "1/2", "--samples", "5")
+    _, decimal, _ = run_cli(capsys, "verify-affine", "--a", "0.5", "--samples", "5")
+    assert half == decimal
+    assert json.loads(half)["a"] == 0.5
+
+
+def test_config_overrides_subcommand_mode_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = double\n")
+    code, out, _ = run_cli(capsys, "coeffs-prop4", "--a", "2", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["mode"] == "double"
+    # a flag still overrides the file
+    _, out, _ = run_cli(capsys, "coeffs-prop4", "--a", "2", "--config", str(cfg),
+                        "--mode", "rational")
+    assert json.loads(out)["mode"] == "rational"
+
+
+def test_config_overrides_subcommand_samples_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 3\n")
+    code, out, _ = run_cli(capsys, "conformal-check", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["samples"] == 3
+    _, out, _ = run_cli(capsys, "conformal-check")
+    assert json.loads(out)["samples"] == 50
+
+
+@pytest.mark.parametrize("line", ["t_order = foo", "patch_radius = nan", "mode = exact"])
+def test_bad_config_values_are_json_errors(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "dump-chart", "--f", "1+x3", "--config", str(cfg))
+    assert code == 1
+    assert json.loads(err)["error"] == "BeltramiError"
 
 
 def test_determinism_byte_identical(capsys):

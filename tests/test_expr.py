@@ -51,8 +51,9 @@ def test_parse_errors_carry_offsets():
         ex.parse("foo(x1)")  # unknown function
     with pytest.raises(ParseError):
         ex.parse("x1^x2")  # non-integer exponent
-    with pytest.raises(ParseError):
-        ex.parse("1/0")
+    for text in ("1/0", "x1/0", "x1/(0/1)", "sin(x1)/-0.0"):
+        with pytest.raises(ParseError):
+            ex.parse(text)  # a literal zero divisor, whatever the numerator
 
 
 def test_rational_literals():

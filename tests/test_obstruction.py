@@ -370,8 +370,8 @@ def test_divergence_form_vs_explicit_laplacian():
     raw = dT_beta(ch, T, psi)
 
     order = ch.chi2.order
-    chi = ch.chi
-    sqrt_g = ch.sqrt_detg
+    chi = ch.chi2.sqrt()
+    sqrt_g = ch.detg.sqrt()
     c = float(chi.constant_term())
     log_table = [math.log(c)] + [
         (-1.0) ** (k + 1) / (k * c**k) for k in range(1, order + 1)
@@ -401,3 +401,21 @@ def test_divergence_form_vs_explicit_laplacian():
         np.max(np.abs(raw.truncate(order2).coeffs - explicit.truncate(order2).coeffs))
         < 1e-9 * scale
     )
+
+
+def test_rational_quadratic_product_budget(monkeypatch):
+    # operation counts are deterministic, so a budget on them catches a
+    # performance regression without timing
+    products = 0
+    mul = TruncatedSeries.__mul__
+
+    def counting(a, b):
+        nonlocal products
+        products += isinstance(b, TruncatedSeries)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    f = ex.parse("1+x1^2+a*x2^2+x3")
+    obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, t_order=6, xi_order=6,
+                  frame="graph", mode="rational")
+    assert products <= 353

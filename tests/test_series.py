@@ -229,6 +229,54 @@ def test_slice_and_embed():
     assert back.coeff((1, 1, 0)) == 0.0
 
 
+EMBED_VARS = ("s", "t", "xi1", "xi2")
+three_var_coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=35)
+
+
+def _same_coefficients(exact, double):
+    assert (exact.vars, exact.order) == (double.vars, double.order)
+    assert all(type(c) is Fraction for c in exact.coeffs)
+    assert [float(c) for c in exact.coeffs] == double.coeffs.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_var_coeffs, three_var_coeffs, st.integers(-4, 4))
+def test_exact_and_double_modes_agree(av, bv, k):
+    # small integers keep every double result exact, so the modes must agree
+    # coefficient for coefficient
+    a, b = (_series_from_list(v, VARS, 4, exact=True) for v in (av, bv))
+    ad, bd = (_series_from_list(v, VARS, 4) for v in (av, bv))
+    _same_coefficients(a * b, ad * bd)
+    _same_coefficients(a * k, ad * k)
+    _same_coefficients(a * Fraction(k, 2), ad * (k / 2))
+    for name in VARS:
+        _same_coefficients(a.derive(name), ad.derive(name))
+        _same_coefficients(a.integrate(name), ad.integrate(name))
+        _same_coefficients(a.slice_at_zero(name), ad.slice_at_zero(name))
+    _same_coefficients(a.embed(EMBED_VARS), ad.embed(EMBED_VARS))
+    _same_coefficients(a.slice_at_zero("t").embed(VARS), ad.slice_at_zero("t").embed(VARS))
+
+
+def test_exact_product_with_mixed_denominators():
+    a = TruncatedSeries.from_terms(VARS, 4, {
+        (0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(-2, 3), (0, 1, 1): Fraction(5, 6),
+        (2, 1, 0): Fraction(7, 3), (0, 0, 3): Fraction(-1, 6)}, exact=True)
+    b = TruncatedSeries.from_terms(VARS, 4, {
+        (0, 0, 0): Fraction(-3, 2), (0, 1, 0): Fraction(1, 3), (1, 0, 1): Fraction(1, 6),
+        (0, 2, 2): Fraction(5, 2), (1, 1, 1): Fraction(-4, 3)}, exact=True)
+    expected = {}
+    for ma, ca in a.nonzero_terms():
+        for mb, cb in b.nonzero_terms():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= 4:
+                expected[m] = expected.get(m, 0) + ca * cb
+    prod = a * b
+    assert dict(prod.nonzero_terms()) == {m: c for m, c in expected.items() if c != 0}
+    assert all(type(c) is Fraction for c in prod.coeffs)
+    assert prod.coeff((1, 1, 0)) == Fraction(-2, 9)  # (-2/3) * (1/3)
+    assert prod.coeff((0, 1, 1)) == Fraction(-5, 4)  # (5/6) * (-3/2)
+
+
 def test_json_round_trip():
     s = _series_from_list([1, 0, -3, 2], vars=VARS, order=2)
     data = s.to_json()
