@@ -16,7 +16,7 @@ from .errors import (
     SeriesMismatchError,
 )
 from .expr import VectorExpr, evaluate, jet, parse, parse_vector, to_string
-from .series import SeriesMatrix2, TruncatedSeries, compose3
+from .series import SeriesMatrix2, TruncatedSeries
 
 __all__ = [
     "BeltramiError",
@@ -28,7 +28,6 @@ __all__ = [
     "SeriesMismatchError",
     "TruncatedSeries",
     "SeriesMatrix2",
-    "compose3",
     "parse",
     "parse_vector",
     "to_string",

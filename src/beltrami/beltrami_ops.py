@@ -17,7 +17,6 @@ from . import expr as ex
 from .chart import ChartData
 from .errors import DomainError
 from .expr import Add, Div, Func, Mul, Num, Pow, Var, VectorExpr
-from .series import compose3
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,8 @@ def chart_pullback(u: VectorExpr, chart: ChartData, bindings=None):
     """Components (beta_1, beta_2, beta_t) of the Euclidean dual form of u in
     chart coordinates: beta_i = u(x(t, xi)) . d_i x."""
     order = chart.order
-    mode = chart.bp.mode
     xw = chart.x_world()
-    jets = [
-        ex.jet(c, bindings, chart.bp.point, order, mode=mode) for c in u.components
-    ]
-    pulled = [compose3(j, xw) for j in jets]
+    pulled = ex.compose(u.components, bindings, xw)
 
     def dot_with(partial_var):
         dxw = [s.derive(partial_var) for s in xw]

@@ -14,6 +14,11 @@ Two frames are supported at the base point:
   component clears the floor.  This is the frame in which the benchmark
   coefficient families are quoted, so obstruction evaluation defaults to it.
 
+f enters through its expression: the graph solve puts p + R^T (xi1, xi2, h)
+into f and into the frame-x3 row of R grad f, and the flow puts p + R^T x
+into R grad f, where grad f is taken symbolically once (``expr.diff``) and
+every evaluation is ``expr.compose``.  No Taylor jet of f is formed.
+
 All series are truncated at total degree K = t_order + xi_order, which
 guarantees every mixed coefficient with t-degree <= t_order and xi-degree
 <= xi_order is exact.  Exact (rational) coefficients are available for
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import TruncatedSeries, compose3
+from .series import TruncatedSeries
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -60,10 +65,6 @@ class BasePoint:
         return self.mode == "rational"
 
 
-def _norm_sq(v):
-    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-
-
 def _minimal_rotation(direction):
     """Rotation matrix (rows = new axes) mapping `direction` to +e3."""
     r = np.asarray(direction, dtype=np.float64)
@@ -89,19 +90,17 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double",
     j1 = ex.jet(f, bindings, p, 1, mode=mode)
     c0 = j1.constant_term()
     grad = (j1.coeff((1, 0, 0)), j1.coeff((0, 1, 0)), j1.coeff((0, 0, 1)))
-    scale = max(1.0, abs(float(c0)))
-    floor_sq = (grad_floor * scale) ** 2
-    gsq = float(_norm_sq(tuple(map(float, grad))))
-    if gsq < floor_sq:
-        raise CriticalPointError(
-            f"|grad f| = {math.sqrt(gsq):.3e} below floor {grad_floor * scale:.3e} at {p}"
-        )
+    # magnitudes are compared, never squared, so huge values cannot overflow
+    floor = grad_floor * max(1.0, abs(float(c0)))
+    gnorm = math.hypot(*map(float, grad))
+    if gnorm < floor:
+        raise CriticalPointError(f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {p}")
 
     if frame == "auto":
-        frame = "graph" if abs(float(grad[2])) >= AUTO_GRAPH_RATIO * math.sqrt(gsq) else "rotated"
+        frame = "graph" if abs(float(grad[2])) >= AUTO_GRAPH_RATIO * gnorm else "rotated"
 
     if frame == "graph":
-        if abs(float(grad[2])) ** 2 < floor_sq:
+        if abs(float(grad[2])) < floor:
             raise FrameError(
                 "graph frame needs the third gradient component above the floor; "
                 "use frame='rotated'"
@@ -140,88 +139,68 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double",
     return BasePoint(point=pt, level=c0, grad=grad, rotation=rot, frame=frame, mode=mode)
 
 
-def frame_jet(f, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
-    """Jet of f in frame coordinates: F(y) = f(p + R^T y), based at y = 0."""
-    world = ex.jet(f, bindings, bp.point, order, mode=bp.mode, max_order=max(order, 12))
-    exact = bp.exact
-    R = bp.rotation
-    identity = all(
-        R[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3)
-    )
-    if identity:
-        out = world.copy()
-        out.base_point = (Fraction(0),) * 3 if exact else (0.0, 0.0, 0.0)
-        return out
-    axes = [TruncatedSeries.variable(ex.VAR_NAMES, order, v, exact=exact)
-            for v in ex.VAR_NAMES]
-    inner = []
-    for i in range(3):
-        s = TruncatedSeries.constant(ex.VAR_NAMES, order, bp.point[i], exact=exact)
-        for j in range(3):
-            if R[j][i] != 0:
-                s = s + axes[j] * R[j][i]
-        inner.append(s)
-    out = compose3(world, tuple(inner))
-    out.base_point = (Fraction(0),) * 3 if exact else (0.0, 0.0, 0.0)
+def _combine(weights, series):
+    """sum_j weights[j] * series[j] over the nonzero weights."""
+    out = None
+    for w, s in zip(weights, series):
+        if w != 0:
+            term = s if w == 1 else s * w
+            out = term if out is None else out + term
     return out
 
 
-def graph_solve(f, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
-    """Solve F(xi1, xi2, h(xi)) = c0 for the graph function h by series Newton."""
-    F = frame_jet(f, bindings, bp, order + 1)
-    return _graph_solve_from_jet(F, bp, order)
+def _world(bp: BasePoint, y):
+    """World coordinates p + R^T y of the frame series y."""
+    R = bp.rotation
+    return tuple(_combine([R[j][i] for j in range(3)], y) + bp.point[i] for i in range(3))
 
 
-def _graph_solve_from_jet(F: TruncatedSeries, bp: BasePoint, order: int) -> TruncatedSeries:
+def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
+    """Solve f(p + R^T (xi1, xi2, h(xi))) = c0 for the graph function h by
+    series Newton; the slope is the frame-x3 row of R grad f."""
     exact = bp.exact
     c0 = bp.level
-    Ft = F.truncate(order)
-    F3 = F.derive("x3").truncate(order)
+    normal = bp.rotation[2]
+    rows = [f] + [g for g, w in zip(grad, normal) if w != 0]
+    weights = [w for w in normal if w != 0]
     xi1 = TruncatedSeries.variable(XI_VARS, order, "xi1", exact=exact)
     xi2 = TruncatedSeries.variable(XI_VARS, order, "xi2", exact=exact)
     h = TruncatedSeries.zeros(XI_VARS, order, exact=exact)
     steps = max(3, order.bit_length() + 2)
     for _ in range(steps):
-        inner = (xi1, xi2, h)
-        residual = compose3(Ft, inner) - c0
-        slope = compose3(F3, inner)
-        h = h - residual * slope.reciprocal()
+        value, *partials = ex.compose(rows, bindings, _world(bp, (xi1, xi2, h)))
+        residual = value - c0
+        h = h - residual * _combine(weights, partials).reciprocal()
         if residual.max_abs() == 0.0:
             break
-    final = compose3(Ft, (xi1, xi2, h)) - c0
+    final = ex.compose(f, bindings, _world(bp, (xi1, xi2, h))) - c0
     if not exact and final.max_abs() > 1e-9 * max(1.0, abs(float(c0))):
         raise DomainError(f"graph solve did not converge: residual {final.max_abs():.3e}")
     return h
 
 
-def flow_series(f, bindings, bp: BasePoint, h: TruncatedSeries,
-                t_order: int, xi_order: int):
-    """Power-series solution of dx/dt = grad F / |grad F|^2, x(0, xi) = (xi, h).
+def _flow_from_jet(grad, bindings, bp: BasePoint, h: TruncatedSeries, order: int):
+    """Power-series solution of dx/dt = w / |w|^2 with w = R grad f(p + R^T x)
+    and x(0, xi) = (xi, h).
 
-    Solved by Picard iteration on jets; each sweep fixes one more t-degree, so
-    the triple is exact through total degree K = t_order + xi_order.
+    Solved by Picard iteration; each sweep fixes one more t-degree, so the
+    triple is exact through total degree K = t_order + xi_order.
     """
-    order = t_order + xi_order
-    F = frame_jet(f, bindings, bp, order + 1)
-    return _flow_from_jet(F, bp, h, order), F
-
-
-def _flow_from_jet(F: TruncatedSeries, bp: BasePoint, h: TruncatedSeries, order: int):
     exact = bp.exact
-    partials = [F.derive(v).truncate(order) for v in ex.VAR_NAMES]
+    R = bp.rotation
     xi1 = TruncatedSeries.variable(CHART_VARS, order, "xi1", exact=exact)
     xi2 = TruncatedSeries.variable(CHART_VARS, order, "xi2", exact=exact)
     x0 = (xi1, xi2, h.truncate(order).embed(CHART_VARS))
-    x = tuple(s.copy() for s in x0)
+    x = x0
     for _ in range(order + 1):
-        w = [compose3(g, x) for g in partials]
-        speed_sq = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
-        inv = speed_sq.reciprocal()
+        g = ex.compose(grad, bindings, _world(bp, x))
+        w = [_combine(R[i], g) for i in range(3)]
+        inv = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).reciprocal()
         xn = tuple(x0[i] + (w[i] * inv).integrate("t") for i in range(3))
-        if all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(x, xn)):
-            x = xn
-            break
+        done = all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(x, xn))
         x = xn
+        if done:  # a sweep that changes nothing is the fixed point
+            break
     return x
 
 
@@ -241,7 +220,6 @@ class ChartData:
     order: int  # total truncation order K of the flow map; metric series carry K - 1
     h: TruncatedSeries
     x: tuple
-    f_jet: TruncatedSeries
     chi2: TruncatedSeries
     g11: TruncatedSeries
     g12: TruncatedSeries
@@ -269,16 +247,7 @@ class ChartData:
 
     def x_world(self):
         """Flow map in world coordinates: p + R^T x_frame."""
-        R = self.bp.rotation
-        out = []
-        for i in range(3):
-            s = TruncatedSeries.constant(CHART_VARS, self.order, self.bp.point[i],
-                                         exact=self.exact)
-            for j in range(3):
-                if R[j][i] != 0:
-                    s = s + self.x[j] * R[j][i]
-            out.append(s)
-        return tuple(out)
+        return _world(self.bp, self.x)
 
     def to_json(self) -> dict:
         return {
@@ -307,12 +276,9 @@ class ChartData:
         }
 
 
-def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int,
-                f_jet: TruncatedSeries | None = None) -> ChartData:
+def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> ChartData:
     """Assemble chi^2, g_ij, their inverses, and the volume factor from the flow."""
     order = t_order + xi_order
-    if f_jet is None:
-        f_jet = frame_jet(f, bindings, bp, order + 1)
     exact = bp.exact
 
     dxt = [s.derive("t") for s in x]
@@ -344,7 +310,7 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int,
         raise DomainError("degenerate chart: flow Jacobian vanishes at the base point")
     chi_sqrt_detg = jac if jac.constant_term() > 0 else -jac
 
-    composed = compose3(f_jet.truncate(order), x)
+    composed = ex.compose(f, bindings, _world(bp, x))
     target = TruncatedSeries.constant(CHART_VARS, order, bp.level, exact=exact)
     tvar = TruncatedSeries.variable(CHART_VARS, order, "t", exact=exact)
     residual = composed - (target + tvar)
@@ -365,7 +331,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int,
         order=order,
         h=x[2].slice_at_zero("t"),
         x=x,
-        f_jet=f_jet,
         chi2=chi2,
         g11=g11,
         g12=g12,
@@ -385,7 +350,7 @@ def build_chart(f, bindings, p, t_order: int = 6, xi_order: int = 6,
     """End-to-end chart construction at a base point."""
     bp = base_point(f, bindings, p, frame=frame, mode=mode, grad_floor=grad_floor)
     order = t_order + xi_order
-    F = frame_jet(f, bindings, bp, order + 1)
-    h = _graph_solve_from_jet(F, bp, order)
-    x = _flow_from_jet(F, bp, h, order)
-    return metric_data(f, bindings, bp, x, t_order, xi_order, f_jet=F)
+    grad = [ex.diff(f, i) for i in range(3)]
+    h = _graph_solve_from_jet(f, grad, bindings, bp, order)
+    x = _flow_from_jet(grad, bindings, bp, h, order)
+    return metric_data(f, bindings, bp, x, t_order, xi_order)

@@ -51,17 +51,21 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BeltramiError(f"config line without '=': {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise BeltramiError(f"unknown config key {key!r}")
-            out[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as err:
+        raise BeltramiError(f"cannot read --config {path!r}: {err.strerror or err}") from None
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BeltramiError(f"config line without '=': {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise BeltramiError(f"unknown config key {key!r}")
+        out[key] = value
     return out
 
 
@@ -131,15 +135,23 @@ def _write_report(args, payload, default_newline=True):
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            raise BeltramiError(
+                "the report holds a non-finite number (an overflow or a NaN); "
+                "no report written") from None
         if default_newline:
             text += "\n"
     out = getattr(args, "out", "-") or "-"
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        raise BeltramiError(f"cannot write --out {out!r}: {err.strerror or err}") from None
 
 
 def _enc(value, mode):
@@ -563,7 +575,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # stderr carries one JSON object; a non-finite result is caught when
+        # the report is written, so numpy's floating-point warnings stay off
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except BeltramiError as err:
         sys.stderr.write(
             json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n"

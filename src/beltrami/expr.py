@@ -1,4 +1,5 @@
-"""Scalar and vector fields on R^3: parsing, evaluation, jet expansion.
+"""Scalar and vector fields on R^3: parsing, evaluation, symbolic partials,
+and composition with power series.
 
 The grammar is deliberately small::
 
@@ -12,6 +13,11 @@ Identifiers are the coordinates ``x1, x2, x3`` or named parameters bound at
 call time.  Numbers accept decimal and rational ``p/q`` literals; a quotient
 of two numeric literals is folded into an exact rational at parse time so
 that ``1/2`` means the rational one half in exact mode.
+
+Series enter an expression one way: :func:`compose` evaluates the tree with
+x1, x2, x3 replaced by three series, so a Taylor jet is the expression
+composed with ``p_i + x_i``, and the chart composes f and its partials
+(:func:`diff`, taken on the tree) with the chart series directly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .series import TruncatedSeries, apply_univariate
+from .series import TruncatedSeries, _coerce, apply_univariate
 
 VAR_NAMES = ("x1", "x2", "x3")
 FUNCS = ("sin", "cos", "exp", "log", "sqrt")
@@ -393,7 +399,7 @@ def evaluate(node, bindings: dict | None, point):
     return np.asarray(out, dtype=np.float64)
 
 
-# -- jets ---------------------------------------------------------------------
+# -- composition with series ----------------------------------------------------
 
 def _sin_taylor(c: float, order: int):
     cyc = (math.sin(c), math.cos(c), -math.sin(c), -math.cos(c))
@@ -428,45 +434,39 @@ def _sqrt_taylor(c: float, order: int):
     return out
 
 
-def jet(node, bindings: dict | None, point, order: int, mode: str = "double",
-        max_order: int = 12) -> TruncatedSeries:
-    """Taylor expansion of the expression at `point` through total degree `order`.
+_TAYLOR = {"sin": _sin_taylor, "cos": _cos_taylor, "exp": _exp_taylor,
+           "log": _log_taylor, "sqrt": _sqrt_taylor}
 
-    The result is a series in (x1, x2, x3) whose coefficients are the Taylor
-    coefficients with respect to the displacement from `point`; the point is
-    recorded on the series as ``base_point``.  Exact mode requires a polynomial
-    expression, rational bindings, and a rational point.
+
+def compose(nodes, bindings: dict | None, inner):
+    """The expression with x1, x2, x3 replaced by the three series ``inner``.
+
+    ``nodes`` is one expression or a list of them; the result is one series,
+    or a list, over the variables and order of ``inner``.  Subexpressions
+    free of x1, x2, x3 stay numbers, which scale the series they meet.  The
+    nodes of a list share the values of common subtrees by node identity.
     """
-    if order < 0:
-        raise DomainError("jet order must be >= 0")
-    if order > max_order:
-        raise BudgetExceeded(order, max_order)
+    a, b, c = inner
+    a._check(b), a._check(c)
+    exact = a.exact
     bindings = bindings or {}
-    exact = mode == "rational"
-    if mode not in ("double", "rational"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if exact:
-        pt = tuple(as_fraction(c) for c in point)
-    else:
-        pt = tuple(float(c) for c in point)
-    vars = VAR_NAMES
+    cache = {}
 
-    def mk_const(v):
-        return TruncatedSeries.constant(vars, order, v, exact=exact)
+    def ev(n):
+        hit = cache.get(id(n))
+        if hit is None:
+            hit = cache[id(n)] = (n, value(n))  # holding the node keeps its id unique
+        return hit[1]
 
-    def ev(n) -> TruncatedSeries:
+    def value(n):
         if isinstance(n, Var):
-            if order == 0:
-                return mk_const(pt[n.index])
-            s = TruncatedSeries.variable(vars, order, VAR_NAMES[n.index], exact=exact)
-            return s + pt[n.index]
+            return inner[n.index]
         if isinstance(n, Num):
-            return mk_const(n.value if exact else float(n.value))
+            return _coerce(n.value, exact)
         if isinstance(n, Param):
             if n.name not in bindings:
                 raise DomainError(f"unbound parameter {n.name!r}")
-            v = _as_number(bindings[n.name])
-            return mk_const(v if exact else float(v))
+            return _coerce(_as_number(bindings[n.name]), exact)
         if isinstance(n, Neg):
             return -ev(n.arg)
         if isinstance(n, Add):
@@ -477,21 +477,18 @@ def jet(node, bindings: dict | None, point, order: int, mode: str = "double",
             return ev(n.lhs) * ev(n.rhs)
         if isinstance(n, Div):
             den = ev(n.rhs)
-            if exact:
-                nonconst = any(c != 0 for c in den.coeffs[1:])
-                if nonconst:
-                    raise DomainError(
-                        "rational mode supports division by constants only"
-                    )
-                if den.coeffs[0] == 0:
-                    raise DomainError("division by zero")
-                return ev(n.lhs) * (Fraction(1) / den.coeffs[0])
-            return ev(n.lhs) * den.reciprocal()
+            if isinstance(den, TruncatedSeries):
+                if not exact:
+                    return ev(n.lhs) * den.reciprocal()
+                if any(v != 0 for v in den.coeffs[1:]):
+                    raise DomainError("rational mode supports division by constants only")
+                den = den.constant_term()
+            if den == 0:
+                raise DomainError("division by zero")
+            return ev(n.lhs) * (_coerce(1, exact) / den)
         if isinstance(n, Pow):
-            base = ev(n.base)
-            out = mk_const(1)
-            p = n.exp
-            sq = base
+            # square and multiply: a float ** raises OverflowError where a product gives inf
+            out, sq, p = _coerce(1, exact), ev(n.base), n.exp
             while p:
                 if p & 1:
                     out = out * sq
@@ -502,29 +499,87 @@ def jet(node, bindings: dict | None, point, order: int, mode: str = "double",
         if isinstance(n, Func):
             if exact:
                 raise DomainError(
-                    "rational mode requires a polynomial expression "
-                    f"(found {n.name})"
+                    f"rational mode requires a polynomial expression (found {n.name})"
                 )
             arg = ev(n.arg)
-            c = float(arg.constant_term())
-            table = {
-                "sin": _sin_taylor,
-                "cos": _cos_taylor,
-                "exp": _exp_taylor,
-                "log": _log_taylor,
-                "sqrt": _sqrt_taylor,
-            }[n.name]
-            return apply_univariate(arg, table(c, order))
+            series = isinstance(arg, TruncatedSeries)
+            at = float(arg.constant_term()) if series else arg
+            try:  # a number takes the 0th coefficient: the same domain checks
+                taylor = _TAYLOR[n.name](at, a.order if series else 0)
+            except (OverflowError, ValueError):
+                raise DomainError(f"{n.name}({at!r}) leaves the double range") from None
+            return apply_univariate(arg, taylor) if series else taylor[0]
         raise TypeError(f"not an expression node: {n!r}")
 
-    out = ev(node)
-    out.base_point = pt
-    return out
+    out = [ev(n) for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes])]
+    out = [v if isinstance(v, TruncatedSeries)
+           else TruncatedSeries.constant(a.vars, a.order, v, exact=exact) for v in out]
+    return out if isinstance(nodes, (list, tuple)) else out[0]
 
 
-class BudgetExceeded(DomainError):
-    def __init__(self, order, max_order):
-        super().__init__(f"jet order {order} exceeds the configured maximum {max_order}")
+def jet(node, bindings: dict | None, point, order: int, mode: str = "double") -> TruncatedSeries:
+    """Taylor expansion of the expression at `point` through total degree `order`:
+    the expression composed with the coordinate series ``p_i + x_i``.
+
+    Exact mode requires a polynomial expression, rational bindings, and a
+    rational point.
+    """
+    if order < 0:
+        raise DomainError("jet order must be >= 0")
+    if mode not in ("double", "rational"):
+        raise DomainError(f"unknown mode {mode!r}")
+    exact = mode == "rational"
+    shift = [TruncatedSeries.variable(VAR_NAMES, order, v, exact=exact) if order
+             else TruncatedSeries.zeros(VAR_NAMES, 0, exact=exact) for v in VAR_NAMES]
+    return compose(node, bindings, tuple(
+        s + (as_fraction(c) if exact else float(c)) for s, c in zip(shift, point)))
+
+
+_ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))
+_OUTER = {  # f'(u) for the node f(u)
+    "sin": lambda n: Func("cos", n.arg),
+    "cos": lambda n: Neg(Func("sin", n.arg)),
+    "exp": lambda n: n,
+    "log": lambda n: Div(_ONE, n.arg),
+    "sqrt": lambda n: Div(_ONE, Mul(Num(Fraction(2)), n)),
+}
+
+
+def _times(d, cofactor):
+    """d * cofactor, derivative factor first; a zero d drops the cofactor."""
+    return _ZERO if d is _ZERO else cofactor if d is _ONE else Mul(d, cofactor)
+
+
+def _plus(lhs, rhs, cls=Add):
+    if rhs is _ZERO:
+        return lhs
+    return (rhs if cls is Add else Neg(rhs)) if lhs is _ZERO else cls(lhs, rhs)
+
+
+def diff(node, i: int):
+    """Symbolic partial derivative in x_(i+1).  It shares the subtrees of
+    ``node``, so ``compose`` on f and its partials evaluates each once."""
+    if isinstance(node, Var):
+        return _ONE if node.index == i else _ZERO
+    if isinstance(node, (Num, Param)):
+        return _ZERO
+    if isinstance(node, Neg):
+        return _plus(_ZERO, diff(node.arg, i), Sub)
+    if isinstance(node, (Add, Sub)):
+        return _plus(diff(node.lhs, i), diff(node.rhs, i), type(node))
+    if isinstance(node, Mul):
+        return _plus(_times(diff(node.lhs, i), node.rhs), _times(diff(node.rhs, i), node.lhs))
+    if isinstance(node, Div):  # (u/v)' = (u' - v' (u/v)) / v
+        top = _plus(diff(node.lhs, i), _times(diff(node.rhs, i), node), Sub)
+        return _ZERO if top is _ZERO else Div(top, node.rhs)
+    if isinstance(node, Pow):
+        if node.exp < 2:
+            return diff(node.base, i) if node.exp else _ZERO
+        return _times(diff(node.base, i),
+                      Mul(Num(Fraction(node.exp)), Pow(node.base, node.exp - 1)))
+    if isinstance(node, Func):
+        return _times(diff(node.arg, i), _OUTER[node.name](node))
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def poly_degree(node):

@@ -203,30 +203,33 @@ def minimum_orders(degree: int, max_index: int) -> dict:
     }
 
 
-def _validate_budget(degree, indices, t_order, xi_order):
+def _validate_request(degree, indices, t_order, xi_order) -> tuple:
+    """The indices as a tuple, after the one rule on what may be asked: four
+    indices l > k > j > i >= 2, degree >= 0, and t_order, xi_order and their
+    sum each reaching the bound of ``minimum_orders``."""
+    indices = tuple(int(i) for i in indices)
+    if len(indices) != 4 or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 2:
+        raise DomainError(f"indices must satisfy l > k > j > i >= 2, got {indices}")
+    if degree < 0:
+        raise DomainError(f"degree must be >= 0, got {degree}")
     need = minimum_orders(degree, max(indices))
-    have_total = t_order + xi_order - 1  # metric series sit one below the flow order
     if (
         t_order < need["t_order"]
         or xi_order < need["xi_order"]
-        or have_total < need["total"] - 1
+        or t_order + xi_order < need["total"]
     ):
         raise BudgetError(
             f"orders (t={t_order}, xi={xi_order}) insufficient for degree {degree} "
-            f"with indices {tuple(indices)}; need at least t_order={need['t_order']}, "
-            f"xi_order={need['xi_order']}",
+            f"with indices {indices}; need t_order >= {need['t_order']}, "
+            f"xi_order >= {need['xi_order']} and t_order + xi_order >= {need['total']}",
             required=need,
         )
+    return indices
 
 
 def obstruction_from_chart(chart: ChartData, degree: int,
                            indices=DEFAULT_INDICES) -> ObstructionPoly:
-    indices = tuple(indices)
-    if list(indices) != sorted(set(indices)) or len(indices) != 4 or indices[0] < 2:
-        raise DomainError(
-            f"indices must be four strictly increasing integers >= 2, got {indices}"
-        )
-    _validate_budget(degree, indices, chart.t_order, chart.xi_order)
+    indices = _validate_request(degree, indices, chart.t_order, chart.xi_order)
     vectors = hierarchy_vectors(chart, indices)
     sliced = [
         tuple(c.slice_at_zero("t") for c in vectors[n].components) for n in indices
@@ -260,20 +263,15 @@ def obstruction_P(f, bindings, p, degree: int = 4, t_order: int = 6,
                   xi_order: int = 6, frame: str = "auto",
                   mode: str = "double") -> ObstructionPoly:
     """Obstruction polynomial det of the constraint vectors 2..5 at t = 0."""
-    chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order,
-                        frame=frame, mode=mode)
-    return obstruction_from_chart(chart, degree, DEFAULT_INDICES)
+    return obstruction_Pijkl(f, bindings, p, DEFAULT_INDICES, degree=degree,
+                             t_order=t_order, xi_order=xi_order, frame=frame, mode=mode)
 
 
 def obstruction_Pijkl(f, bindings, p, indices, degree: int = 4,
                       t_order: int = 6, xi_order: int = 6, frame: str = "auto",
                       mode: str = "double") -> ObstructionPoly:
     """Hierarchy member: determinant of the constraint vectors (i, j, k, l)."""
-    indices = tuple(int(i) for i in indices)
-    if len(indices) != 4 or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 2:
-        raise DomainError(
-            f"indices must satisfy l > k > j > i >= 2, got {indices}"
-        )
+    indices = _validate_request(degree, indices, t_order, xi_order)  # before any chart
     chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order,
                         frame=frame, mode=mode)
     return obstruction_from_chart(chart, degree, indices)

@@ -41,7 +41,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, SeriesMismatchError
+from .errors import BudgetError, DomainError, SeriesMismatchError
+
+# Largest pair table a space may build: C(order + 2 n, 2 n) pairs for n
+# variables.  Three variables reach it between orders 24 and 25, where the
+# table holds about 14 MB of index arrays and takes about a second to build.
+MAX_PAIRS = 600_000
 
 
 @lru_cache(maxsize=None)
@@ -55,6 +60,11 @@ class _Space:
     def __init__(self, names: tuple, order: int):
         if order < 0:
             raise SeriesMismatchError("truncation order must be >= 0")
+        pairs = math.comb(order + 2 * len(names), 2 * len(names))
+        if pairs > MAX_PAIRS:
+            raise BudgetError(
+                f"series in {len(names)} variables at order {order} need {pairs} "
+                f"coefficient pairs per product, above the limit {MAX_PAIRS}")
         self.names = names
         self.order = order
         self.nvars = len(names)
@@ -171,13 +181,12 @@ def _coerce(value, exact: bool):
 class TruncatedSeries:
     """A polynomial in named variables truncated at a fixed total degree."""
 
-    __slots__ = ("vars", "order", "coeffs", "base_point")
+    __slots__ = ("vars", "order", "coeffs")
 
-    def __init__(self, vars: tuple, order: int, coeffs: np.ndarray, base_point=None):
+    def __init__(self, vars: tuple, order: int, coeffs: np.ndarray):
         self.vars = tuple(vars)
         self.order = order
         self.coeffs = coeffs
-        self.base_point = base_point
 
     # -- constructors ------------------------------------------------------
 
@@ -247,7 +256,7 @@ class TruncatedSeries:
         return self.coeffs[0]
 
     def copy(self):
-        return TruncatedSeries(self.vars, self.order, self.coeffs.copy(), self.base_point)
+        return TruncatedSeries(self.vars, self.order, self.coeffs.copy())
 
     def equals(self, other) -> bool:
         return (
@@ -301,7 +310,10 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.vars, self.order, self.coeffs * _coerce(other, self.exact))
+            out = self.coeffs.copy()
+            nz = np.flatnonzero(out)
+            out[nz] = out[nz] * _coerce(other, self.exact)
+            return TruncatedSeries(self.vars, self.order, out)
         self._check(other)
         I, J, K = self.space.pairs()
         a, b = self.coeffs, other.coeffs
@@ -504,70 +516,6 @@ def apply_univariate(s: TruncatedSeries, taylor: list):
     out = TruncatedSeries.constant(s.vars, s.order, taylor[-1], exact=s.exact)
     for k in range(len(taylor) - 2, -1, -1):
         out = out * u + taylor[k]
-    return out
-
-
-def compose3(f_jet: TruncatedSeries, inner, out_order=None, tol=1e-12):
-    """Substitute three inner series into a 3-variable jet.
-
-    The inner series must share a variable tuple and order, and their constant
-    terms must match the jet's base point (exactly in exact mode, within `tol`
-    otherwise).  Result order is min(jet order, inner order) unless lowered by
-    `out_order`.
-    """
-    a, b, c = inner
-    a._check(b), a._check(c)
-    if len(f_jet.vars) != 3:
-        raise SeriesMismatchError("compose3 expects a 3-variable jet")
-    base = f_jet.base_point if f_jet.base_point is not None else (0, 0, 0)
-    order = min(f_jet.order, a.order)
-    if out_order is not None:
-        order = min(order, out_order)
-    exact = f_jet.exact
-    if exact != a.exact:
-        raise SeriesMismatchError("jet and inner series disagree in coefficient mode")
-    shifted = []
-    for s, p in zip((a, b, c), base):
-        d = s.truncate(order).copy()
-        if exact:
-            if d.coeffs[0] != p:
-                raise DomainError("inner constant term does not match jet base point")
-            d.coeffs[0] = Fraction(0)
-        else:
-            if abs(float(d.coeffs[0]) - float(p)) > tol:
-                raise DomainError(
-                    f"inner constant term {d.coeffs[0]} != base point {p} (tol {tol})"
-                )
-            d.coeffs[0] = 0.0
-        shifted.append(d)
-    out = TruncatedSeries.zeros(a.vars, order, exact=exact)
-    pows = {}
-
-    def power(axis, k):
-        if k == 0:
-            return None
-        key = (axis, k)
-        if key not in pows:
-            pows[key] = shifted[axis] if k == 1 else power(axis, k - 1) * shifted[axis]
-        return pows[key]
-
-    sp = f_jet.space
-    for i, coeff in enumerate(f_jet.coeffs):
-        if coeff == 0:
-            continue
-        e1, e2, e3 = sp.monos[i]
-        if e1 + e2 + e3 > order:
-            continue
-        term = None
-        for axis, e in enumerate((e1, e2, e3)):
-            p = power(axis, e)
-            if p is None:
-                continue
-            term = p if term is None else term * p
-        if term is None:
-            out = out + coeff
-        else:
-            out = out + term * coeff
     return out
 
 

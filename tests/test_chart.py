@@ -7,8 +7,6 @@ from beltrami.chart import (
     CHART_VARS,
     base_point,
     build_chart,
-    flow_series,
-    graph_solve,
 )
 from beltrami.errors import CriticalPointError, FrameError
 from beltrami.series import TruncatedSeries
@@ -73,8 +71,8 @@ def test_graph_frame_gate():
 def test_graph_solve_cubic_family():
     f = ex.parse("1+a*x1+b*x1^3+x3")
     bindings = {"a": Fraction(2), "b": Fraction(-3)}
-    bp = base_point(f, bindings, (0, 0, 0), frame="graph", mode="rational")
-    h = graph_solve(f, bindings, bp, 6)
+    h = build_chart(f, bindings, (0, 0, 0), t_order=3, xi_order=3, frame="graph",
+                    mode="rational").h
     assert h.coeff((1, 0)) == Fraction(-2)
     assert h.coeff((3, 0)) == Fraction(3)
     assert sum(1 for _, c in h.nonzero_terms()) == 2
@@ -82,8 +80,8 @@ def test_graph_solve_cubic_family():
 
 def test_graph_solve_quadratic_family():
     f = ex.parse("1+x1^2+a*x2^2+x3")
-    bp = base_point(f, {"a": Fraction(5)}, (0, 0, 0), frame="graph", mode="rational")
-    h = graph_solve(f, {"a": Fraction(5)}, bp, 6)
+    h = build_chart(f, {"a": Fraction(5)}, (0, 0, 0), t_order=3, xi_order=3,
+                    frame="graph", mode="rational").h
     assert h.coeff((2, 0)) == Fraction(-1)
     assert h.coeff((0, 2)) == Fraction(-5)
     assert sum(1 for _, c in h.nonzero_terms()) == 2
@@ -91,16 +89,13 @@ def test_graph_solve_quadratic_family():
 
 def test_graph_solve_flat():
     f = ex.parse("1+x3")
-    bp = base_point(f, None, (0, 0, 0))
-    h = graph_solve(f, None, bp, 5)
+    h = build_chart(f, None, (0, 0, 0), t_order=2, xi_order=3).h
     assert h.max_abs() == 0.0
 
 
 def test_flow_flat():
     f = ex.parse("1+x3")
-    bp = base_point(f, None, (0, 0, 0))
-    h = graph_solve(f, None, bp, 6)
-    x, _ = flow_series(f, None, bp, h, 3, 3)
+    x = build_chart(f, None, (0, 0, 0), t_order=3, xi_order=3).x
     assert x[0].equals(TruncatedSeries.variable(CHART_VARS, 6, "xi1"))
     assert x[1].equals(TruncatedSeries.variable(CHART_VARS, 6, "xi2"))
     assert x[2].equals(TruncatedSeries.variable(CHART_VARS, 6, "t"))
@@ -111,9 +106,8 @@ def test_flow_affine_closed_form():
     # (xi, -a xi1) this integrates to an affine map
     a = Fraction(3)
     f = ex.parse("1+a*x1+x3")
-    bp = base_point(f, {"a": a}, (0, 0, 0), frame="graph", mode="rational")
-    h = graph_solve(f, {"a": a}, bp, 6)
-    x, _ = flow_series(f, {"a": a}, bp, h, 3, 3)
+    x = build_chart(f, {"a": a}, (0, 0, 0), t_order=3, xi_order=3, frame="graph",
+                    mode="rational").x
     scale = Fraction(1, 10)  # 1/(1+a^2)
     assert x[0].coeff((1, 0, 0)) == a * scale
     assert x[0].coeff((0, 1, 0)) == 1

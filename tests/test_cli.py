@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -198,6 +199,10 @@ def test_negative_parameter_values(capsys):
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "inf", "--init", "psi:x1"],
     ["p-hierarchy", "--f", "1+x3", "--indices", "2,3,x,6"],
     ["conformal-check", "--samples", "0"],
+    ["dump-chart", "--f", "1+x3", "--config", "/nonexistent.cfg"],
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1",
+     "--grid", "5x5", "--out", "/nonexistent/dir/x.csv"],
+    ["p-eval", "--f", "1+x1^2+x3+1e200*x2^3", "--point", "1,1,0"],  # overflows to NaN
 ])
 def test_bad_numbers_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -208,12 +213,35 @@ def test_bad_numbers_are_json_errors(capsys, argv):
     assert json.loads(err)["error"] == "BeltramiError"
 
 
+def test_function_overflow_is_a_json_error(capsys):
+    code, out, err = run_cli(capsys, "p-eval", "--f", "exp(1000)+x3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_verify_affine_accepts_a_rational(capsys):
     # --a goes through the same number parser as every other numeric flag
     _, half, _ = run_cli(capsys, "verify-affine", "--a", "1/2", "--samples", "5")
     _, decimal, _ = run_cli(capsys, "verify-affine", "--a", "0.5", "--samples", "5")
     assert half == decimal
     assert json.loads(half)["a"] == 0.5
+
+
+def test_verify_affine_at_high_t_order(capsys):
+    # the pullback composes u with the chart series, so no jet order cap applies
+    code, out, _ = run_cli(capsys, "verify-affine", "--a", "1", "--t-order", "7",
+                           "--samples", "5")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_oversized_orders_fail_before_allocating(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "p-eval", "--f", "1+x1^2+x3",
+                             "--t-order", "40", "--xi-order", "40")
+    assert time.perf_counter() - start < 5.0
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BudgetError"
 
 
 def test_config_overrides_subcommand_mode_default(tmp_path, capsys):

@@ -235,6 +235,24 @@ def test_budget_validation():
     assert minimum_orders(4, 5) == {"t_order": 4, "xi_order": 5, "total": 10}
 
 
+def test_budget_rule_runs_before_the_chart(monkeypatch):
+    # every bound binds before any series is built, and the message names all three
+    def no_chart(*args, **kwargs):
+        raise AssertionError("chart built before the budget check")
+
+    monkeypatch.setattr("beltrami.obstruction.build_chart", no_chart)
+    f = ex.parse("1+x1^2+x3")
+    with pytest.raises(BudgetError) as err:
+        obstruction_P(f, None, ORIGIN, degree=4, t_order=4, xi_order=5)
+    assert "t_order >= 4, xi_order >= 5 and t_order + xi_order >= 10" in str(err.value)
+    for t_order, xi_order in ((3, 7), (5, 4)):
+        with pytest.raises(BudgetError):
+            obstruction_Pijkl(f, None, ORIGIN, (2, 3, 4, 5), degree=4,
+                              t_order=t_order, xi_order=xi_order)
+    with pytest.raises(DomainError):
+        obstruction_P(f, None, ORIGIN, degree=-1)
+
+
 def test_order_stability():
     f = ex.parse("1+x1^2+a*x2^2+x3")
     P = obstruction_P(f, {"a": 2.0}, ORIGIN, degree=2, t_order=6, xi_order=6,
@@ -418,4 +436,4 @@ def test_rational_quadratic_product_budget(monkeypatch):
     f = ex.parse("1+x1^2+a*x2^2+x3")
     obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, t_order=6, xi_order=6,
                   frame="graph", mode="rational")
-    assert products <= 353
+    assert products <= 345

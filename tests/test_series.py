@@ -1,10 +1,14 @@
+import math
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from beltrami.errors import DomainError, SeriesMismatchError
-from beltrami.series import SeriesMatrix2, TruncatedSeries, apply_univariate, compose3
+from beltrami import expr as ex
+from beltrami.errors import BudgetError, DomainError, SeriesMismatchError
+from beltrami.series import MAX_PAIRS, SeriesMatrix2, TruncatedSeries, apply_univariate
 
 VARS = ("t", "xi1", "xi2")
 
@@ -143,32 +147,18 @@ def test_strict_order_and_vars_mismatch():
         _ = a * c
 
 
+# composing an expression with three inner series (expr.compose)
 def test_compose3_coordinate_projection():
-    f = TruncatedSeries.variable(("x1", "x2", "x3"), 3, "x3")
-    f.base_point = (0.0, 0.0, 0.0)
-    t = TruncatedSeries.variable(VARS, 3, "t")
-    xi1 = TruncatedSeries.variable(VARS, 3, "xi1")
-    xi2 = TruncatedSeries.variable(VARS, 3, "xi2")
-    out = compose3(f, (xi1, xi2, t))
+    t, xi1, xi2 = (TruncatedSeries.variable(VARS, 3, v) for v in VARS)
+    out = ex.compose(ex.parse("x3"), None, (xi1, xi2, t))
     assert out.equals(t)
 
 
 def test_compose3_square():
-    from beltrami import expr as ex
-
-    f = ex.jet(ex.parse("x1^2"), None, (1.0, 0.0, 0.0), 2)
     t = TruncatedSeries.variable(VARS, 2, "t")
     zero = TruncatedSeries.zeros(VARS, 2)
-    out = compose3(f, (t + 1.0, zero, zero.copy()))
+    out = ex.compose(ex.parse("x1^2"), None, (t + 1.0, zero, zero.copy()))
     assert np.allclose([out.coeff((k, 0, 0)) for k in range(3)], [1.0, 2.0, 1.0])
-
-
-def test_compose3_base_point_mismatch():
-    f = TruncatedSeries.variable(("x1", "x2", "x3"), 2, "x1")
-    f.base_point = (1.0, 0.0, 0.0)
-    zero = TruncatedSeries.zeros(VARS, 2)
-    with pytest.raises(DomainError):
-        compose3(f, (zero, zero.copy(), zero.copy()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -176,11 +166,8 @@ def test_compose3_base_point_mismatch():
 def test_compose3_matches_pointwise_eval(inner, t):
     # composed series evaluated at a small argument matches direct evaluation
     # up to the truncation error O(|argument|^(K+1))
-    from beltrami import expr as ex
-
-    f = ex.jet(ex.parse("x1^2 + x1"), None, (float(inner.constant_term()), 0.0, 0.0), 4)
     zero = TruncatedSeries.constant(inner.vars, inner.order, 0.0)
-    comp = compose3(f, (inner, zero, zero.copy()))
+    comp = ex.compose(ex.parse("x1^2 + x1"), None, (inner, zero, zero.copy()))
     pt = (t, 0.01)
     x = inner.eval(pt)
     direct = x * x + x
@@ -190,15 +177,12 @@ def test_compose3_matches_pointwise_eval(inner, t):
 def test_compose3_error_shrinks_at_truncation_order():
     # |composed(arg) - f(x(arg))| = O(|arg|^(K+1)): halving the argument must
     # shrink the defect by about 2^(K+1) (allowing generous slack)
-    from beltrami import expr as ex
-
     K = 4
     f = ex.parse("exp(x1 + x3)")
-    fj = ex.jet(f, None, (0.0, 0.0, 0.0), K)
     t = TruncatedSeries.variable(VARS, K, "t")
     xi1 = TruncatedSeries.variable(VARS, K, "xi1")
     inner = (t + xi1 * t, xi1, t * t + xi1)
-    comp = compose3(fj, inner)
+    comp = ex.compose(f, None, inner)
 
     def defect(lam):
         pt = (0.3 * lam, 0.2 * lam, 0.0)
@@ -210,10 +194,24 @@ def test_compose3_error_shrinks_at_truncation_order():
         assert b <= a / 2 ** (K - 1) + 1e-14
 
 
+def test_space_pair_budget():
+    # a space counts its pair table, C(order + 2 n, 2 n) for n variables,
+    # before it enumerates anything, and refuses one above MAX_PAIRS
+    assert math.comb(24 + 6, 6) <= MAX_PAIRS < math.comb(25 + 6, 6)
+    TruncatedSeries.zeros(VARS, 24)
+    with pytest.raises(BudgetError):
+        TruncatedSeries.zeros(VARS, 25)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        TruncatedSeries.zeros(("xi1", "xi2"), 80)
+    assert time.perf_counter() - start < 1.0
+    # the largest order the tests use, K = 16, still multiplies
+    t = TruncatedSeries.variable(VARS, 16, "t")
+    assert (t * t).coeff((2, 0, 0)) == 1.0
+
+
 def test_apply_univariate_exp():
     t = TruncatedSeries.variable(("t",), 4, "t")
-    import math
-
     table = [1.0 / math.factorial(k) for k in range(5)]
     e = apply_univariate(t, table)
     assert np.allclose([e.coeff((k,)) for k in range(5)], table)
