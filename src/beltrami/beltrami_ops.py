@@ -177,7 +177,6 @@ def riemannian_curl(metric, v: VectorExpr, bindings, p):
 def chart_pullback(u: VectorExpr, chart: ChartData, bindings=None):
     """Components (beta_1, beta_2, beta_t) of the Euclidean dual form of u in
     chart coordinates: beta_i = u(x(t, xi)) . d_i x."""
-    order = chart.order
     xw = chart.x_world()
     pulled = ex.compose(u.components, bindings, xw)
 
@@ -185,7 +184,7 @@ def chart_pullback(u: VectorExpr, chart: ChartData, bindings=None):
         dxw = [s.derive(partial_var) for s in xw]
         out = None
         for k in range(3):
-            term = pulled[k].truncate(order - 1) * dxw[k]
+            term = pulled[k].truncate(dxw[k].order) * dxw[k]
             out = term if out is None else out + term
         return out
 
@@ -199,11 +198,9 @@ def pullback_system_residuals(u: VectorExpr, chart: ChartData, T, bindings=None)
     """Max coefficient residuals of the chart-coordinate system for a field:
     the two evolution rows, the closedness constraint, and the dt-component."""
     beta1, beta2, beta_t = chart_pullback(u, chart, bindings)
-    order = min(beta1.order, T.order) - 1
-    b1, b2 = beta1.truncate(order + 1), beta2.truncate(order + 1)
-    Tm = T.truncate(order + 1)
-    row1 = b1.derive("t") - (Tm.entry(0, 0) * b1 + Tm.entry(0, 1) * b2).truncate(order)
-    row2 = b2.derive("t") - (Tm.entry(1, 0) * b1 + Tm.entry(1, 1) * b2).truncate(order)
+    b1, b2 = beta1.truncate(T.order), beta2.truncate(T.order)
+    row1 = beta1.derive("t").truncate(T.order) - (T.entry(0, 0) * b1 + T.entry(0, 1) * b2)
+    row2 = beta2.derive("t").truncate(T.order) - (T.entry(1, 0) * b1 + T.entry(1, 1) * b2)
     closed = b2.derive("xi1") - b1.derive("xi2")
     return {
         "evolution_row1": row1.max_abs(),

@@ -19,12 +19,10 @@ into f and into the frame-x3 row of R grad f, and the flow puts p + R^T x
 into R grad f, where grad f is taken symbolically once (``expr.diff``) and
 every evaluation is ``expr.compose``.  No Taylor jet of f is formed.
 
-All series are truncated at total degree K = t_order + xi_order, which
-guarantees every mixed coefficient with t-degree <= t_order and xi-degree
-<= xi_order is exact.  Exact (rational) coefficients are available for
-polynomial f when the frame rotation is trivial; the combination
-chi * sqrt(det g) is then computed as the Jacobian determinant of the flow
-map, which keeps the whole tensor pipeline square-root free.
+Exact (rational) coefficients are available for polynomial f when the frame
+rotation is trivial; the combination chi * sqrt(det g) is computed as the
+Jacobian determinant of the flow map, which keeps the whole tensor pipeline
+square-root free.
 """
 
 from __future__ import annotations
@@ -68,6 +66,9 @@ class BasePoint:
 def _minimal_rotation(direction):
     """Rotation matrix (rows = new axes) mapping `direction` to +e3."""
     r = np.asarray(direction, dtype=np.float64)
+    # scaled by a power of two first, which is exact: the norm of a huge
+    # vector would overflow to inf and turn the direction into 0
+    r = np.ldexp(r, -np.frexp(np.max(np.abs(r)))[1])
     r = r / np.linalg.norm(r)
     c = r[2]
     if c > 1.0 - 1e-14:
@@ -179,20 +180,16 @@ def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> Trunc
     return h
 
 
-def _flow_from_jet(grad, bindings, bp: BasePoint, h: TruncatedSeries, order: int):
+def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
     """Power-series solution of dx/dt = w / |w|^2 with w = R grad f(p + R^T x)
-    and x(0, xi) = (xi, h).
+    and x(0, xi) = x0 = (xi1, xi2, h).
 
     Solved by Picard iteration; each sweep fixes one more t-degree, so the
-    triple is exact through total degree K = t_order + xi_order.
+    triple is exact through the order pair of x0.
     """
-    exact = bp.exact
     R = bp.rotation
-    xi1 = TruncatedSeries.variable(CHART_VARS, order, "xi1", exact=exact)
-    xi2 = TruncatedSeries.variable(CHART_VARS, order, "xi2", exact=exact)
-    x0 = (xi1, xi2, h.truncate(order).embed(CHART_VARS))
     x = x0
-    for _ in range(order + 1):
+    for _ in range(x0[0].order[0] + 1):
         g = ex.compose(grad, bindings, _world(bp, x))
         w = [_combine(R[i], g) for i in range(3)]
         inv = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).reciprocal()
@@ -208,6 +205,12 @@ def _flow_from_jet(grad, bindings, bp: BasePoint, h: TruncatedSeries, order: int
 class ChartData:
     """All metric data of the adapted chart, as series in (t, xi1, xi2).
 
+    The metric series and ``chi_sqrt_detg`` are truncated at the order pair
+    ``(t_order, xi_order)``: t-degree <= t_order and xi-degree <= xi_order.
+    The flow map ``x`` carries ``(t_order + 1, xi_order + 1)``, since the
+    metric takes one derivative of it, and the graph function ``h`` carries
+    xi-order ``xi_order + 1``.
+
     ``chi`` and ``sqrt(det g)`` are not stored: the tensor pipeline needs only
     their product ``chi_sqrt_detg`` (the flow-map Jacobian determinant), which
     is square-root free.  Take ``chi2.sqrt()`` or ``detg.sqrt()`` where a
@@ -217,7 +220,6 @@ class ChartData:
     bp: BasePoint
     t_order: int
     xi_order: int
-    order: int  # total truncation order K of the flow map; metric series carry K - 1
     h: TruncatedSeries
     x: tuple
     chi2: TruncatedSeries
@@ -242,9 +244,6 @@ class ChartData:
     def metric(self):
         return ((self.g11, self.g12), (self.g12, self.g22))
 
-    def metric_inv(self):
-        return ((self.ginv11, self.ginv12), (self.ginv12, self.ginv22))
-
     def x_world(self):
         """Flow map in world coordinates: p + R^T x_frame."""
         return _world(self.bp, self.x)
@@ -255,7 +254,7 @@ class ChartData:
             "level": str(self.level) if self.exact else float(self.level),
             "frame": self.bp.frame,
             "mode": self.bp.mode,
-            "orders": {"t": self.t_order, "xi": self.xi_order, "total": self.order},
+            "orders": {"t": self.t_order, "xi": self.xi_order},
             "rotation": [[float(e) for e in row] for row in self.bp.rotation],
             "h": self.h.to_json(),
             "x": [s.to_json() for s in self.x],
@@ -278,12 +277,12 @@ class ChartData:
 
 def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> ChartData:
     """Assemble chi^2, g_ij, their inverses, and the volume factor from the flow."""
-    order = t_order + xi_order
+    order = (t_order, xi_order)
     exact = bp.exact
 
-    dxt = [s.derive("t") for s in x]
-    dx1 = [s.derive("xi1") for s in x]
-    dx2 = [s.derive("xi2") for s in x]
+    dxt = [s.derive("t").truncate(order) for s in x]
+    dx1 = [s.derive("xi1").truncate(order) for s in x]
+    dx2 = [s.derive("xi2").truncate(order) for s in x]
 
     def dot(a, b):
         return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -311,9 +310,8 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
     chi_sqrt_detg = jac if jac.constant_term() > 0 else -jac
 
     composed = ex.compose(f, bindings, _world(bp, x))
-    target = TruncatedSeries.constant(CHART_VARS, order, bp.level, exact=exact)
-    tvar = TruncatedSeries.variable(CHART_VARS, order, "t", exact=exact)
-    residual = composed - (target + tvar)
+    tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", exact=exact)
+    residual = composed - (tvar + bp.level)
     flow_residual = float(residual.max_abs())
     # scale by the series magnitude: high orders legitimately carry large
     # coefficients (finite convergence radius), and rounding grows with them
@@ -328,7 +326,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
         bp=bp,
         t_order=t_order,
         xi_order=xi_order,
-        order=order,
         h=x[2].slice_at_zero("t"),
         x=x,
         chi2=chi2,
@@ -349,8 +346,11 @@ def build_chart(f, bindings, p, t_order: int = 6, xi_order: int = 6,
                 grad_floor: float = GRAD_FLOOR) -> ChartData:
     """End-to-end chart construction at a base point."""
     bp = base_point(f, bindings, p, frame=frame, mode=mode, grad_floor=grad_floor)
-    order = t_order + xi_order
+    # the flow's coordinates come first: their space refuses an order whose
+    # pair table is too large before the graph solve runs
+    xi = [TruncatedSeries.variable(CHART_VARS, (t_order + 1, xi_order + 1), v, exact=bp.exact)
+          for v in XI_VARS]
     grad = [ex.diff(f, i) for i in range(3)]
-    h = _graph_solve_from_jet(f, grad, bindings, bp, order)
-    x = _flow_from_jet(grad, bindings, bp, h, order)
+    h = _graph_solve_from_jet(f, grad, bindings, bp, xi_order + 1)
+    x = _flow_from_jet(grad, bindings, bp, (*xi, h.embed(CHART_VARS, xi[0].order)))
     return metric_data(f, bindings, bp, x, t_order, xi_order)

@@ -74,12 +74,14 @@ def _number(text: str, what: str, kind: str = "double"):
 
     Accepts integers, decimals and ``p/q`` rationals.  ``kind`` is
     ``"rational"`` (a Fraction), ``"double"`` (a float) or ``"int"``; anything
-    else, including nan, inf and a float overflow, is a BeltramiError.
+    else, including nan, inf and a number beyond the double range (a rational
+    run converts to doubles for its checks), is a BeltramiError.
     """
     try:
         value = Fraction(text)
+        approx = float(value)
         if kind == "double":
-            return float(value)
+            return approx
         if kind == "int":
             if value.denominator != 1:
                 raise ValueError(text)
@@ -111,6 +113,8 @@ def _merge_config(args) -> RunConfig:
             setattr(cfg, key, value)
     if cfg.samples < 1:
         raise BeltramiError(f"samples must be at least 1, got {cfg.samples}")
+    if cfg.seed < 0:
+        raise BeltramiError(f"seed must be at least 0, got {cfg.seed}")
     return cfg
 
 

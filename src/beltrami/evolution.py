@@ -160,15 +160,14 @@ class DriftReport:
 
 def init_from_potential(grid: GridField, psi, bindings=None) -> GridField:
     """beta = d psi with psi an expression in x1, x2 (read as xi1, xi2);
-    closed by construction and sampled from exact first-order jets."""
+    closed by construction and sampled from the symbolic partials of psi,
+    each evaluated once on the node batch."""
     nodes = grid.nodes()
-    beta = np.zeros((nodes.shape[0], 2))
-    for k, (u, v) in enumerate(nodes):
-        j = ex.jet(psi, bindings, (u, v, 0.0), 1)
-        beta[k, 0] = j.coeff((1, 0, 0))
-        beta[k, 1] = j.coeff((0, 1, 0))
-    out = GridField(grid.xi1, grid.xi2, beta.reshape(grid.beta.shape), 0.0)
-    return out
+    pts = np.column_stack([nodes, np.zeros(nodes.shape[0])])
+    # a constant partial evaluates to one value, which every node shares
+    beta = np.column_stack([np.broadcast_to(ex.evaluate(ex.diff(psi, i), bindings, pts),
+                                            nodes.shape[:1]) for i in range(2)])
+    return GridField(grid.xi1, grid.xi2, beta.reshape(grid.beta.shape), 0.0)
 
 
 def init_from_field(grid: GridField, u, chart: ChartData, bindings=None) -> GridField:

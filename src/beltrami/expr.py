@@ -505,7 +505,7 @@ def compose(nodes, bindings: dict | None, inner):
             series = isinstance(arg, TruncatedSeries)
             at = float(arg.constant_term()) if series else arg
             try:  # a number takes the 0th coefficient: the same domain checks
-                taylor = _TAYLOR[n.name](at, a.order if series else 0)
+                taylor = _TAYLOR[n.name](at, a.space.top if series else 0)
             except (OverflowError, ValueError):
                 raise DomainError(f"{n.name}({at!r}) leaves the double range") from None
             return apply_univariate(arg, taylor) if series else taylor[0]
@@ -529,8 +529,7 @@ def jet(node, bindings: dict | None, point, order: int, mode: str = "double") ->
     if mode not in ("double", "rational"):
         raise DomainError(f"unknown mode {mode!r}")
     exact = mode == "rational"
-    shift = [TruncatedSeries.variable(VAR_NAMES, order, v, exact=exact) if order
-             else TruncatedSeries.zeros(VAR_NAMES, 0, exact=exact) for v in VAR_NAMES]
+    shift = [TruncatedSeries.variable(VAR_NAMES, order, v, exact=exact) for v in VAR_NAMES]
     return compose(node, bindings, tuple(
         s + (as_fraction(c) if exact else float(c)) for s, c in zip(shift, point)))
 

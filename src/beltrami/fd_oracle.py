@@ -13,7 +13,7 @@ rotated frame), and random polynomials of degree <= 4 miss by up to 65%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,15 +162,7 @@ def _flow_batch(F, starts, times, spec: StencilSpec, grad_floor=1e-8):
 
 def numeric_flow(f, bindings, x0, t, dt: float = 1e-2, spec: StencilSpec | None = None):
     """Flow x0 along grad f / |grad f|^2 for time t (4th-order, fixed step)."""
-    spec = spec or StencilSpec()
-    spec = StencilSpec(
-        step_space=spec.step_space,
-        step_time=spec.step_time,
-        step_cross=spec.step_cross,
-        radius=spec.radius,
-        richardson=spec.richardson,
-        flow_dt=dt,
-    )
+    spec = replace(spec or StencilSpec(), flow_dt=dt)
 
     def F(pts):
         return ex.evaluate(f, bindings, pts)
@@ -203,6 +195,19 @@ def _newton_graph(F, xi, c0, step, radius, tol=1e-13, max_iter=60):
         if np.max(np.abs(val)) < tol * max(1.0, abs(c0)):
             break
     return z
+
+
+def _cross_offsets(radius, step):
+    """xi offsets of a stencil cross, shape (1 + 4*radius, 2): the center, then
+    j*step along axis 0 and along axis 1 for j = -radius..radius, j != 0."""
+    offsets = [np.zeros(2)]
+    for axis in range(2):
+        for j in range(-radius, radius + 1):
+            if j:
+                off = np.zeros(2)
+                off[axis] = j * step
+                offsets.append(off)
+    return np.array(offsets)
 
 
 def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
@@ -243,27 +248,11 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     n_t = t_nodes.size
 
     dc = spec.step_cross
-    cross = [np.zeros(2)]
-    for axis in range(2):
-        for j in range(-rt, rt + 1):
-            if j == 0:
-                continue
-            off = np.zeros(2)
-            off[axis] = j * dc
-            cross.append(off)
-    cross = np.array(cross)  # shape (1 + 4*rt, 2); order: center, axis0 offsets, axis1 offsets
+    cross = _cross_offsets(rt, dc)
     n_cross = cross.shape[0]
 
     dm = spec.step_space
-    moffsets = [np.zeros(2)]
-    for axis in range(2):
-        for j in range(-rt, rt + 1):
-            if j == 0:
-                continue
-            off = np.zeros(2)
-            off[axis] = j * dm
-            moffsets.append(off)
-    moffsets = np.array(moffsets)
+    moffsets = _cross_offsets(rt, dm)
     n_m = moffsets.shape[0]
 
     # unique xi start points (cross position + metric offset), then one batched flow

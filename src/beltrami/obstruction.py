@@ -103,19 +103,22 @@ def tensor_T(chart: ChartData) -> SeriesMatrix2:
     return T
 
 
+def _recursion_step(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int) -> SeriesMatrix2:
+    """T_{n+1} = dT_n/dt + T_n T, one t-order below T_n."""
+    a, b = Tn.order
+    if a < 1:
+        raise BudgetError(f"recursion to n={n + 1} needs t_order >= {n}, have {T.order[0]}",
+                          required={"t_order": n})
+    return Tn.derive("t") + Tn.truncate((a - 1, b)) * T.truncate((a - 1, b))
+
+
 def tensor_Tn(T: SeriesMatrix2, n: int) -> SeriesMatrix2:
     """n-th tensor of the recursion; consumes one t-order per step."""
     if n < 1:
         raise DomainError("recursion index must be >= 1")
-    if n - 1 > T.order:
-        raise BudgetError(
-            f"recursion to n={n} needs t-order >= {n - 1}, have series order {T.order}",
-            required={"order": n - 1},
-        )
     Tn = T
-    for _ in range(n - 1):
-        lower = Tn.order - 1
-        Tn = Tn.derive("t") + Tn.truncate(lower) * T.truncate(lower)
+    for k in range(1, n):
+        Tn = _recursion_step(T, Tn, k)
     return Tn
 
 
@@ -128,9 +131,8 @@ def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int = 0) -> ConstraintVect
     pivot = T.entry(0, 1)
     if abs(float(pivot.constant_term())) < 1e-12:
         raise DomainError("pivot entry of T has (near-)zero constant term")
-    order = min(Tn.order, T.order) - 1
-    Tl = T.truncate(order + 1)
-    Tnl = Tn.truncate(order + 1)
+    a, b = Tn.order
+    Tl = T.truncate(Tn.order)
 
     def d1(e):
         return e.derive("xi1")
@@ -139,17 +141,17 @@ def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int = 0) -> ConstraintVect
         return e.derive("xi2")
 
     def lower(e):
-        return e.truncate(order)
+        return e.truncate((a, b - 1))
 
-    ratio = lower(Tnl.entry(0, 1)) * lower(Tl.entry(0, 1)).reciprocal()
-    c1 = d1(Tnl.entry(1, 0)) - d2(Tnl.entry(0, 0)) - ratio * (
+    ratio = lower(Tn.entry(0, 1)) * lower(Tl.entry(0, 1)).reciprocal()
+    c1 = d1(Tn.entry(1, 0)) - d2(Tn.entry(0, 0)) - ratio * (
         d1(Tl.entry(1, 0)) - d2(Tl.entry(0, 0))
     )
-    c2 = d1(Tnl.entry(1, 1)) - d2(Tnl.entry(0, 1)) - ratio * (
+    c2 = d1(Tn.entry(1, 1)) - d2(Tn.entry(0, 1)) - ratio * (
         d1(Tl.entry(1, 1)) - d2(Tl.entry(0, 1))
     )
-    c3 = lower(Tnl.entry(1, 0)) - ratio * lower(Tl.entry(1, 0))
-    c4 = lower(Tnl.entry(1, 1)) - lower(Tnl.entry(0, 0)) - ratio * (
+    c3 = lower(Tn.entry(1, 0)) - ratio * lower(Tl.entry(1, 0))
+    c4 = lower(Tn.entry(1, 1)) - lower(Tn.entry(0, 0)) - ratio * (
         lower(Tl.entry(1, 1)) - lower(Tl.entry(0, 0))
     )
     return ConstraintVector4(n=n, components=(c1, c2, c3, c4))
@@ -158,18 +160,11 @@ def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int = 0) -> ConstraintVect
 def hierarchy_vectors(chart: ChartData, indices) -> dict:
     """Constraint vectors for every requested recursion index, sharing work."""
     indices = tuple(indices)
-    max_n = max(indices)
     T = tensor_T(chart)
     out = {}
     Tn = T
-    for n in range(2, max_n + 1):
-        lower = Tn.order - 1
-        if lower < 0:
-            raise BudgetError(
-                f"t-order budget exhausted at recursion step {n}",
-                required={"t_order": max_n - 1},
-            )
-        Tn = Tn.derive("t") + Tn.truncate(lower) * T.truncate(lower)
+    for n in range(2, max(indices) + 1):
+        Tn = _recursion_step(T, Tn, n - 1)
         if n in indices:
             out[n] = script_Tn(T, Tn, n=n)
     if 1 in indices:
@@ -195,33 +190,27 @@ def det4(columns) -> TruncatedSeries:
 
 
 def minimum_orders(degree: int, max_index: int) -> dict:
-    """Smallest order budget that leaves the requested polynomial exact."""
-    return {
-        "t_order": max_index - 1,
-        "xi_order": degree + 1,
-        "total": degree + max_index + 1,
-    }
+    """Smallest order pair that leaves the requested polynomial exact: the
+    recursion to T_n reads t-degrees up to n - 1, and the constraint vectors
+    take one xi-derivative of the polynomial's degree."""
+    return {"t_order": max_index - 1, "xi_order": degree + 1}
 
 
 def _validate_request(degree, indices, t_order, xi_order) -> tuple:
     """The indices as a tuple, after the one rule on what may be asked: four
-    indices l > k > j > i >= 2, degree >= 0, and t_order, xi_order and their
-    sum each reaching the bound of ``minimum_orders``."""
+    indices l > k > j > i >= 2, degree >= 0, and t_order and xi_order each
+    reaching the bound of ``minimum_orders``."""
     indices = tuple(int(i) for i in indices)
     if len(indices) != 4 or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 2:
         raise DomainError(f"indices must satisfy l > k > j > i >= 2, got {indices}")
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     need = minimum_orders(degree, max(indices))
-    if (
-        t_order < need["t_order"]
-        or xi_order < need["xi_order"]
-        or t_order + xi_order < need["total"]
-    ):
+    if t_order < need["t_order"] or xi_order < need["xi_order"]:
         raise BudgetError(
             f"orders (t={t_order}, xi={xi_order}) insufficient for degree {degree} "
-            f"with indices {indices}; need t_order >= {need['t_order']}, "
-            f"xi_order >= {need['xi_order']} and t_order + xi_order >= {need['total']}",
+            f"with indices {indices}; need t_order >= {need['t_order']} and "
+            f"xi_order >= {need['xi_order']}",
             required=need,
         )
     return indices
@@ -231,21 +220,9 @@ def obstruction_from_chart(chart: ChartData, degree: int,
                            indices=DEFAULT_INDICES) -> ObstructionPoly:
     indices = _validate_request(degree, indices, chart.t_order, chart.xi_order)
     vectors = hierarchy_vectors(chart, indices)
-    sliced = [
-        tuple(c.slice_at_zero("t") for c in vectors[n].components) for n in indices
-    ]
-    common = min(s[0].order for s in sliced)
-    sliced = [tuple(c.truncate(common) for c in col) for col in sliced]
-    det = det4(sliced)
-    if det.order < degree:
-        raise BudgetError(
-            f"determinant order {det.order} below requested degree {degree}",
-            required=minimum_orders(degree, max(indices)),
-        )
-    coeffs = {}
-    for mono, value in det.nonzero_terms():
-        if sum(mono) <= degree:
-            coeffs[mono] = value
+    # every constraint vector is at xi-order xi_order - 1 >= degree at t = 0
+    det = det4([tuple(c.slice_at_zero("t") for c in vectors[n].components) for n in indices])
+    coeffs = {mono: value for mono, value in det.nonzero_terms() if sum(mono) <= degree}
     return ObstructionPoly(
         coeffs=coeffs,
         degree=degree,
@@ -290,20 +267,20 @@ def dT_beta(chart: ChartData, Tn: SeriesMatrix2, psi: TruncatedSeries,
     """
     beta1 = psi.derive("xi1")
     beta2 = psi.derive("xi2")
-    order = min(beta1.order, Tn.order) - 1
-    b1 = beta1.truncate(order + 1)
-    b2 = beta2.truncate(order + 1)
-    A = Tn.truncate(order + 1)
+    top = tuple(map(min, beta1.order, Tn.order))
+    b1 = beta1.truncate(top)
+    b2 = beta2.truncate(top)
+    A = Tn.truncate(top)
     if not eliminate:
         row2 = A.entry(1, 0) * b1 + A.entry(1, 1) * b2
         row1 = A.entry(0, 0) * b1 + A.entry(0, 1) * b2
         return row2.derive("xi1") - row1.derive("xi2")
     if T is None:
         raise DomainError("eliminate=True requires the base tensor T")
-    B = T.truncate(order + 1)
+    B = T.truncate(top)
 
     def low(s):
-        return s.truncate(order)
+        return s.truncate((top[0], top[1] - 1))
 
     d1b1 = b1.derive("xi1")
     d2b1 = b1.derive("xi2")
@@ -328,12 +305,12 @@ def divergence_form_rhs(chart: ChartData, psi: TruncatedSeries) -> TruncatedSeri
     """-(c0 + t) * d_i(chi sqrt(g) g^{ij} d_j psi): the surface Laplacian plus
     the log-chi advection term of d(T d psi), assembled in divergence form so
     it stays rational for rational charts."""
-    order = min(psi.derive("xi1").order, chart.ginv11.order) - 1
-    b1 = psi.derive("xi1").truncate(order + 1)
-    b2 = psi.derive("xi2").truncate(order + 1)
-    csg = chart.chi_sqrt_detg.truncate(order + 1)
-    G1 = chart.ginv11.truncate(order + 1) * b1 + chart.ginv12.truncate(order + 1) * b2
-    G2 = chart.ginv12.truncate(order + 1) * b1 + chart.ginv22.truncate(order + 1) * b2
+    top = tuple(map(min, psi.derive("xi1").order, chart.ginv11.order))
+    b1 = psi.derive("xi1").truncate(top)
+    b2 = psi.derive("xi2").truncate(top)
+    csg = chart.chi_sqrt_detg.truncate(top)
+    G1 = chart.ginv11.truncate(top) * b1 + chart.ginv12.truncate(top) * b2
+    G2 = chart.ginv12.truncate(top) * b1 + chart.ginv22.truncate(top) * b2
     div = (csg * G1).derive("xi1") + (csg * G2).derive("xi2")
     tvar = TruncatedSeries.variable(div.vars, div.order, "t", exact=chart.exact)
     return -((tvar + chart.level) * div)

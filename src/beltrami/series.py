@@ -2,19 +2,24 @@
 
 Every chart and obstruction quantity in this package is carried by a
 :class:`TruncatedSeries`: a polynomial in a fixed ordered tuple of named
-variables, truncated at a total degree ``order``.  Coefficients are IEEE
-doubles by default; exact mode stores ``fractions.Fraction`` coefficients in
-an object array and keeps every ring operation exact.
+variables, truncated at an ``order``.  An int order bounds the total degree.
+An order pair ``(a, b)`` makes the space bigraded: the degree in the first
+variable is at most ``a`` and the total degree in the others at most ``b``;
+the chart series over ``(t, xi1, xi2)`` are truncated this way, since the
+obstruction reads t-degrees and xi-degrees against separate bounds.  Both
+kinds of truncation are quotients by an ideal, so every ring operation is
+exact through the order.  Coefficients are IEEE doubles by default; exact
+mode stores ``fractions.Fraction`` coefficients in an object array and keeps
+every ring operation exact.
 
 Truncation orders are strict: binary operations require identical variable
 tuples *and* identical orders, and lowering must be done explicitly with
-:meth:`TruncatedSeries.truncate`.  Derivatives drop the order by one and the
-result is tracked at the lower order.  This makes silent precision loss a
-hard error instead of a latent bug.
+:meth:`TruncatedSeries.truncate`.  A derivative lowers the bound on the degree
+of its variable by one, and the result is tracked at the lower order.  This
+makes silent precision loss a hard error instead of a latent bug.
 
 Monomials are stored in graded order (total degree, then lexicographic on
-the exponent tuple), so the monomial list of order ``K - 1`` is a prefix of
-the list of order ``K``.
+the exponent tuple), with the constant first.
 
 Both coefficient modes run through the same index arrays, built once per
 ``_Space`` (variables, order) and kept:
@@ -25,8 +30,9 @@ Both coefficient modes run through the same index arrays, built once per
   (``math.lcm``), pairs with a zero factor are masked out, and a
   ``Fraction`` is rebuilt only at each nonzero output;
 * per variable, the derivative and antiderivative maps ``(src, dst, k)``;
-* per target variable tuple, the map that places monomials there, shared
-  by :meth:`TruncatedSeries.slice_at_zero` and :meth:`TruncatedSeries.embed`.
+* per target space, the map that places there each monomial that space
+  holds, shared by :meth:`TruncatedSeries.truncate`,
+  :meth:`TruncatedSeries.slice_at_zero` and :meth:`TruncatedSeries.embed`.
 
 Scalar products, derivatives, antiderivatives and re-placements are then one
 indexed numpy operation, identical for ``Fraction`` and double entries.
@@ -44,23 +50,33 @@ import numpy as np
 from .errors import BudgetError, DomainError, SeriesMismatchError
 
 # Largest pair table a space may build: C(order + 2 n, 2 n) pairs for n
-# variables.  Three variables reach it between orders 24 and 25, where the
-# table holds about 14 MB of index arrays and takes about a second to build.
+# variables at a total-degree order, C(a + 2, 2) C(b + 2 n - 2, 2 n - 2) at an
+# order pair (a, b).  Three variables reach it between total orders 24 and 25,
+# where the table holds about 14 MB of index arrays.
 MAX_PAIRS = 600_000
 
 
 @lru_cache(maxsize=None)
-def _space(names: tuple, order: int) -> "_Space":
+def _space(names: tuple, order) -> "_Space":
     return _Space(names, order)
+
+
+def _lowered(order, pos: int):
+    """The order of a derivative in variable ``pos``."""
+    if isinstance(order, int):
+        return order - 1
+    return (order[0] - 1, order[1]) if pos == 0 else (order[0], order[1] - 1)
 
 
 class _Space:
     """Monomial bookkeeping shared by all series over (variables, order)."""
 
-    def __init__(self, names: tuple, order: int):
-        if order < 0:
+    def __init__(self, names: tuple, order):
+        bounds = (order,) if isinstance(order, int) else tuple(order)
+        blocks = (len(names),) if len(bounds) == 1 else (1, len(names) - 1)
+        if min(bounds) < 0:
             raise SeriesMismatchError("truncation order must be >= 0")
-        pairs = math.comb(order + 2 * len(names), 2 * len(names))
+        pairs = math.prod(math.comb(b + 2 * n, 2 * n) for b, n in zip(bounds, blocks))
         if pairs > MAX_PAIRS:
             raise BudgetError(
                 f"series in {len(names)} variables at order {order} need {pairs} "
@@ -68,19 +84,18 @@ class _Space:
         self.names = names
         self.order = order
         self.nvars = len(names)
-        monos = sorted(
-            (
-                m
-                for m in itertools.product(range(order + 1), repeat=self.nvars)
-                if sum(m) <= order
-            ),
-            key=lambda m: (sum(m), m),
-        )
+        self.top = sum(bounds)  # the largest total degree in the space
+        self.bounds = np.array(bounds)
+        # member[v, k] = 1 when the order bounds variable v in its k-th degree
+        member = np.repeat(np.eye(len(blocks), dtype=np.int64), blocks, axis=0)
+        grid = np.array(list(itertools.product(range(self.top + 1), repeat=self.nvars)))
+        fits = (grid @ member <= self.bounds).all(axis=1)
+        monos = sorted(map(tuple, grid[fits].tolist()), key=lambda m: (sum(m), m))
         self.monos = monos
         self.index = {m: i for i, m in enumerate(monos)}
         self.size = len(monos)
-        self.degrees = np.array([sum(m) for m in monos], dtype=np.int64)
         self.expo = np.array(monos, dtype=np.int64).reshape(self.size, self.nvars)
+        self.grades = (self.expo @ member).astype(np.int16)  # the bounded degrees
         self._maps = {}
 
     def var_pos(self, name: str) -> int:
@@ -96,25 +111,22 @@ class _Space:
         return self._maps[key]
 
     def pairs(self):
-        """(I, J, K) index arrays with mono[I] + mono[J] = mono[K], all degrees <= order."""
+        """(I, J, K) index arrays with mono[I] + mono[J] = mono[K] inside the space."""
 
         def build():
-            starts = np.searchsorted(self.degrees, np.arange(self.order + 2))
-            I, J, K = [], [], []
-            for i, mi in enumerate(self.monos):
-                for j in range(starts[self.order - sum(mi) + 1]):
-                    I.append(i)
-                    J.append(j)
-                    K.append(self.index[tuple(a + b for a, b in zip(mi, self.monos[j]))])
-            return I, J, K
+            fits = (self.grades[:, None] + self.grades[None] <= self.bounds).all(axis=2)
+            I, J = np.nonzero(fits)
+            codes = self.expo @ (self.top + 1) ** np.arange(self.nvars)  # additive keys
+            rank = np.argsort(codes)
+            return I, J, rank[np.searchsorted(codes[rank], codes[I] + codes[J])]
 
         return self._cached("pairs", build)
 
     def diff_map(self, pos: int):
-        """(src, dst, factor) arrays implementing d/d(var pos) into order-1 space."""
+        """(src, dst, factor) arrays implementing d/d(var pos) into the lowered space."""
 
         def build():
-            lower = _space(self.names, max(self.order - 1, 0))
+            lower = _space(self.names, _lowered(self.order, pos))
             src = [i for i, m in enumerate(self.monos) if m[pos]]
             return (src, [lower.index[_shift(self.monos[i], pos, -1)] for i in src],
                     [self.monos[i][pos] for i in src])
@@ -126,28 +138,29 @@ class _Space:
         monomials that would rise above the order are left out."""
 
         def build():
-            src = [i for i in range(self.size) if self.degrees[i] < self.order]
+            src = [i for i, m in enumerate(self.monos) if _shift(m, pos, 1) in self.index]
             return (src, [self.index[_shift(self.monos[i], pos, 1)] for i in src],
                     [self.monos[i][pos] + 1 for i in src])
 
         return self._cached(("integ", pos), build)
 
-    def onto_map(self, names: tuple):
-        """(src, dst) arrays placing every monomial that uses only variables in
-        ``names`` at its index in the space of ``names`` (same order)."""
+    def onto_map(self, names: tuple, order):
+        """(src, dst) arrays placing every monomial that the space of (``names``,
+        ``order``) holds at its index there; the others are dropped."""
 
         def build():
-            target = _space(names, self.order)
+            target = _space(names, order)
             src, dst = [], []
             for i, m in enumerate(self.monos):
                 powers = dict(zip(self.names, m))
-                if any(e and v not in names for v, e in powers.items()):
-                    continue
-                src.append(i)
-                dst.append(target.index[tuple(powers.get(v, 0) for v in names)])
+                key = tuple(powers.get(v, 0) for v in names)
+                # equal degrees: m uses no variable outside names
+                if sum(key) == sum(m) and key in target.index:
+                    src.append(i)
+                    dst.append(target.index[key])
             return src, dst
 
-        return self._cached(("onto", names), build)
+        return self._cached(("onto", names, order), build)
 
 
 def _shift(mono: tuple, pos: int, step: int) -> tuple:
@@ -179,11 +192,12 @@ def _coerce(value, exact: bool):
 
 
 class TruncatedSeries:
-    """A polynomial in named variables truncated at a fixed total degree."""
+    """A polynomial in named variables truncated at a fixed order: a total
+    degree, or a pair (degree in the first variable, total degree in the rest)."""
 
     __slots__ = ("vars", "order", "coeffs")
 
-    def __init__(self, vars: tuple, order: int, coeffs: np.ndarray):
+    def __init__(self, vars: tuple, order, coeffs: np.ndarray):
         self.vars = tuple(vars)
         self.order = order
         self.coeffs = coeffs
@@ -204,15 +218,15 @@ class TruncatedSeries:
 
     @classmethod
     def variable(cls, vars, order, name, exact=False):
-        """The series of the coordinate function `name` (no constant part)."""
+        """The series of the coordinate function `name` (no constant part); it is
+        0 in a space that holds no degree of `name`, as it is in the quotient."""
         sp = _space(tuple(vars), order)
         s = cls.zeros(vars, order, exact=exact)
         mono = tuple(1 if v == name else 0 for v in vars)
         if sum(mono) != 1:
             raise SeriesMismatchError(f"{name!r} is not one of {vars}")
-        if order < 1:
-            raise SeriesMismatchError("order 0 series cannot represent a variable")
-        s.coeffs[sp.index[mono]] = _coerce(1, exact)
+        if mono in sp.index:
+            s.coeffs[sp.index[mono]] = _coerce(1, exact)
         return s
 
     @classmethod
@@ -333,22 +347,20 @@ class TruncatedSeries:
 
     # -- calculus ----------------------------------------------------------
 
-    def truncate(self, order: int):
-        """Explicitly lower the truncation order (graded prefix copy)."""
+    def truncate(self, order):
+        """Explicitly lower the truncation order, or each bound of an order pair."""
         if order == self.order:
             return self
-        if order > self.order:
-            raise SeriesMismatchError("cannot raise truncation order")
-        sp = _space(self.vars, order)
-        return TruncatedSeries(self.vars, order, self.coeffs[: sp.size].copy())
+        if type(order) is not type(self.order) or np.any(np.array(order) > self.order):
+            raise SeriesMismatchError(f"cannot truncate order {self.order} to {order}")
+        return self._onto(self.vars, order)
 
     def derive(self, name: str):
-        """Formal partial derivative; result order is one lower."""
-        if self.order < 1:
-            raise SeriesMismatchError("cannot derive an order-0 series")
+        """Formal partial derivative; the bound on `name`'s degree drops by one."""
         sp = self.space
-        src, dst, fac = sp.diff_map(sp.var_pos(name))
-        out = TruncatedSeries.zeros(self.vars, self.order - 1, exact=self.exact)
+        pos = sp.var_pos(name)
+        out = TruncatedSeries.zeros(self.vars, _lowered(self.order, pos), exact=self.exact)
+        src, dst, fac = sp.diff_map(pos)
         out.coeffs[dst] = self.coeffs[src] * fac
         return out
 
@@ -357,7 +369,7 @@ class TruncatedSeries:
 
         Contributions that would land above the truncation order are dropped,
         so the result is exact through `order` whenever the input is exact
-        through `order - 1`.
+        one degree of `name` below it.
         """
         sp = self.space
         src, dst, div = sp.integ_map(sp.var_pos(name))
@@ -374,7 +386,7 @@ class TruncatedSeries:
         r = TruncatedSeries.constant(self.vars, self.order, inv0, exact=self.exact)
         two = TruncatedSeries.constant(self.vars, self.order, 2, exact=self.exact)
         correct = 1
-        while correct <= self.order:
+        while correct <= self.space.top:
             r = r * (two - self * r)
             correct *= 2
         return r
@@ -398,7 +410,7 @@ class TruncatedSeries:
         three = TruncatedSeries.constant(self.vars, self.order, 3, exact=self.exact)
         half = Fraction(1, 2) if self.exact else 0.5
         correct = 1
-        while correct <= self.order:
+        while correct <= self.space.top:
             y = (y * (three - self * (y * y))) * half
             correct *= 2
         return self * y
@@ -406,20 +418,24 @@ class TruncatedSeries:
     # -- restructuring -----------------------------------------------------
 
     def slice_at_zero(self, name: str):
-        """Set variable `name` to 0 and drop it from the variable tuple."""
-        self.space.var_pos(name)  # raises for an unknown variable
-        return self._onto(tuple(v for v in self.vars if v != name))
+        """Set variable `name` to 0 and drop it from the variable tuple; without
+        the first variable, an order pair (a, b) leaves the total order b."""
+        pos = self.space.var_pos(name)  # raises for an unknown variable
+        order = self.order if isinstance(self.order, int) or pos else self.order[1]
+        return self._onto(tuple(v for v in self.vars if v != name), order)
 
-    def embed(self, vars: tuple):
-        """Reinterpret over a superset variable tuple (same order)."""
+    def embed(self, vars: tuple, order):
+        """The same series over a superset variable tuple, at ``order``, which
+        must hold every monomial of this one."""
         vars = tuple(vars)
-        if not set(self.vars) <= set(vars):
-            raise SeriesMismatchError(f"{vars} is not a superset of {self.vars}")
-        return self._onto(vars)
+        if len(self.space.onto_map(vars, order)[0]) < self.coeffs.size:
+            raise SeriesMismatchError(
+                f"{vars} at order {order} cannot hold {self.vars} at order {self.order}")
+        return self._onto(vars, order)
 
-    def _onto(self, names: tuple):
-        src, dst = self.space.onto_map(names)
-        out = TruncatedSeries.zeros(names, self.order, exact=self.exact)
+    def _onto(self, names: tuple, order):
+        src, dst = self.space.onto_map(names, order)
+        out = TruncatedSeries.zeros(names, order, exact=self.exact)
         out.coeffs[dst] = self.coeffs[src]
         return out
 
@@ -446,7 +462,7 @@ class TruncatedSeries:
         sp = self.space
         return {
             "vars": list(self.vars),
-            "order": self.order,
+            "order": self.order if isinstance(self.order, int) else list(self.order),
             "coeffs": [
                 {"mi": list(sp.monos[i]), "c": enc(c)}
                 for i, c in enumerate(self.coeffs)
@@ -460,7 +476,9 @@ class TruncatedSeries:
         for entry in data["coeffs"]:
             value = Fraction(entry["c"]) if exact else float(entry["c"])
             terms[tuple(entry["mi"])] = value
-        return cls.from_terms(tuple(data["vars"]), data["order"], terms, exact=exact)
+        order = data["order"]  # a JSON list for an order pair
+        order = order if isinstance(order, int) else tuple(order)
+        return cls.from_terms(tuple(data["vars"]), order, terms, exact=exact)
 
 
 def _design_matrix(space: _Space, pts: np.ndarray) -> np.ndarray:
@@ -509,7 +527,9 @@ def apply_univariate(s: TruncatedSeries, taylor: list):
 
     ``taylor[k]`` must be the k-th Taylor coefficient g^(k)(c)/k! of the outer
     function at c = constant term of ``s``.  Evaluated by Horner on the
-    nilpotent part, so the cost is ``order`` series multiplications.
+    nilpotent part, so the cost is ``len(taylor) - 1`` series multiplications;
+    powers of the nilpotent part above ``s.space.top`` vanish, so no caller
+    needs a longer table.
     """
     u = s.copy()
     u.coeffs[0] = Fraction(0) if s.exact else 0.0

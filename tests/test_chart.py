@@ -5,6 +5,7 @@ from fractions import Fraction
 from beltrami import expr as ex
 from beltrami.chart import (
     CHART_VARS,
+    _minimal_rotation,
     base_point,
     build_chart,
 )
@@ -14,13 +15,13 @@ from beltrami.series import TruncatedSeries
 
 def chart_residuals(ch):
     """Max coefficients of the defining identities of a chart."""
-    order = ch.order
-    dxt = [s.derive("t") for s in ch.x]
+    order = (ch.t_order, ch.xi_order)  # the metric's order pair
+    dxt = [s.derive("t").truncate(order) for s in ch.x]
     cross = []
     for var in ("xi1", "xi2"):
-        dxi = [s.derive(var) for s in ch.x]
+        dxi = [s.derive(var).truncate(order) for s in ch.x]
         cross.append(sum((dxt[k] * dxi[k] for k in range(3)),
-                         TruncatedSeries.zeros(CHART_VARS, order - 1, exact=ch.exact)))
+                         TruncatedSeries.zeros(CHART_VARS, order, exact=ch.exact)))
     gg = [
         ch.g11 * ch.ginv11 + ch.g12 * ch.ginv12 - 1,
         ch.g11 * ch.ginv12 + ch.g12 * ch.ginv22,
@@ -61,6 +62,15 @@ def test_base_point_antiparallel_gradient():
     assert np.allclose(np.linalg.det(R), 1.0)
 
 
+@pytest.mark.parametrize("g", [(1.0, 0.0, 0.0), (0.0, 0.0, -2.0), (0.3, -0.4, 0.5),
+                               (2.0, 3e200, 1.0), (1e-200, -2e-200, 3e-200)])
+def test_minimal_rotation_takes_the_direction_to_e3(g):
+    R = _minimal_rotation(g)
+    assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
+    u = np.array(g) / np.max(np.abs(g))  # same direction, no overflow
+    assert np.allclose(R @ u, [0.0, 0.0, np.linalg.norm(u)], atol=1e-12)
+
+
 def test_graph_frame_gate():
     with pytest.raises(FrameError):
         base_point(ex.parse("1+x1"), None, (0, 0, 0), frame="graph")
@@ -96,9 +106,9 @@ def test_graph_solve_flat():
 def test_flow_flat():
     f = ex.parse("1+x3")
     x = build_chart(f, None, (0, 0, 0), t_order=3, xi_order=3).x
-    assert x[0].equals(TruncatedSeries.variable(CHART_VARS, 6, "xi1"))
-    assert x[1].equals(TruncatedSeries.variable(CHART_VARS, 6, "xi2"))
-    assert x[2].equals(TruncatedSeries.variable(CHART_VARS, 6, "t"))
+    assert x[0].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi1"))
+    assert x[1].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi2"))
+    assert x[2].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "t"))
 
 
 def test_flow_affine_closed_form():
@@ -111,7 +121,7 @@ def test_flow_affine_closed_form():
     scale = Fraction(1, 10)  # 1/(1+a^2)
     assert x[0].coeff((1, 0, 0)) == a * scale
     assert x[0].coeff((0, 1, 0)) == 1
-    assert x[1].equals(TruncatedSeries.variable(CHART_VARS, 6, "xi2", exact=True))
+    assert x[1].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi2", exact=True))
     assert x[2].coeff((1, 0, 0)) == scale
     assert x[2].coeff((0, 1, 0)) == -a
     for s in x:
@@ -122,8 +132,8 @@ def test_initial_slice_exact():
     f = ex.parse("1+x1^2+a*x2^2+x3")
     ch = build_chart(f, {"a": 2.0}, (0, 0, 0), t_order=3, xi_order=3)
     slice0 = [s.slice_at_zero("t") for s in ch.x]
-    assert slice0[0].equals(TruncatedSeries.variable(("xi1", "xi2"), 6, "xi1"))
-    assert slice0[1].equals(TruncatedSeries.variable(("xi1", "xi2"), 6, "xi2"))
+    assert slice0[0].equals(TruncatedSeries.variable(("xi1", "xi2"), 4, "xi1"))
+    assert slice0[1].equals(TruncatedSeries.variable(("xi1", "xi2"), 4, "xi2"))
     assert slice0[2].equals(ch.h)
 
 
@@ -243,6 +253,9 @@ def test_chart_covariance_under_base_rotation():
 def test_chart_json_dump():
     ch = build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=3, xi_order=3)
     data = ch.to_json()
-    assert data["orders"] == {"t": 3, "xi": 3, "total": 6}
+    assert data["orders"] == {"t": 3, "xi": 3}
+    assert data["chi2"]["order"] == [3, 3]
+    assert data["x"][0]["order"] == [4, 4]
+    assert data["h"]["order"] == 4
     assert data["frame"] in ("graph", "rotated")
     assert "coeffs" in data["h"]

@@ -32,6 +32,17 @@ class ZeroEvaluator:
         return np.zeros((nodes.shape[0], 2, 2))
 
 
+@pytest.mark.parametrize("text", ["x1 + x2", "x1^3*x2 - 3*x2^2 + x1",
+                                  "sin(x1)*exp(x2) + log(2 + x1)"])
+def test_init_from_potential_matches_jets(text):
+    psi = ex.parse(text)
+    grid = init_from_potential(GridField.centered(7, 5, 0.03, 0.04), psi)
+    for (u, v), beta in zip(grid.nodes(), grid.beta.reshape(-1, 2)):
+        j = ex.jet(psi, None, (u, v, 0.0), 1)
+        expect = np.array([j.coeff((1, 0, 0)), j.coeff((0, 1, 0))])
+        assert np.all(np.abs(beta - expect) <= 1e-14 * np.maximum(1.0, np.abs(expect)))
+
+
 def test_step_frozen_field():
     grid = GridField.centered(7, 7, 0.02, 0.02)
     grid.beta[:] = np.random.default_rng(0).normal(size=grid.beta.shape)

@@ -39,7 +39,7 @@ def test_golden_obstruction_json():
 
 GOLDEN_T_ENTRY = {
     "vars": ["t", "xi1", "xi2"],
-    "order": 5,
+    "order": [3, 3],
     "coeffs": [{"mi": [0, 0, 0], "c": 1.0}, {"mi": [1, 0, 0], "c": 1.0}],
 }
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,6 +8,7 @@ from beltrami import expr as ex
 from beltrami.chart import CHART_VARS, build_chart
 from beltrami.errors import BudgetError, DomainError
 from beltrami.obstruction import (
+    _validate_request,
     det4,
     divergence_form_rhs,
     dT_beta,
@@ -84,7 +87,7 @@ def test_tensor_Tn_base_case_and_flat_T2():
 def test_tensor_Tn_budget():
     T = tensor_T(flat_chart((2, 2)))
     with pytest.raises(BudgetError):
-        tensor_Tn(T, T.order + 2)
+        tensor_Tn(T, T.order[0] + 2)
 
 
 def test_script_Tn_vanishes_flat_and_affine():
@@ -232,19 +235,19 @@ def test_budget_validation():
         obstruction_P(f, {"a": 1.0, "b": 1.0}, ORIGIN, degree=4, t_order=3,
                       xi_order=3, frame="graph")
     assert err.value.required["t_order"] == 4
-    assert minimum_orders(4, 5) == {"t_order": 4, "xi_order": 5, "total": 10}
+    assert minimum_orders(4, 5) == {"t_order": 4, "xi_order": 5}
 
 
 def test_budget_rule_runs_before_the_chart(monkeypatch):
-    # every bound binds before any series is built, and the message names all three
+    # both bounds bind before any series is built, and the message names both
     def no_chart(*args, **kwargs):
         raise AssertionError("chart built before the budget check")
 
     monkeypatch.setattr("beltrami.obstruction.build_chart", no_chart)
     f = ex.parse("1+x1^2+x3")
     with pytest.raises(BudgetError) as err:
-        obstruction_P(f, None, ORIGIN, degree=4, t_order=4, xi_order=5)
-    assert "t_order >= 4, xi_order >= 5 and t_order + xi_order >= 10" in str(err.value)
+        obstruction_P(f, None, ORIGIN, degree=4, t_order=3, xi_order=5)
+    assert "t_order >= 4 and xi_order >= 5" in str(err.value)
     for t_order, xi_order in ((3, 7), (5, 4)):
         with pytest.raises(BudgetError):
             obstruction_Pijkl(f, None, ORIGIN, (2, 3, 4, 5), degree=4,
@@ -277,19 +280,13 @@ def test_obstruction_json_schema():
 # -- potential-based closed-form checks ---------------------------------------
 
 
-def _psi_series(order=8, exact=False, seed=None):
+def _psi_series(order=(9, 9), exact=False, seed=None):
     if seed is None:
         terms = {(0, 2, 0): 1, (0, 0, 2): 1}
     else:
         rng = np.random.default_rng(seed)
         terms = {}
-        space_monos = [
-            (i, j, k)
-            for i in range(3)
-            for j in range(4)
-            for k in range(4)
-            if i + j + k <= order
-        ]
+        space_monos = [(i, j, k) for i in range(3) for j in range(4) for k in range(4)]
         for m in space_monos:
             c = int(rng.integers(-2, 3))
             if c:
@@ -300,7 +297,7 @@ def _psi_series(order=8, exact=False, seed=None):
 def test_dT_beta_flat_laplacian():
     ch = flat_chart()
     T = tensor_T(ch)
-    psi = _psi_series(order=6)
+    psi = _psi_series(order=(6, 6))
     out = dT_beta(ch, T, psi)
     # -(1+t) * (Lap psi) with Lap psi = 4
     t = TruncatedSeries.variable(CHART_VARS, out.order, "t")
@@ -311,7 +308,7 @@ def test_dT_beta_flat_laplacian():
 def test_dT_beta_constant_potential():
     ch = flat_chart()
     T = tensor_T(ch)
-    psi = TruncatedSeries.constant(CHART_VARS, 6, 3.5)
+    psi = TruncatedSeries.constant(CHART_VARS, (6, 6), 3.5)
     assert dT_beta(ch, T, psi).max_abs() == 0.0
 
 
@@ -336,10 +333,10 @@ def test_two_path_identity(n):
     ch = build_chart(f, None, ORIGIN, t_order=5, xi_order=5, frame="rotated")
     T = tensor_T(ch)
     Tn = tensor_Tn(T, n)
-    psi = _psi_series(order=9, seed=23 + n)
+    psi = _psi_series(seed=23 + n)
     direct = dT_beta(ch, Tn, psi, T=T, eliminate=True)
     cv = script_Tn(T, Tn)
-    order = min(direct.order, cv.order)
+    order = tuple(map(min, direct.order, cv.order))
     dotted = _gamma_dot(cv, psi, order)
     scale = max(1.0, dotted.max_abs())
     assert np.max(np.abs(direct.truncate(order).coeffs - dotted.coeffs)) < 1e-9 * scale
@@ -352,11 +349,11 @@ def test_raw_vs_eliminated_decomposition(n):
     ch = build_chart(f, None, ORIGIN, t_order=5, xi_order=5, frame="graph")
     T = tensor_T(ch)
     Tn = tensor_Tn(T, n)
-    psi = _psi_series(order=9, seed=5)
+    psi = _psi_series(seed=5)
     raw_n = dT_beta(ch, Tn, psi)
     raw_1 = dT_beta(ch, T, psi)
     cv = script_Tn(T, Tn)
-    order = min(raw_n.order, cv.order, raw_1.order)
+    order = tuple(map(min, raw_n.order, cv.order, raw_1.order))
     ratio = Tn.entry(0, 1).truncate(order) * T.entry(0, 1).truncate(order).reciprocal()
     recomposed = _gamma_dot(cv, psi, order) + ratio * raw_1.truncate(order)
     scale = max(1.0, recomposed.max_abs())
@@ -368,10 +365,10 @@ def test_divergence_form_identity_exact():
     ch = build_chart(f, {"a": Fraction(3)}, ORIGIN, t_order=4, xi_order=4,
                      frame="graph", mode="rational")
     T = tensor_T(ch)
-    psi = _psi_series(order=7, exact=True)
+    psi = _psi_series(order=(7, 7), exact=True)
     raw = dT_beta(ch, T, psi)
     rhs = divergence_form_rhs(ch, psi)
-    order = min(raw.order, rhs.order)
+    order = tuple(map(min, raw.order, rhs.order))
     assert raw.truncate(order).equals(rhs.truncate(order))
 
 
@@ -384,7 +381,7 @@ def test_divergence_form_vs_explicit_laplacian():
     f = ex.parse("1 + x3 + x1^2 - x2^3 + x1*x2")
     ch = build_chart(f, None, ORIGIN, t_order=4, xi_order=4, frame="rotated")
     T = tensor_T(ch)
-    psi = _psi_series(order=9, seed=41)
+    psi = _psi_series(seed=41)
     raw = dT_beta(ch, T, psi)
 
     order = ch.chi2.order
@@ -392,14 +389,14 @@ def test_divergence_form_vs_explicit_laplacian():
     sqrt_g = ch.detg.sqrt()
     c = float(chi.constant_term())
     log_table = [math.log(c)] + [
-        (-1.0) ** (k + 1) / (k * c**k) for k in range(1, order + 1)
+        (-1.0) ** (k + 1) / (k * c**k) for k in range(1, sum(order) + 1)
     ]
     log_chi = apply_univariate(chi, log_table)
     b1 = psi.derive("xi1").truncate(order)
     b2 = psi.derive("xi2").truncate(order)
     G1 = ch.ginv11 * b1 + ch.ginv12 * b2
     G2 = ch.ginv12 * b1 + ch.ginv22 * b2
-    low = order - 1
+    low = (order[0], order[1] - 1)  # after one xi-derivative
     lap = (
         (sqrt_g * G1).derive("xi1") + (sqrt_g * G2).derive("xi2")
     ) * sqrt_g.truncate(low).reciprocal()
@@ -413,7 +410,7 @@ def test_divergence_form_vs_explicit_laplacian():
     explicit = -(
         (t + float(ch.level)) * chi.truncate(low) * (lap + advect) * sqrt_g.truncate(low)
     )
-    order2 = min(raw.order, explicit.order)
+    order2 = tuple(map(min, raw.order, explicit.order))
     scale = max(1.0, explicit.max_abs())
     assert (
         np.max(np.abs(raw.truncate(order2).coeffs - explicit.truncate(order2).coeffs))
@@ -436,4 +433,46 @@ def test_rational_quadratic_product_budget(monkeypatch):
     f = ex.parse("1+x1^2+a*x2^2+x3")
     obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, t_order=6, xi_order=6,
                   frame="graph", mode="rational")
-    assert products <= 345
+    assert products <= 287
+
+
+@pytest.mark.parametrize("text, bindings, point, degree, frame, mode", [
+    ("1+a*x1+b*x1^3+x3", {"a": Fraction(3, 2), "b": Fraction(-2)}, ORIGIN, 3, "graph",
+     "rational"),
+    ("1+x1^2+a*x2^2+x3", {"a": Fraction(2)}, ORIGIN, 2, "graph", "rational"),
+    ("1+x1^2+a*x2^2+x3", {"a": Fraction(2)}, ORIGIN, 4, "graph", "rational"),
+    ("1+sin(x1)+exp(x2)*x3+x3", None, (0.1, 0.2, 0.0), 3, "rotated", "double"),
+])
+def test_minimum_orders_are_enough(text, bindings, point, degree, frame, mode):
+    # P at t_order = max(indices) - 1 and xi_order = degree + 1 equals P at
+    # larger orders; at degree 4 that is (4, 5), below t_order + xi_order = 10
+    f = ex.parse(text)
+    low = obstruction_P(f, bindings, point, degree=degree, frame=frame, mode=mode,
+                        **minimum_orders(degree, 5))
+    for t_order, xi_order in ((6, 6), (8, 8)):
+        high = obstruction_P(f, bindings, point, degree=degree, t_order=t_order,
+                             xi_order=xi_order, frame=frame, mode=mode)
+        if mode == "rational":
+            assert low.coeffs == high.coeffs
+        else:
+            monos = set(low.coeffs) | set(high.coeffs)
+            err = max(abs(low.coeff(m) - high.coeff(m)) for m in monos)
+            assert err <= 1e-12 * high.max_abs()
+
+
+def test_orders_accepted_before_stay_accepted():
+    # the rule once also required t_order + xi_order >= degree + max(indices) + 1
+    for t_order, xi_order, degree in itertools.product(range(9), range(9), range(6)):
+        if t_order >= 4 and xi_order >= degree + 1 and t_order + xi_order >= degree + 6:
+            assert _validate_request(degree, (2, 3, 4, 5), t_order, xi_order) == (2, 3, 4, 5)
+
+
+def test_bigraded_series_sizes():
+    # at (6, 6): the flow at (7, 7) holds 8 * 36 coefficients, T at (6, 6)
+    # 7 * 28 and h at xi-order 7 36; total-degree truncation at 12 held 455,
+    # 364 (order 11) and 91
+    ch = build_chart(ex.parse("1+x1^2+a*x2^2+x3"), {"a": 2.0}, ORIGIN, t_order=6,
+                     xi_order=6, frame="graph")
+    assert [s.coeffs.size for s in ch.x] == [288] * 3
+    assert [e.coeffs.size for row in tensor_T(ch).m for e in row] == [196] * 4
+    assert ch.h.coeffs.size == 36

@@ -26,13 +26,18 @@ small_coeffs = st.lists(
 
 
 @st.composite
-def series(draw, exact=False):
-    return _series_from_list(draw(small_coeffs), exact=exact)
+def series(draw, order=4):
+    return _series_from_list(draw(small_coeffs), order=order)
+
+
+# an int order bounds the total degree; a pair bounds t and xi1 separately
+ORDERS = [4, (2, 3)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(series(), series(), series())
-def test_ring_axioms(a, b, c):
+@given(order=st.sampled_from(ORDERS), data=st.data())
+def test_ring_axioms(order, data):
+    a, b, c = (data.draw(series(order)) for _ in range(3))
     lhs = (a * b) * c
     rhs = a * (b * c)
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-10)
@@ -42,16 +47,19 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(series(), series())
-def test_leibniz(a, b):
+@given(order=st.sampled_from(ORDERS), data=st.data())
+def test_leibniz(order, data):
+    a, b = (data.draw(series(order)) for _ in range(2))
     lhs = (a * b).derive("t")
-    rhs = a.derive("t") * b.truncate(a.order - 1) + a.truncate(a.order - 1) * b.derive("t")
+    low = lhs.order
+    rhs = a.derive("t") * b.truncate(low) + a.truncate(low) * b.derive("t")
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(series())
-def test_reciprocal_postcondition(s):
+@given(order=st.sampled_from(ORDERS), data=st.data())
+def test_reciprocal_postcondition(order, data):
+    s = data.draw(series(order))
     s = s + 1.0 - float(s.constant_term())  # force unit constant term
     r = s.reciprocal()
     prod = s * r
@@ -60,8 +68,9 @@ def test_reciprocal_postcondition(s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(series())
-def test_sqrt_postcondition(s):
+@given(order=st.sampled_from(ORDERS), data=st.data())
+def test_sqrt_postcondition(order, data):
+    s = data.draw(series(order))
     s = s + 1.0 - float(s.constant_term())
     r = s.sqrt()
     prod = r * r
@@ -222,7 +231,7 @@ def test_slice_and_embed():
     sl = s.slice_at_zero("t")
     assert sl.vars == ("xi1", "xi2")
     assert sl.coeff((1, 1)) == 2.0
-    back = sl.embed(VARS)
+    back = sl.embed(VARS, 3)
     assert back.coeff((0, 1, 1)) == 2.0
     assert back.coeff((1, 1, 0)) == 0.0
 
@@ -238,12 +247,12 @@ def _same_coefficients(exact, double):
 
 
 @settings(max_examples=60, deadline=None)
-@given(three_var_coeffs, three_var_coeffs, st.integers(-4, 4))
-def test_exact_and_double_modes_agree(av, bv, k):
+@given(st.sampled_from(ORDERS), three_var_coeffs, three_var_coeffs, st.integers(-4, 4))
+def test_exact_and_double_modes_agree(order, av, bv, k):
     # small integers keep every double result exact, so the modes must agree
     # coefficient for coefficient
-    a, b = (_series_from_list(v, VARS, 4, exact=True) for v in (av, bv))
-    ad, bd = (_series_from_list(v, VARS, 4) for v in (av, bv))
+    a, b = (_series_from_list(v, VARS, order, exact=True) for v in (av, bv))
+    ad, bd = (_series_from_list(v, VARS, order) for v in (av, bv))
     _same_coefficients(a * b, ad * bd)
     _same_coefficients(a * k, ad * k)
     _same_coefficients(a * Fraction(k, 2), ad * (k / 2))
@@ -251,28 +260,37 @@ def test_exact_and_double_modes_agree(av, bv, k):
         _same_coefficients(a.derive(name), ad.derive(name))
         _same_coefficients(a.integrate(name), ad.integrate(name))
         _same_coefficients(a.slice_at_zero(name), ad.slice_at_zero(name))
-    _same_coefficients(a.embed(EMBED_VARS), ad.embed(EMBED_VARS))
-    _same_coefficients(a.slice_at_zero("t").embed(VARS), ad.slice_at_zero("t").embed(VARS))
+    top = a.space.top  # the largest total degree
+    _same_coefficients(a.embed(EMBED_VARS, top), ad.embed(EMBED_VARS, top))
+    _same_coefficients(a.slice_at_zero("t").embed(VARS, order),
+                       ad.slice_at_zero("t").embed(VARS, order))
 
 
 def test_exact_product_with_mixed_denominators():
-    a = TruncatedSeries.from_terms(VARS, 4, {
+    a_terms = {
         (0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(-2, 3), (0, 1, 1): Fraction(5, 6),
-        (2, 1, 0): Fraction(7, 3), (0, 0, 3): Fraction(-1, 6)}, exact=True)
-    b = TruncatedSeries.from_terms(VARS, 4, {
+        (2, 1, 0): Fraction(7, 3), (0, 0, 3): Fraction(-1, 6)}
+    b_terms = {
         (0, 0, 0): Fraction(-3, 2), (0, 1, 0): Fraction(1, 3), (1, 0, 1): Fraction(1, 6),
-        (0, 2, 2): Fraction(5, 2), (1, 1, 1): Fraction(-4, 3)}, exact=True)
-    expected = {}
-    for ma, ca in a.nonzero_terms():
-        for mb, cb in b.nonzero_terms():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            if sum(m) <= 4:
-                expected[m] = expected.get(m, 0) + ca * cb
-    prod = a * b
-    assert dict(prod.nonzero_terms()) == {m: c for m, c in expected.items() if c != 0}
-    assert all(type(c) is Fraction for c in prod.coeffs)
-    assert prod.coeff((1, 1, 0)) == Fraction(-2, 9)  # (-2/3) * (1/3)
-    assert prod.coeff((0, 1, 1)) == Fraction(-5, 4)  # (5/6) * (-3/2)
+        (0, 2, 2): Fraction(5, 2), (1, 1, 1): Fraction(-4, 3)}
+    for order in ORDERS:
+        def fits(m):
+            return sum(m) <= order if order == 4 else m[0] <= order[0] and sum(m[1:]) <= order[1]
+
+        a, b = (TruncatedSeries.from_terms(
+            VARS, order, {m: c for m, c in terms.items() if fits(m)}, exact=True)
+            for terms in (a_terms, b_terms))
+        expected = {}
+        for ma, ca in a.nonzero_terms():
+            for mb, cb in b.nonzero_terms():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                if fits(m):
+                    expected[m] = expected.get(m, 0) + ca * cb
+        prod = a * b
+        assert dict(prod.nonzero_terms()) == {m: c for m, c in expected.items() if c != 0}
+        assert all(type(c) is Fraction for c in prod.coeffs)
+        assert prod.coeff((1, 1, 0)) == Fraction(-2, 9)  # (-2/3) * (1/3)
+        assert prod.coeff((0, 1, 1)) == Fraction(-5, 4)  # (5/6) * (-3/2)
 
 
 def test_json_round_trip():
