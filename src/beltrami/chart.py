@@ -241,9 +241,6 @@ class ChartData:
     def exact(self) -> bool:
         return self.bp.exact
 
-    def metric(self):
-        return ((self.g11, self.g12), (self.g12, self.g22))
-
     def x_world(self):
         """Flow map in world coordinates: p + R^T x_frame."""
         return _world(self.bp, self.x)

@@ -347,56 +347,56 @@ def as_fraction(v) -> Fraction:
 
 def evaluate(node, bindings: dict | None, point):
     """IEEE-double value of the expression at a point or an (N, 3) batch."""
-    bindings = bindings or {}
     pts = np.asarray(point, dtype=np.float64)
-    single = pts.ndim == 1
-
-    def ev(n):
-        if isinstance(n, Var):
-            return pts[n.index] if single else pts[:, n.index]
-        if isinstance(n, Num):
-            return float(n.value)
-        if isinstance(n, Param):
-            if n.name not in bindings:
-                raise DomainError(f"unbound parameter {n.name!r}")
-            return float(_as_number(bindings[n.name]))
-        if isinstance(n, Neg):
-            return -ev(n.arg)
-        if isinstance(n, Add):
-            return ev(n.lhs) + ev(n.rhs)
-        if isinstance(n, Sub):
-            return ev(n.lhs) - ev(n.rhs)
-        if isinstance(n, Mul):
-            return ev(n.lhs) * ev(n.rhs)
-        if isinstance(n, Div):
-            den = ev(n.rhs)
-            if np.any(den == 0):
-                raise DomainError("division by zero")
-            return ev(n.lhs) / den
-        if isinstance(n, Pow):
-            return ev(n.base) ** n.exp
-        if isinstance(n, Func):
-            a = ev(n.arg)
-            if n.name == "sin":
-                return np.sin(a)
-            if n.name == "cos":
-                return np.cos(a)
-            if n.name == "exp":
-                return np.exp(a)
-            if n.name == "log":
-                if np.any(a <= 0):
-                    raise DomainError("log of a non-positive value")
-                return np.log(a)
-            if n.name == "sqrt":
-                if np.any(a < 0):
-                    raise DomainError("sqrt of a negative value")
-                return np.sqrt(a)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    out = ev(node)
-    if single:
+    out = _evaluate(node, bindings or {}, pts)
+    if pts.ndim == 1:
         return float(out)
     return np.asarray(out, dtype=np.float64)
+
+
+def _evaluate(n, bindings, pts):
+    # a module-level walker: a nested recursive closure would leave a
+    # reference cycle holding the point batch until the cyclic collector runs
+    if isinstance(n, Var):
+        return pts[n.index] if pts.ndim == 1 else pts[:, n.index]
+    if isinstance(n, Num):
+        return float(n.value)
+    if isinstance(n, Param):
+        if n.name not in bindings:
+            raise DomainError(f"unbound parameter {n.name!r}")
+        return float(_as_number(bindings[n.name]))
+    if isinstance(n, Neg):
+        return -_evaluate(n.arg, bindings, pts)
+    if isinstance(n, Add):
+        return _evaluate(n.lhs, bindings, pts) + _evaluate(n.rhs, bindings, pts)
+    if isinstance(n, Sub):
+        return _evaluate(n.lhs, bindings, pts) - _evaluate(n.rhs, bindings, pts)
+    if isinstance(n, Mul):
+        return _evaluate(n.lhs, bindings, pts) * _evaluate(n.rhs, bindings, pts)
+    if isinstance(n, Div):
+        den = _evaluate(n.rhs, bindings, pts)
+        if np.any(den == 0):
+            raise DomainError("division by zero")
+        return _evaluate(n.lhs, bindings, pts) / den
+    if isinstance(n, Pow):
+        return _evaluate(n.base, bindings, pts) ** n.exp
+    if isinstance(n, Func):
+        a = _evaluate(n.arg, bindings, pts)
+        if n.name == "sin":
+            return np.sin(a)
+        if n.name == "cos":
+            return np.cos(a)
+        if n.name == "exp":
+            return np.exp(a)
+        if n.name == "log":
+            if np.any(a <= 0):
+                raise DomainError("log of a non-positive value")
+            return np.log(a)
+        if n.name == "sqrt":
+            if np.any(a < 0):
+                raise DomainError("sqrt of a negative value")
+            return np.sqrt(a)
+    raise TypeError(f"not an expression node: {n!r}")
 
 
 # -- composition with series ----------------------------------------------------
@@ -448,17 +448,32 @@ def compose(nodes, bindings: dict | None, inner):
     """
     a, b, c = inner
     a._check(b), a._check(c)
-    exact = a.exact
-    bindings = bindings or {}
-    cache = {}
+    ev = _Composition(inner, bindings or {})
+    out = [ev(n) for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes])]
+    out = [v if isinstance(v, TruncatedSeries)
+           else TruncatedSeries.constant(a.vars, a.order, v, exact=a.exact) for v in out]
+    return out if isinstance(nodes, (list, tuple)) else out[0]
 
-    def ev(n):
-        hit = cache.get(id(n))
+
+class _Composition:
+    """The walk of :func:`compose`, memoised by node identity.  A class and
+    not nested recursive closures, which would leave a reference cycle holding
+    the cache of series until the cyclic collector runs."""
+
+    def __init__(self, inner, bindings: dict):
+        self.inner = inner
+        self.bindings = bindings
+        self.cache = {}
+
+    def __call__(self, n):
+        hit = self.cache.get(id(n))
         if hit is None:
-            hit = cache[id(n)] = (n, value(n))  # holding the node keeps its id unique
+            hit = self.cache[id(n)] = (n, self.value(n))  # holding the node keeps its id unique
         return hit[1]
 
-    def value(n):
+    def value(self, n):
+        ev, inner, bindings = self, self.inner, self.bindings
+        a, exact = inner[0], inner[0].exact
         if isinstance(n, Var):
             return inner[n.index]
         if isinstance(n, Num):
@@ -510,11 +525,6 @@ def compose(nodes, bindings: dict | None, inner):
                 raise DomainError(f"{n.name}({at!r}) leaves the double range") from None
             return apply_univariate(arg, taylor) if series else taylor[0]
         raise TypeError(f"not an expression node: {n!r}")
-
-    out = [ev(n) for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes])]
-    out = [v if isinstance(v, TruncatedSeries)
-           else TruncatedSeries.constant(a.vars, a.order, v, exact=exact) for v in out]
-    return out if isinstance(nodes, (list, tuple)) else out[0]
 
 
 def jet(node, bindings: dict | None, point, order: int, mode: str = "double") -> TruncatedSeries:

@@ -3,17 +3,26 @@
 Nothing here touches jet arithmetic: Taylor coefficients come from central
 finite differences, the flow map from Runge-Kutta integration, and the
 obstruction determinant from stencil derivatives of pointwise-assembled
-tensors.  Its agreement with the series pipeline is measured, not
-guaranteed: the ``cross-check`` battery holds 1e-3 relative, and cubic-family
-members ``1 + a x1 + b x1^3 + x3`` with ``a * b > 0`` agree within 1e-4 in
-both frames, but members with ``a * b < 0`` reach 4e-3 (``a = 3/2, b = -2``,
-rotated frame), and random polynomials of degree <= 4 miss by up to 65%.
+tensors.  Each stencil derivative is one batched evaluation or slice and
+one contraction with the weights of :func:`deriv_weights`.
+
+Its agreement with the series pipeline is measured, not guaranteed.  The
+``cross-check`` battery holds 3e-5 relative and its zeros 1e-8 absolute;
+cubic-family members ``1 + a x1 + b x1^3 + x3`` agree within 4e-5 in both
+frames except ``a = 3/2, b = -2``, which reaches 1.3e-3 in the graph frame
+(3e-5 rotated); random polynomials of degree <= 4 miss by up to 65%
+(``1 + x3 - x2 x3 - x1^2 x2^2 + 2 x1^4 - 2 x3^3 + 2 x3^2``, graph frame).
+Rounding noise alone is of the order of 1e-3 on small values:
+one-ulp changes to the stencil weights move the error for
+``1 + x1 + x3 + x1^2 + x2^2`` (P = -1/8) between 2e-4 and 1.3e-3.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,19 +57,32 @@ class StencilSpec:
             raise DomainError("stencil radius must be >= 1")
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_weights(k: int, radius: int) -> tuple:
+    """Exact k-th derivative weights on the nodes -radius..radius, rounded
+    once: k! times the x^k coefficient of each Lagrange basis polynomial."""
+    nodes = range(-radius, radius + 1)
+    out = []
+    for j in nodes:
+        basis = np.array([Fraction(1)], dtype=object)
+        for m in nodes:
+            if m != j:
+                basis = np.convolve(basis, [Fraction(-m, j - m), Fraction(1, j - m)])
+        out.append(float(basis[k] * math.factorial(k)))
+    return tuple(out)
+
+
 def deriv_weights(k: int, radius: int, step: float) -> np.ndarray:
     """Weights w with sum_j w[j] f(x + j*step) = f^(k)(x), j = -radius..radius.
 
-    Exact for polynomials of degree <= 2*radius (Vandermonde moment match).
+    Exact for polynomials of degree <= 2*radius.  The weights are the exact
+    rational ones, correctly rounded, so odd orders are exactly antisymmetric
+    with a centre weight of 0 and even orders exactly symmetric.
     """
     n = 2 * radius + 1
     if k >= n:
         raise DomainError(f"derivative order {k} needs more than {n} nodes")
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64) * step
-    M = offsets[None, :] ** np.arange(n)[:, None]
-    rhs = np.zeros(n)
-    rhs[k] = math.factorial(k)
-    return np.linalg.solve(M, rhs)
+    return np.array(_unit_weights(k, radius)) / step**k
 
 
 def _jet_once(f, bindings, p, order, radius, step):
@@ -110,16 +132,16 @@ def fd_jet(f, bindings, p, order: int, spec: StencilSpec | None = None):
     return TruncatedSeries.from_terms(ex.VAR_NAMES, order, terms)
 
 
-def _grad_batch(F, pts, step, radius):
-    """Gradient of an R^3 scalar evaluator on an (N, 3) batch, by central FD."""
+def _partials(F, pts, step, radius, axes=(0, 1, 2)):
+    """First partials along `axes` of an R^3 scalar evaluator on an (N, 3)
+    batch, shape (N, len(axes)): every stencil node of the batch in one F
+    call, contracted once with the central weights (the zero centre skipped)."""
     w = deriv_weights(1, radius, step)
-    out = np.zeros_like(pts)
-    for axis in range(3):
-        for j in range(-radius, radius + 1):
-            if w[j + radius] == 0.0:
-                continue
-            out[:, axis] += w[j + radius] * F(pts + (j * step) * _E3[axis])
-    return out
+    nz = np.flatnonzero(w)
+    shifts = (nz - radius) * step
+    offsets = shifts[None, :, None] * _E3[list(axes)][:, None, :]  # (axis, node, 3)
+    vals = F((pts[None, None] + offsets[:, :, None]).reshape(-1, 3))
+    return np.einsum("j,ajn->na", w[nz], vals.reshape(len(axes), nz.size, -1))
 
 
 def _flow_batch(F, starts, times, spec: StencilSpec, grad_floor=1e-8):
@@ -135,7 +157,7 @@ def _flow_batch(F, starts, times, spec: StencilSpec, grad_floor=1e-8):
     ds = 1.0 / steps
 
     def rhs(x):
-        g = _grad_batch(F, x, spec.step_space, spec.radius)
+        g = _partials(F, x, spec.step_space, spec.radius)
         nsq = np.sum(g * g, axis=1, keepdims=True)
         if np.any(nsq < grad_floor**2):
             raise DomainError("gradient collapsed along a flow trajectory")
@@ -160,9 +182,8 @@ def _flow_batch(F, starts, times, spec: StencilSpec, grad_floor=1e-8):
     return pts
 
 
-def numeric_flow(f, bindings, x0, t, dt: float = 1e-2, spec: StencilSpec | None = None):
+def numeric_flow(f, bindings, x0, t, dt: float = 1e-2):
     """Flow x0 along grad f / |grad f|^2 for time t (4th-order, fixed step)."""
-    spec = replace(spec or StencilSpec(), flow_dt=dt)
 
     def F(pts):
         return ex.evaluate(f, bindings, pts)
@@ -171,24 +192,17 @@ def numeric_flow(f, bindings, x0, t, dt: float = 1e-2, spec: StencilSpec | None 
     single = x0.ndim == 1
     starts = x0[None, :] if single else x0
     times = np.full(starts.shape[0], float(t))
-    out = _flow_batch(F, starts, times, spec)
+    out = _flow_batch(F, starts, times, StencilSpec(flow_dt=dt))
     return out[0] if single else out
 
 
 def _newton_graph(F, xi, c0, step, radius, tol=1e-13, max_iter=60):
     """Solve F(xi1, xi2, z) = c0 for z on an (N, 2) batch of xi values."""
     z = np.zeros(xi.shape[0])
-    w = deriv_weights(1, radius, step)
     for _ in range(max_iter):
         pts = np.column_stack([xi, z])
         val = F(pts) - c0
-        slope = np.zeros_like(z)
-        for j in range(-radius, radius + 1):
-            if w[j + radius] == 0.0:
-                continue
-            q = pts.copy()
-            q[:, 2] += j * step
-            slope += w[j + radius] * F(q)
+        slope = _partials(F, pts, step, radius, axes=(2,))[:, 0]
         if np.any(np.abs(slope) < 1e-10):
             raise DomainError("graph Newton: vertical derivative collapsed")
         z = z - val / slope
@@ -200,14 +214,21 @@ def _newton_graph(F, xi, c0, step, radius, tol=1e-13, max_iter=60):
 def _cross_offsets(radius, step):
     """xi offsets of a stencil cross, shape (1 + 4*radius, 2): the center, then
     j*step along axis 0 and along axis 1 for j = -radius..radius, j != 0."""
-    offsets = [np.zeros(2)]
-    for axis in range(2):
-        for j in range(-radius, radius + 1):
-            if j:
-                off = np.zeros(2)
-                off[axis] = j * step
-                offsets.append(off)
-    return np.array(offsets)
+    arm = np.delete(np.arange(-radius, radius + 1), radius) * step
+    out = np.zeros((1 + 4 * radius, 2))
+    out[1 : 1 + 2 * radius, 0] = arm
+    out[1 + 2 * radius :, 1] = arm
+    return out
+
+
+def _cross_derivs(w, vals):
+    """(d1, d2) at the centre of a cross from values at its 1 + 4r positions
+    (leading axis, ordered as ``_cross_offsets``), by first-derivative weights
+    w whose centre weight is 0."""
+    r = w.size // 2
+    arms = vals[1:].reshape((2, 2 * r) + vals.shape[1:])
+    d1, d2 = np.einsum("j,aj...->a...", np.delete(w, r), arms)
+    return d1, d2
 
 
 def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
@@ -231,8 +252,7 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     if frame == "graph":
         R = np.eye(3)
     elif frame == "rotated":
-        g = _grad_batch(F_world, p[None, :], spec.step_space, spec.radius)[0]
-        R = _minimal_rotation(g)
+        R = _minimal_rotation(_partials(F_world, p[None, :], spec.step_space, spec.radius)[0])
     else:
         raise DomainError(f"oracle supports frames 'graph' and 'rotated', not {frame!r}")
 
@@ -269,47 +289,28 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     times = np.tile(t_nodes, n_u)
     flowed = _flow_batch(F, starts, times, spec).reshape(n_u, n_t, 3)
 
-    # evolution tensor at every (cross position, t node)
-    w1 = deriv_weights(1, rt, dm)
-    T_vals = np.zeros((n_cross, n_t, 2, 2))
-    for ci in range(n_cross):
-        pos_idx = inverse[ci * n_m : (ci + 1) * n_m]
-        x_here = flowed[pos_idx]  # (n_m, n_t, 3): center then per-axis offsets
-        grad = _grad_batch(
-            F, x_here[0].reshape(-1, 3), spec.step_space, rt
-        ).reshape(n_t, 3)
-        nsq = np.sum(grad * grad, axis=1, keepdims=True)
-        dxt = grad / nsq
-        dxi = np.zeros((2, n_t, 3))
-        for axis in range(2):
-            block = x_here[1 + axis * 2 * rt : 1 + (axis + 1) * 2 * rt]
-            col = 0
-            for j in range(-rt, rt + 1):
-                if j == 0:
-                    continue
-                dxi[axis] += w1[j + rt] * block[col]
-                col += 1
-        g11 = np.sum(dxi[0] * dxi[0], axis=1)
-        g12 = np.sum(dxi[0] * dxi[1], axis=1)
-        g22 = np.sum(dxi[1] * dxi[1], axis=1)
-        det_g = g11 * g22 - g12 * g12
-        jac = np.einsum("ti,ti->t", dxt, np.cross(dxi[0], dxi[1]))
-        csg = np.abs(jac)
-        pref = (c0 + t_nodes) * csg / det_g
-        T_vals[ci, :, 0, 0] = -pref * g12
-        T_vals[ci, :, 0, 1] = pref * g11
-        T_vals[ci, :, 1, 0] = -pref * g22
-        T_vals[ci, :, 1, 1] = pref * g12
+    # evolution tensor at every (cross position, t node); the metric cross
+    # around each position leads, its center first
+    x = np.moveaxis(flowed[inverse.reshape(n_cross, n_m)], 1, 0)
+    grad = _partials(F, x[0].reshape(-1, 3), dm, rt).reshape(n_cross, n_t, 3)
+    dxt = grad / np.sum(grad * grad, axis=-1, keepdims=True)
+    dxi1, dxi2 = _cross_derivs(deriv_weights(1, rt, dm), x)
+    g11 = np.sum(dxi1 * dxi1, axis=-1)
+    g12 = np.sum(dxi1 * dxi2, axis=-1)
+    g22 = np.sum(dxi2 * dxi2, axis=-1)
+    det_g = g11 * g22 - g12 * g12
+    csg = np.abs(np.sum(dxt * np.cross(dxi1, dxi2), axis=-1))
+    pref = (c0 + t_nodes) * csg / det_g
+    T_vals = pref[..., None, None] * np.stack(
+        [np.stack([-g12, g11], axis=-1), np.stack([-g22, g12], axis=-1)], axis=-2
+    )
 
     # recursion with stencil t-derivatives; valid window shrinks by rt per level
     wt = deriv_weights(1, rt, spec.step_time)
 
     def ddt(arr):
-        n = arr.shape[1]
-        out = np.zeros((arr.shape[0], n - 2 * rt, 2, 2))
-        for j in range(2 * rt + 1):
-            out += wt[j] * arr[:, j : n - 2 * rt + j]
-        return out
+        windows = np.lib.stride_tricks.sliding_window_view(arr, wt.size, axis=1)
+        return np.einsum("ctijw,w->ctij", windows, wt)
 
     Tn = T_vals
     lo = 0
@@ -328,28 +329,11 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     T_at0 = T_vals[:, t_half]  # (n_cross, 2, 2)
 
     wc = deriv_weights(1, rt, dc)
-
-    def xi_derivs(vals):
-        """(d1, d2) of per-position 2x2 values at the center, via the cross."""
-        out = []
-        for axis in range(2):
-            acc = np.zeros((2, 2))
-            block = vals[1 + axis * 2 * rt : 1 + (axis + 1) * 2 * rt]
-            col = 0
-            for j in range(-rt, rt + 1):
-                if j == 0:
-                    acc += wc[j + rt] * vals[0]
-                    continue
-                acc += wc[j + rt] * block[col]
-                col += 1
-            out.append(acc)
-        return out
-
-    d1T, d2T = xi_derivs(T_at0)
+    d1T, d2T = _cross_derivs(wc, T_at0)
     T0 = T_at0[0]
 
     def constraint_vector(Tn_vals):
-        d1, d2 = xi_derivs(Tn_vals)
+        d1, d2 = _cross_derivs(wc, Tn_vals)
         A = Tn_vals[0]
         ratio = A[0, 1] / T0[0, 1]
         return np.array(

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -248,3 +249,27 @@ def test_poly_degree():
     assert ex.poly_degree(ex.parse("1+a*x1+b*x1^3+x3")) == 3
     assert ex.poly_degree(ex.parse("sin(x1)")) is None
     assert ex.poly_degree(ex.parse("(x1+x2)^2*x3")) == 3
+
+
+def test_walkers_leave_no_reference_cycles():
+    # a cycle would keep the point batch or the series cache alive until
+    # the cyclic collector runs
+    f = ex.parse("1 + sin(x1)*x2/(2+x3^2) - a*exp(x3) + x1^3")
+    b = {"a": 1.5}
+    inner = [TruncatedSeries.variable(ex.VAR_NAMES, 3, v) + 0.1 for v in ex.VAR_NAMES]
+    calls = {
+        "evaluate batch": lambda: ex.evaluate(f, b, np.zeros((4, 3))),
+        "evaluate point": lambda: ex.evaluate(f, b, (0.1, 0.2, 0.3)),
+        "compose": lambda: ex.compose([f, ex.diff(f, 0)], b, inner),
+        "jet": lambda: ex.jet(f, b, (0.1, 0.2, 0.3), 4),
+        "jet rational": lambda: ex.jet(ex.parse("1+a*x1+x1^3+x3"), {"a": 2}, (0, 0, 0), 4,
+                                       mode="rational"),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -119,3 +119,40 @@ def test_P_point_fd_both_frames_match_series():
         series = obstruction_P(f, None, (0, 0, 0), degree=0, frame=frame).coeff((0, 0))
         fd = P_point_fd(f, None, (0, 0, 0), frame=frame)
         assert abs(fd - series) / abs(series) < 1e-3, frame
+
+
+@pytest.mark.parametrize("k, radius", [(k, r) for k in (1, 2, 3) for r in (1, 2, 3) if k <= 2 * r])
+def test_deriv_weights_exact_symmetry(k, radius):
+    w = deriv_weights(k, radius, 8e-3)
+    if k % 2:
+        assert np.array_equal(w, -w[::-1])
+        assert w[radius] == 0.0
+    else:
+        assert np.array_equal(w, w[::-1])
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    evaluate = ex.evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(ex, "evaluate", counting)
+    return calls
+
+
+def test_numeric_flow_evaluation_count(monkeypatch):
+    # one batched gradient per RK4 stage, plus the two level-increment values
+    calls = _count_evaluations(monkeypatch)
+    steps = 8
+    numeric_flow(ex.parse("1 + x3 + x1^2 - x2^2"), None, (0.1, 0.2, 0.0), 0.25, dt=0.25 / steps)
+    assert len(calls) == 4 * steps + 2
+
+
+@pytest.mark.parametrize("frame, count", [("graph", 136), ("rotated", 139)])
+def test_P_point_fd_evaluation_count(monkeypatch, frame, count):
+    calls = _count_evaluations(monkeypatch)
+    P_point_fd(ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0}, (0, 0, 0), frame=frame)
+    assert len(calls) == count
