@@ -11,17 +11,9 @@ drift is exactly zero -- the generic factor's drift is the whole signal.
 
 import argparse
 
-import numpy as np
-
 from beltrami import expr as ex
-from beltrami.beltrami_ops import affine_field
+from beltrami.beltrami_ops import affine_field, orthogonal_unit
 from beltrami.evolution import run
-
-
-def affine_init(a: float):
-    e = np.array([a, 0.0, 1.0])
-    u0 = np.cross(e, [0.0, 1.0, 0.0])
-    return ("field", affine_field(1.0, tuple(e), tuple(u0 / np.linalg.norm(u0))))
 
 
 def main():
@@ -36,7 +28,9 @@ def main():
     generic = run(ex.parse("1+x1^2+x3"), None, (0, 0, 0), ("psi", ex.parse("x1+x2")),
                   t_max=args.tmax, dt=args.dt, n1=args.nodes, n2=args.nodes,
                   h1=args.spacing, h2=args.spacing)
-    affine = run(ex.parse("1+a*x1+x3"), {"a": args.a}, (0, 0, 0), affine_init(args.a),
+    e = (args.a, 0.0, 1.0)
+    affine = run(ex.parse("1+a*x1+x3"), {"a": args.a}, (0, 0, 0),
+                 ("field", affine_field(1.0, e, orthogonal_unit(e))),
                  t_max=args.tmax, dt=args.dt, n1=args.nodes, n2=args.nodes,
                  h1=args.spacing, h2=args.spacing)
 

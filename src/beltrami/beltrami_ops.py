@@ -110,6 +110,20 @@ def affine_field(const, direction, u0) -> VectorExpr:
     return VectorExpr(tuple(comps))
 
 
+def orthogonal_unit(direction) -> tuple:
+    """A unit vector orthogonal to a nonzero ``direction``, as ``affine_field``
+    takes for ``u0``: direction x e2 normalised, or direction x e1 when the
+    direction is (nearly) parallel to e2."""
+    e = np.asarray(direction, dtype=np.float64)
+    u0 = np.cross(e, [0.0, 1.0, 0.0])
+    if np.linalg.norm(u0) < 1e-8:
+        u0 = np.cross(e, [1.0, 0.0, 0.0])
+    norm = np.linalg.norm(u0)
+    if norm == 0:
+        raise DomainError("direction vector must be nonzero")
+    return tuple(u0 / norm)
+
+
 def affine_solution(a: float, u0, p):
     """Value at p of the explicit solution for f = 1 + a*x1 + x3."""
     field = affine_field(1.0, (float(a), 0.0, 1.0), u0)

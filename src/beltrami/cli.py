@@ -3,6 +3,12 @@
 Every subcommand writes a deterministic report (JSON, or CSV for the
 evolution demonstrator) to --out; domain failures produce a machine-readable
 error object on stderr and exit code 1, usage errors exit 2.
+
+Each subcommand offers exactly the options its body reads (see
+``build_parser``), plus ``--config`` and ``--out``; any other flag is a usage
+error.  A ``--config`` file holds shared defaults in flat ``key = value``
+lines over ``CONFIG_KEYS``: every key is checked, and each subcommand reads
+the keys it uses.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .beltrami_ops import (
     affine_field,
     conformal_metric,
     curl_div,
+    gradient,
+    orthogonal_unit,
     pullback_system_residuals,
     riemannian_curl,
     sample_point,
@@ -30,10 +38,11 @@ from .errors import BeltramiError
 from .evolution import run as evolution_run
 from .expr import Mul, Pow, VectorExpr
 from .fd_oracle import P_point_fd
-from .obstruction import obstruction_P, obstruction_Pijkl, tensor_T
+from .obstruction import DEFAULT_INDICES, obstruction_P, obstruction_Pijkl, tensor_T
 
 CONFIG_KEYS = ("t_order", "xi_order", "mode", "frame", "patch_radius", "seed", "samples")
 CHOICES = {"mode": ("double", "rational"), "frame": ("auto", "graph", "rotated")}
+FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
 
 
 @dataclass
@@ -98,7 +107,7 @@ def _merge_config(args) -> RunConfig:
     cfg = RunConfig()
     for key, value in getattr(args, "defaults", {}).items():
         setattr(cfg, key, value)
-    for key, text in _load_config(getattr(args, "config", None)).items():
+    for key, text in _load_config(args.config).items():
         if key in CHOICES:
             if text not in CHOICES[key]:
                 raise BeltramiError(
@@ -118,24 +127,23 @@ def _merge_config(args) -> RunConfig:
     return cfg
 
 
-def _parse_params(items, mode: str) -> dict:
-    out = {}
-    for item in items or []:
+def _parse_site(args, mode: str):
+    """The factor, its parameter bindings and the base point, from --f,
+    --param and --point."""
+    f = ex.parse(args.f)
+    bindings = {}
+    for item in args.param or []:
         if "=" not in item:
             raise BeltramiError(f"--param needs name=value, got {item!r}")
         name, value = item.split("=", 1)
-        out[name.strip()] = _number(value, f"--param {name.strip()}", mode)
-    return out
-
-
-def _parse_point(text: str, mode: str):
-    parts = text.split(",")
+        bindings[name.strip()] = _number(value, f"--param {name.strip()}", mode)
+    parts = args.point.split(",")
     if len(parts) != 3:
-        raise BeltramiError(f"--point needs three comma-separated values, got {text!r}")
-    return tuple(_number(p, "--point", mode) for p in parts)
+        raise BeltramiError(f"--point needs three comma-separated values, got {args.point!r}")
+    return f, bindings, tuple(_number(p, "--point", mode) for p in parts)
 
 
-def _write_report(args, payload, default_newline=True):
+def _write_report(args, payload):
     if isinstance(payload, str):
         text = payload
     else:
@@ -145,9 +153,8 @@ def _write_report(args, payload, default_newline=True):
             raise BeltramiError(
                 "the report holds a non-finite number (an overflow or a NaN); "
                 "no report written") from None
-        if default_newline:
-            text += "\n"
-    out = getattr(args, "out", "-") or "-"
+        text += "\n"
+    out = args.out or "-"
     if out == "-":
         sys.stdout.write(text)
         return
@@ -165,25 +172,12 @@ def _enc(value, mode):
 # -- subcommand bodies ---------------------------------------------------------
 
 
-def _cmd_p_eval(args):
+def _cmd_obstruction(args):
     cfg = _merge_config(args)
-    f = ex.parse(args.f)
-    bindings = _parse_params(args.param, cfg.mode)
-    point = _parse_point(args.point, cfg.mode)
-    poly = obstruction_P(
-        f, bindings, point, degree=args.degree, t_order=cfg.t_order,
-        xi_order=cfg.xi_order, frame=cfg.frame, mode=cfg.mode,
-    )
-    _write_report(args, poly.to_json())
-    return 0
-
-
-def _cmd_p_hierarchy(args):
-    cfg = _merge_config(args)
-    f = ex.parse(args.f)
-    bindings = _parse_params(args.param, cfg.mode)
-    point = _parse_point(args.point, cfg.mode)
-    indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
+    f, bindings, point = _parse_site(args, cfg.mode)
+    indices = DEFAULT_INDICES
+    if getattr(args, "indices", None) is not None:
+        indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
     poly = obstruction_Pijkl(
         f, bindings, point, indices, degree=args.degree, t_order=cfg.t_order,
         xi_order=cfg.xi_order, frame=cfg.frame, mode=cfg.mode,
@@ -192,101 +186,73 @@ def _cmd_p_hierarchy(args):
     return 0
 
 
+def _family_report(poly, refs, mode, **fields):
+    """Report of a closed-form family check at the origin in the graph frame.
+
+    ``refs`` maps a coefficient name to its monomial and reference value.
+    Rational mode compares exactly; double mode within FAMILY_TOL, relative
+    to the reference where it exceeds 1 in size.
+    """
+    computed, reference, match = {}, {}, {}
+    for name, (mono, ref) in refs.items():
+        c = poly.coeff(mono)
+        computed[name] = _enc(c, mode)
+        reference[name] = _enc(ref, mode)
+        if mode == "rational":
+            match[name] = c == ref
+        else:
+            scale = max(1.0, abs(float(ref)))
+            match[name] = abs(float(c) - float(ref)) <= FAMILY_TOL * scale
+    report = dict(fields, mode=mode, frame="graph", computed=computed, reference=reference,
+                  match=match)
+    report["pass"] = all(match.values())
+    return report
+
+
+def _family_poly(cfg, text, bindings, degree):
+    return obstruction_P(
+        ex.parse(text), bindings, (0, 0, 0), degree=degree, t_order=cfg.t_order,
+        xi_order=cfg.xi_order, frame="graph", mode=cfg.mode,
+    )
+
+
 def _cmd_coeffs_prop3(args):
     cfg = _merge_config(args)
-    mode = cfg.mode
-    a = _number(args.a, "--a", mode)
-    b = _number(args.b, "--b", mode)
-    f = ex.parse("1+a*x1+b*x1^3+x3")
-    degree = 4 if a == 0 else 3
-    poly = obstruction_P(
-        f, {"a": a, "b": b}, (0, 0, 0), degree=degree, t_order=cfg.t_order,
-        xi_order=cfg.xi_order, frame="graph", mode=mode,
-    )
-    refs = reference.cubic_family_coeffs(a, b)
-    computed, ref_out, match = {}, {}, {}
-    for j in range(4):
-        c = poly.coeff((j, 0))
-        computed[f"c{j}"] = _enc(c, mode)
-        ref_out[f"c{j}"] = _enc(refs[j], mode)
-        if mode == "rational":
-            match[f"c{j}"] = c == refs[j]
-        else:
-            scale = max(1.0, abs(float(refs[j])))
-            match[f"c{j}"] = abs(float(c) - float(refs[j])) <= 1e-9 * scale
+    a = _number(args.a, "--a", cfg.mode)
+    b = _number(args.b, "--b", cfg.mode)
+    poly = _family_poly(cfg, "1+a*x1+b*x1^3+x3", {"a": a, "b": b}, 4 if a == 0 else 3)
+    refs = {f"c{j}": ((j, 0), r) for j, r in enumerate(reference.cubic_family_coeffs(a, b))}
     if a == 0:
-        c4_ref = reference.cubic_family_c4_pure(b)
-        c4 = poly.coeff((4, 0))
-        computed["c4"] = _enc(c4, mode)
-        ref_out["c4"] = _enc(c4_ref, mode)
-        match["c4"] = (
-            c4 == c4_ref
-            if mode == "rational"
-            else abs(float(c4) - float(c4_ref)) <= 1e-9 * max(1.0, abs(float(c4_ref)))
-        )
-    _write_report(
-        args,
-        {
-            "a": _enc(a, mode),
-            "b": _enc(b, mode),
-            "mode": mode,
-            "frame": "graph",
-            "computed": computed,
-            "reference": ref_out,
-            "match": match,
-            "pass": all(match.values()),
-        },
-    )
+        refs["c4"] = ((4, 0), reference.cubic_family_c4_pure(b))
+    _write_report(args, _family_report(poly, refs, cfg.mode, a=_enc(a, cfg.mode),
+                                       b=_enc(b, cfg.mode)))
     return 0
 
 
 def _cmd_coeffs_prop4(args):
     cfg = _merge_config(args)
-    mode = cfg.mode
-    a = _number(args.a, "--a", mode)
-    f = ex.parse("1+x1^2+a*x2^2+x3")
-    poly = obstruction_P(
-        f, {"a": a}, (0, 0, 0), degree=2, t_order=cfg.t_order,
-        xi_order=cfg.xi_order, frame="graph", mode=mode,
-    )
-    refs = reference.quadratic_family_form(a)
-    keys = {"q20": (2, 0), "q11": (1, 1), "q02": (0, 2)}
-    computed, ref_out, match = {}, {}, {}
-    for name, mono in keys.items():
-        c = poly.coeff(mono)
-        r = refs[list(keys).index(name)]
-        computed[name] = _enc(c, mode)
-        ref_out[name] = _enc(r, mode)
-        if mode == "rational":
-            match[name] = c == r
-        else:
-            match[name] = abs(float(c) - float(r)) <= 1e-9 * max(1.0, abs(float(r)))
+    a = _number(args.a, "--a", cfg.mode)
+    poly = _family_poly(cfg, "1+x1^2+a*x2^2+x3", {"a": a}, 2)
+    monos = ((2, 0), (1, 1), (0, 2))
+    refs = dict(zip(("q20", "q11", "q02"), zip(monos, reference.quadratic_family_form(a))))
+    report = _family_report(poly, refs, cfg.mode, a=_enc(a, cfg.mode))
     sub = max(
         (abs(float(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
     )
-    quad_max = max(abs(float(poly.coeff(m))) for m in keys.values())
-    _write_report(
-        args,
-        {
-            "a": _enc(a, mode),
-            "mode": mode,
-            "frame": "graph",
-            "computed": computed,
-            "reference": ref_out,
-            "match": match,
-            "subquadratic_max": sub,
-            "quadratic_max": quad_max,
-            "vanishes_at_1": bool(a == 1 and quad_max < 1e-10),
-            "pass": all(match.values()) and sub < 1e-9,
-        },
-    )
+    quad_max = max(abs(float(poly.coeff(m))) for m in monos)
+    report["subquadratic_max"] = sub
+    report["quadratic_max"] = quad_max
+    report["vanishes_at_1"] = bool(a == 1 and quad_max < 1e-10)
+    report["pass"] = report["pass"] and sub < FAMILY_TOL
+    _write_report(args, report)
     return 0
 
 
 def _cmd_verify_affine(args):
     cfg = _merge_config(args)
     a = _number(args.a, "--a")
-    u = affine_field(1.0, (a, 0.0, 1.0), _orthogonal_seed_vector(a))
+    e = (a, 0.0, 1.0)
+    u = affine_field(1.0, e, orthogonal_unit(e))
     f = ex.parse("1+a*x1+x3")
     bindings = {"a": a}
     rng = np.random.default_rng(cfg.seed)
@@ -325,12 +291,6 @@ def _cmd_verify_affine(args):
         },
     )
     return 0
-
-
-def _orthogonal_seed_vector(a: float):
-    e = np.array([a, 0.0, 1.0])
-    u0 = np.cross(e, [0.0, 1.0, 0.0])
-    return tuple(u0 / np.linalg.norm(u0))
 
 
 def _random_poly_field(rng, degree=3) -> VectorExpr:
@@ -440,9 +400,7 @@ def _cmd_cross_check(args):
 
 def _cmd_evolve(args):
     cfg = _merge_config(args)
-    f = ex.parse(args.f)
-    bindings = _parse_params(args.param, "double")
-    point = _parse_point(args.point, "double")
+    f, bindings, point = _parse_site(args, "double")
     n1, sep, n2 = args.grid.partition("x")
     if not sep or not n1.isdigit() or not n2.isdigit():
         raise BeltramiError(f"--grid needs the form n1xn2, got {args.grid!r}")
@@ -453,21 +411,13 @@ def _cmd_evolve(args):
     if dt <= 0:
         raise BeltramiError(f"--dt must be positive, got {args.dt!r}")
     if args.init == "affine-exact":
-        j2 = ex.jet(f, bindings, point, 2)
-        grad = [float(j2.coeff(m)) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        second = max(
-            abs(float(j2.coeff(m)))
-            for m in ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
-        )
-        if second > 1e-12:
+        degree = ex.poly_degree(f)
+        if degree is None or degree > 1:
             raise BeltramiError("--init affine-exact requires an affine factor f")
-        e = np.array(grad)
-        pick = np.cross(e, [0.0, 1.0, 0.0])
-        if np.linalg.norm(pick) < 1e-8:
-            pick = np.cross(e, [1.0, 0.0, 0.0])
-        u0 = tuple(pick / np.linalg.norm(pick))
+        e = tuple(gradient(f, bindings, point))
+        u0 = orthogonal_unit(e)
         const = ex.evaluate(f, bindings, (0.0, 0.0, 0.0))
-        init = ("field", affine_field(const, tuple(e), u0))
+        init = ("field", affine_field(const, e, u0))
     elif args.init.startswith("psi:"):
         init = ("psi", ex.parse(args.init[4:]))
     else:
@@ -486,9 +436,7 @@ def _cmd_evolve(args):
 
 def _cmd_dump_chart(args):
     cfg = _merge_config(args)
-    f = ex.parse(args.f)
-    bindings = _parse_params(args.param, cfg.mode)
-    point = _parse_point(args.point, cfg.mode)
+    f, bindings, point = _parse_site(args, cfg.mode)
     chart = build_chart(f, bindings, point, t_order=cfg.t_order,
                         xi_order=cfg.xi_order, frame=cfg.frame, mode=cfg.mode)
     _write_report(args, chart.to_json())
@@ -498,21 +446,29 @@ def _cmd_dump_chart(args):
 # -- argument wiring -----------------------------------------------------------
 
 
-def _add_common(sp, point=True, f=True, degree=False):
-    if f:
-        sp.add_argument("--f", required=True, help="scalar factor expression")
-        sp.add_argument("--param", action="append", help="name=value binding", default=None)
-    if point:
-        sp.add_argument("--point", default="0,0,0", help="base point x1,x2,x3")
-    if degree:
-        sp.add_argument("--degree", type=int, default=4)
-    sp.add_argument("--t-order", dest="t_order", type=int, default=None)
-    sp.add_argument("--xi-order", dest="xi_order", type=int, default=None)
-    sp.add_argument("--mode", choices=CHOICES["mode"], default=None)
-    sp.add_argument("--frame", choices=CHOICES["frame"], default=None)
-    sp.add_argument("--config", default=None, help="flat key=value config file")
+# The options that several subcommands read, keyed by their argparse dest.
+_OPTIONS = {
+    "f": dict(required=True, help="scalar factor expression"),
+    "param": dict(action="append", help="name=value binding"),
+    "point": dict(default="0,0,0", help="base point x1,x2,x3"),
+    "degree": dict(type=int, default=4),
+    "t_order": dict(type=int),
+    "xi_order": dict(type=int),
+    "mode": dict(choices=CHOICES["mode"]),
+    "frame": dict(choices=CHOICES["frame"]),
+    "seed": dict(type=int),
+    "samples": dict(type=int),
+}
+_SITE = ("f", "param", "point")
+
+
+def _add_common(sp, *names):
+    """Offer the shared options ``names`` that the subcommand reads, then
+    --config and --out, which every subcommand has."""
+    for name in names:
+        sp.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
+    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out", default="-", help="output path or '-' for stdout")
-    sp.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,41 +477,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Obstruction computations for curl u = f u with nonconstant f",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    orders = ("t_order", "xi_order")
 
     sp = sub.add_parser("p-eval", help="obstruction polynomial at a base point")
-    _add_common(sp, degree=True)
-    sp.set_defaults(fn=_cmd_p_eval)
+    _add_common(sp, *_SITE, "degree", *orders, "mode", "frame")
+    sp.set_defaults(fn=_cmd_obstruction)
 
     sp = sub.add_parser("p-hierarchy", help="hierarchy determinant for chosen indices")
-    _add_common(sp, degree=True)
+    _add_common(sp, *_SITE, "degree", *orders, "mode", "frame")
     sp.add_argument("--indices", required=True, help="i,j,k,l with l>k>j>i>=2")
-    sp.set_defaults(fn=_cmd_p_hierarchy)
+    sp.set_defaults(fn=_cmd_obstruction)
 
     sp = sub.add_parser("coeffs-prop3", help="cubic-family coefficients vs closed forms")
-    _add_common(sp, point=False, f=False)
+    _add_common(sp, *orders, "mode")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.set_defaults(fn=_cmd_coeffs_prop3, defaults={"mode": "rational"})
 
     sp = sub.add_parser("coeffs-prop4", help="quadratic-family form vs closed forms")
-    _add_common(sp, point=False, f=False)
+    _add_common(sp, *orders, "mode")
     sp.add_argument("--a", required=True)
     sp.set_defaults(fn=_cmd_coeffs_prop4, defaults={"mode": "rational"})
 
     sp = sub.add_parser("verify-affine", help="residual checks for the explicit solution")
-    _add_common(sp, point=False, f=False)
+    _add_common(sp, *orders, "seed", "samples")
     sp.add_argument("--a", default="0")
-    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(fn=_cmd_verify_affine)
 
     sp = sub.add_parser("conformal-check", help="conformal curl transformation law")
-    _add_common(sp, point=False, f=False)
+    _add_common(sp, "seed", "samples")
     sp.add_argument("--f", default="1+x1^2+x2^2+x3^2")
-    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(fn=_cmd_conformal_check, defaults={"samples": 50})
 
     sp = sub.add_parser("evolve", help="grid evolution with drift monitoring")
-    _add_common(sp)
+    _add_common(sp, *_SITE, *orders, "frame")
     sp.add_argument("--tmax", required=True)
     sp.add_argument("--dt", required=True)
     sp.add_argument("--grid", default="21x21", help="n1xn2 nodes")
@@ -565,11 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_evolve)
 
     sp = sub.add_parser("cross-check", help="series vs finite-difference oracle battery")
-    _add_common(sp, point=False, f=False)
+    _add_common(sp, *orders)
     sp.set_defaults(fn=_cmd_cross_check)
 
     sp = sub.add_parser("dump-chart", help="adapted-chart series data as JSON")
-    _add_common(sp)
+    _add_common(sp, *_SITE, *orders, "mode", "frame")
     sp.set_defaults(fn=_cmd_dump_chart)
 
     return parser

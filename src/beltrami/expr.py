@@ -295,37 +295,6 @@ def to_string(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def parameters(node) -> set:
-    """Names of the free parameters in an expression tree."""
-    if isinstance(node, Param):
-        return {node.name}
-    if isinstance(node, (Var, Num)):
-        return set()
-    if isinstance(node, (Neg, Func)):
-        return parameters(node.arg)
-    if isinstance(node, Pow):
-        return parameters(node.base)
-    return parameters(node.lhs) | parameters(node.rhs)
-
-
-def substitute(node, bindings: dict):
-    """Replace bound parameters by numeric literals (unbound ones survive)."""
-    if isinstance(node, Param):
-        if node.name in bindings:
-            return Num(_as_number(bindings[node.name]))
-        return node
-    if isinstance(node, (Var, Num)):
-        return node
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, bindings))
-    if isinstance(node, Func):
-        return Func(node.name, substitute(node.arg, bindings))
-    if isinstance(node, Pow):
-        return Pow(substitute(node.base, bindings), node.exp)
-    cls = type(node)
-    return cls(substitute(node.lhs, bindings), substitute(node.rhs, bindings))
-
-
 def _as_number(v):
     if isinstance(v, (Fraction, float)):
         return v

@@ -12,6 +12,7 @@ from beltrami.beltrami_ops import (
     curl_div,
     elliptic_residual,
     gradient,
+    orthogonal_unit,
     pullback_system_residuals,
     riemannian_curl,
 )
@@ -112,6 +113,21 @@ def test_affine_solution_value_and_residuals():
 def test_affine_solution_orthogonality_gate():
     with pytest.raises(DomainError):
         affine_solution(0.0, (0, 0, 1), (0, 0, 0))
+
+
+def test_orthogonal_unit():
+    for e in [(1.0, 0.0, 1.0), (-2.5, 0.0, 1.0), (0.3, -1.2, 0.7), (0.0, 2.0, 0.0),
+              (1e-9, 1.0, 0.0)]:
+        u = np.array(orthogonal_unit(e))
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+        assert abs(u @ e) <= 1e-15 * np.linalg.norm(e)
+        affine_field(1.0, e, tuple(u))  # passes the orthogonality gate
+    # for e = (a, 0, 1) the vector is e x e2 normalised, bit for bit
+    e = np.array([1.5, 0.0, 1.0])
+    u0 = np.cross(e, [0.0, 1.0, 0.0])
+    assert orthogonal_unit(tuple(e)) == tuple(u0 / np.linalg.norm(u0))
+    with pytest.raises(DomainError):
+        orthogonal_unit((0.0, 0.0, 0.0))
 
 
 def test_affine_solution_linear_in_u0():

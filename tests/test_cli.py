@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,80 @@ def test_p_eval_critical_point_exit_code(capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "CriticalPointError"
+
+
+# the flags each subcommand offers besides -h, --config and --out: exactly the
+# options its body reads
+FLAGS = {
+    "p-eval": {"--f", "--param", "--point", "--degree", "--t-order", "--xi-order",
+               "--mode", "--frame"},
+    "p-hierarchy": {"--f", "--param", "--point", "--degree", "--t-order", "--xi-order",
+                    "--mode", "--frame", "--indices"},
+    "coeffs-prop3": {"--a", "--b", "--t-order", "--xi-order", "--mode"},
+    "coeffs-prop4": {"--a", "--t-order", "--xi-order", "--mode"},
+    "verify-affine": {"--a", "--samples", "--seed", "--t-order", "--xi-order"},
+    "conformal-check": {"--f", "--samples", "--seed"},
+    "evolve": {"--f", "--param", "--point", "--t-order", "--xi-order", "--frame", "--tmax",
+               "--dt", "--grid", "--spacing", "--init", "--format"},
+    "cross-check": {"--t-order", "--xi-order"},
+    "dump-chart": {"--f", "--param", "--point", "--t-order", "--xi-order", "--mode",
+                   "--frame"},
+}
+# the required flags of each subcommand, so that a parse fails only on what is added
+REQUIRED = {
+    "p-eval": ["--f", "1+x3"],
+    "p-hierarchy": ["--f", "1+x3", "--indices", "2,3,4,5"],
+    "coeffs-prop3": ["--a", "1", "--b", "1"],
+    "coeffs-prop4": ["--a", "1"],
+    "verify-affine": [],
+    "conformal-check": [],
+    "evolve": ["--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1"],
+    "cross-check": [],
+    "dump-chart": ["--f", "1+x3"],
+}
+
+
+def test_each_subcommand_offers_the_options_it_reads():
+    parsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(parsers) == set(FLAGS)
+    for command, sp in parsers.items():
+        offered = set(sp._option_string_actions)
+        assert {"-h", "--help", "--config", "--out"} <= offered, command
+        assert offered - {"-h", "--help", "--config", "--out"} == FLAGS[command], command
+        sp.parse_args(REQUIRED[command])
+    assert sum(map(len, FLAGS.values())) == 55
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *[(c, "--seed", "1") for c in ("p-eval", "p-hierarchy", "coeffs-prop3", "coeffs-prop4",
+                                   "evolve", "cross-check", "dump-chart")],
+    *[(c, "--frame", "rotated") for c in ("coeffs-prop3", "coeffs-prop4", "verify-affine",
+                                          "conformal-check", "cross-check")],
+    *[(c, "--mode", "rational") for c in ("verify-affine", "conformal-check", "evolve",
+                                          "cross-check")],
+    ("conformal-check", "--t-order", "4"),
+    ("conformal-check", "--xi-order", "4"),
+])
+def test_unread_flags_are_usage_errors(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("beltrami ")]
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert {argv[0] for argv in examples} == set(FLAGS)
+    for argv in examples:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_usage_error_exit_code(capsys):
@@ -139,12 +215,15 @@ def test_dump_chart_rational(capsys):
 
 
 def test_evolve_affine_exact_requires_affine(capsys):
-    code, _, err = run_cli(
-        capsys, "evolve", "--f", "1+x1^2+x3", "--point", "0,0,0", "--tmax", "0.01",
-        "--dt", "0.005", "--init", "affine-exact",
-    )
-    assert code == 1
-    assert "affine" in json.loads(err)["message"]
+    # 1+x3+x1^3 has no second derivative at the origin, so the factor itself
+    # must be checked, not its jet at the base point
+    for f in ("1+x1^2+x3", "1+x3+x1^3"):
+        code, out, err = run_cli(
+            capsys, "evolve", "--f", f, "--point", "0,0,0", "--tmax", "0.01",
+            "--dt", "0.005", "--grid", "9x9", "--init", "affine-exact",
+        )
+        assert code == 1 and out == "", f
+        assert "affine" in json.loads(err)["message"], f
 
 
 def test_cross_check_passes(capsys):
