@@ -80,8 +80,7 @@ def _minimal_rotation(direction):
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double",
-               grad_floor: float = GRAD_FLOOR) -> BasePoint:
+def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> BasePoint:
     """Validate the base point and fix the chart frame.
 
     Raises CriticalPointError when |grad f(p)| is below the floor (relative to
@@ -92,7 +91,7 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double",
     c0 = j1.constant_term()
     grad = (j1.coeff((1, 0, 0)), j1.coeff((0, 1, 0)), j1.coeff((0, 0, 1)))
     # magnitudes are compared, never squared, so huge values cannot overflow
-    floor = grad_floor * max(1.0, abs(float(c0)))
+    floor = GRAD_FLOOR * max(1.0, abs(float(c0)))
     gnorm = math.hypot(*map(float, grad))
     if gnorm < floor:
         raise CriticalPointError(f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {p}")
@@ -339,10 +338,9 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
 
 
 def build_chart(f, bindings, p, t_order: int = 6, xi_order: int = 6,
-                frame: str = "rotated", mode: str = "double",
-                grad_floor: float = GRAD_FLOOR) -> ChartData:
+                frame: str = "rotated", mode: str = "double") -> ChartData:
     """End-to-end chart construction at a base point."""
-    bp = base_point(f, bindings, p, frame=frame, mode=mode, grad_floor=grad_floor)
+    bp = base_point(f, bindings, p, frame=frame, mode=mode)
     # the flow's coordinates come first: their space refuses an order whose
     # pair table is too large before the graph solve runs
     xi = [TruncatedSeries.variable(CHART_VARS, (t_order + 1, xi_order + 1), v, exact=bp.exact)

@@ -411,10 +411,9 @@ def _cmd_evolve(args):
     if dt <= 0:
         raise BeltramiError(f"--dt must be positive, got {args.dt!r}")
     if args.init == "affine-exact":
-        degree = ex.poly_degree(f)
-        if degree is None or degree > 1:
-            raise BeltramiError("--init affine-exact requires an affine factor f")
-        e = tuple(gradient(f, bindings, point))
+        e = tuple(gradient(f, bindings, point)) if ex.poly_degree(f) in (0, 1) else ()
+        if not any(e):
+            raise BeltramiError("--init affine-exact requires a nonconstant affine factor f")
         u0 = orthogonal_unit(e)
         const = ex.evaluate(f, bindings, (0.0, 0.0, 0.0))
         init = ("field", affine_field(const, e, u0))
@@ -469,6 +468,7 @@ def _add_common(sp, *names):
         sp.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
     sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out", default="-", help="output path or '-' for stdout")
+    sp.set_defaults(parser=sp)  # reports the flags it does not offer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,8 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # the subcommand's usage line lists the flags it does offer
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         # stderr carries one JSON object; a non-finite result is caught when
         # the report is written, so numpy's floating-point warnings stay off

@@ -3,9 +3,10 @@
 The evolution d/dt beta = T(t) beta is pointwise in xi (no spatial coupling),
 so every grid node integrates an independent 2x2 linear ODE; the closedness
 constraint d1 beta_2 - d2 beta_1 = 0 is monitored by central differences and
-its drift is the signal of interest.  T is evaluated from the chart series
-built once at the central base point, which confines grids to a validity
-patch around the origin.
+its drift is the signal of interest.  T comes from the chart series built
+once at the central base point, which confines grids and times to a validity
+patch around the origin; its t-coefficients are sampled on a grid's nodes
+once, and each RK4 stage evaluates T(t) from them by Horner in t.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .beltrami_ops import chart_pullback
 from .chart import ChartData, build_chart
 from .errors import DomainError
 from .obstruction import tensor_T
-from .series import eval_batch
+from .series import _design_matrix, _space
 
 PATCH_RADIUS = 0.2
 
@@ -58,41 +59,48 @@ class GridField:
 
 
 class TEvaluator:
-    """Evaluates the 2x2 evolution tensor of a chart on grid nodes."""
+    """The 2x2 evolution tensor T of a chart on the nodes of one grid: its
+    t-coefficients are sampled on the nodes once, into ``coeffs`` of shape
+    (t_order + 1, N, 2, 2), and a call sums them by Horner in t."""
 
-    def __init__(self, chart: ChartData, patch_radius: float = PATCH_RADIUS):
-        self.chart = chart
+    def __init__(self, chart: ChartData, grid: GridField,
+                 patch_radius: float = PATCH_RADIUS):
+        nodes = grid.nodes()
+        r = float(np.max(np.abs(nodes)))
+        if r > patch_radius + 1e-12:
+            raise DomainError(f"grid extent {r:.3g} exceeds the chart validity patch "
+                              f"{patch_radius:.3g}")
         self.patch_radius = patch_radius
-        self.entries = tensor_T(chart).m
+        self.xi1, self.xi2 = grid.xi1, grid.xi2
+        entries = [e for row in tensor_T(chart).m for e in row]
+        space = entries[0].space
+        xi_space = _space(space.names[1:], chart.xi_order)
+        # by_degree[k, m]: the four coefficients of t^k times xi-monomial m
+        by_degree = np.zeros((chart.t_order + 1, xi_space.size, 4))
+        xi_cols = [xi_space.index[m[1:]] for m in space.monos]
+        by_degree[space.expo[:, 0], xi_cols] = np.stack([e.coeffs for e in entries], axis=1)
+        design = _design_matrix(xi_space, nodes)
+        self.coeffs = (design @ by_degree).reshape(-1, len(nodes), 2, 2)
 
-    def check_grid(self, grid: GridField):
-        r = max(float(np.max(np.abs(grid.xi1))), float(np.max(np.abs(grid.xi2))))
-        if r > self.patch_radius + 1e-12:
-            raise DomainError(
-                f"grid extent {r:.3g} exceeds the chart validity patch "
-                f"{self.patch_radius:.3g}"
-            )
-
-    def __call__(self, t: float, nodes: np.ndarray) -> np.ndarray:
-        """T at fixed time on an (N, 2) node array; returns (N, 2, 2)."""
+    def __call__(self, t: float) -> np.ndarray:
+        """T at time t on every node of the grid; returns (N, 2, 2)."""
         if abs(t) > self.patch_radius + 1e-12:
             raise DomainError(f"time {t} outside the chart validity patch")
-        pts = np.column_stack([np.full(nodes.shape[0], t), nodes])
-        flat = eval_batch(
-            [self.entries[i][j] for i in range(2) for j in range(2)], pts
-        )
-        return flat.T.reshape(nodes.shape[0], 2, 2)
+        out = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            out = out * t + c
+        return out
 
 
 def step(grid: GridField, tev: TEvaluator, dt: float) -> GridField:
     """One classical 4th-order step of the pointwise linear evolution."""
-    tev.check_grid(grid)
-    nodes = grid.nodes()
+    if not (np.array_equal(grid.xi1, tev.xi1) and np.array_equal(grid.xi2, tev.xi2)):
+        raise DomainError("the evaluator was sampled on the nodes of another grid")
     b = grid.beta.reshape(-1, 2)
     t = grid.time
 
     def apply(tval, vec):
-        return np.einsum("nij,nj->ni", tev(tval, nodes), vec)
+        return np.einsum("nij,nj->ni", tev(tval), vec)
 
     k1 = apply(t, b)
     k2 = apply(t + dt / 2.0, b + (dt / 2.0) * k1)
@@ -187,10 +195,15 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
     ``init`` is either ``("psi", expr)`` for beta = d psi, or
     ``("field", vector_expr)`` for the pullback of an explicit field.
     """
-    chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order, frame=frame)
-    tev = TEvaluator(chart, patch_radius=patch_radius)
+    if dt <= 0 or t_max < 0:
+        raise DomainError(f"need dt > 0 and t_max >= 0, got dt = {dt}, t_max = {t_max}")
+    steps = int(round(t_max / dt))
+    if abs(steps * dt - t_max) > 1e-9 * max(1.0, t_max):
+        raise DomainError("t_max must be an integer multiple of dt")
+    if t_max > patch_radius + 1e-12:
+        raise DomainError(f"t_max {t_max} exceeds the chart validity patch {patch_radius}")
     grid = GridField.centered(n1, n2, h1, h2)
-    tev.check_grid(grid)
+    chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order, frame=frame)
     kind, payload = init
     if kind == "psi":
         grid = init_from_potential(grid, payload, bindings)
@@ -198,9 +211,7 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
         grid = init_from_field(grid, payload, chart, bindings)
     else:
         raise DomainError(f"unknown init kind {kind!r}")
-    steps = int(round(t_max / dt))
-    if abs(steps * dt - t_max) > 1e-9 * max(1.0, t_max):
-        raise DomainError("t_max must be an integer multiple of dt")
+    tev = TEvaluator(chart, grid, patch_radius=patch_radius)
     report = DriftReport()
     report.record(grid)
     for _ in range(steps):

@@ -144,7 +144,7 @@ def _partials(F, pts, step, radius, axes=(0, 1, 2)):
     return np.einsum("j,ajn->na", w[nz], vals.reshape(len(axes), nz.size, -1))
 
 
-def _flow_batch(F, starts, times, spec: StencilSpec, grad_floor=1e-8):
+def _flow_batch(F, starts, times, spec: StencilSpec):
     """Integrate dx/dt = grad F / |grad F|^2 from each start to its own time.
 
     Reparametrized to s in [0, 1] with per-row speed, advanced by the
@@ -159,7 +159,7 @@ def _flow_batch(F, starts, times, spec: StencilSpec, grad_floor=1e-8):
     def rhs(x):
         g = _partials(F, x, spec.step_space, spec.radius)
         nsq = np.sum(g * g, axis=1, keepdims=True)
-        if np.any(nsq < grad_floor**2):
+        if np.any(nsq < 1e-8**2):
             raise DomainError("gradient collapsed along a flow trajectory")
         return times * g / nsq
 

@@ -493,24 +493,6 @@ def _design_matrix(space: _Space, pts: np.ndarray) -> np.ndarray:
     return design
 
 
-def eval_batch(series_seq, points) -> np.ndarray:
-    """Evaluate several series over one shared variable space at a point batch.
-
-    Returns an array of shape (len(series_seq), N); the design matrix of
-    monomial values is built once.
-    """
-    series_seq = list(series_seq)
-    first = series_seq[0]
-    for s in series_seq[1:]:
-        first._check(s)
-    pts = np.asarray(points, dtype=np.float64)
-    design = _design_matrix(first.space, pts)
-    stacked = np.stack(
-        [s.coeffs.astype(np.float64) if s.exact else s.coeffs for s in series_seq]
-    )
-    return stacked @ design.T
-
-
 def _fraction_sqrt(value: Fraction):
     """Exact square root of a non-negative rational, or None."""
     if value < 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beltrami import evolution, series
 from beltrami import expr as ex
 from beltrami.beltrami_ops import affine_field
 from beltrami.chart import build_chart
@@ -14,22 +15,20 @@ from beltrami.evolution import (
     run,
     step,
 )
+from beltrami.obstruction import tensor_T
 
 
-def flat_evaluator(orders=(4, 4)):
-    ch = build_chart(ex.parse("1+x3"), None, (0, 0, 0), t_order=orders[0],
-                     xi_order=orders[1])
-    return TEvaluator(ch)
+def flat_chart(orders=(4, 4)):
+    return build_chart(ex.parse("1+x3"), None, (0, 0, 0), t_order=orders[0],
+                       xi_order=orders[1])
 
 
 class ZeroEvaluator:
-    patch_radius = 1.0
+    def __init__(self, grid):
+        self.xi1, self.xi2 = grid.xi1, grid.xi2
 
-    def check_grid(self, grid):
-        pass
-
-    def __call__(self, t, nodes):
-        return np.zeros((nodes.shape[0], 2, 2))
+    def __call__(self, t):
+        return np.zeros((self.xi1.size * self.xi2.size, 2, 2))
 
 
 @pytest.mark.parametrize("text", ["x1 + x2", "x1^3*x2 - 3*x2^2 + x1",
@@ -46,7 +45,7 @@ def test_init_from_potential_matches_jets(text):
 def test_step_frozen_field():
     grid = GridField.centered(7, 7, 0.02, 0.02)
     grid.beta[:] = np.random.default_rng(0).normal(size=grid.beta.shape)
-    out = step(grid, ZeroEvaluator(), 0.01)
+    out = step(grid, ZeroEvaluator(grid), 0.01)
     assert np.array_equal(out.beta, grid.beta)
     assert out.time == pytest.approx(0.01)
 
@@ -54,11 +53,10 @@ def test_step_frozen_field():
 def test_step_matches_rotation_closed_form():
     # for the flat chart T = (1+t) J, a node solves beta' = (1+t) J beta:
     # rotation by the angle t + t^2/2
-    tev = flat_evaluator()
     grid = GridField.centered(5, 5, 0.01, 0.01)
     grid.beta[:, :, 0] = 1.0
     dt = 0.05
-    out = step(grid, tev, dt)
+    out = step(grid, TEvaluator(flat_chart(), grid), dt)
     phi = dt + dt * dt / 2.0
     expect = np.array([np.cos(phi), -np.sin(phi)])
     err = np.max(np.abs(out.beta - expect[None, None, :]))
@@ -66,10 +64,10 @@ def test_step_matches_rotation_closed_form():
 
 
 def test_step_linearity():
-    tev = flat_evaluator()
     rng = np.random.default_rng(5)
     grid = GridField.centered(5, 5, 0.01, 0.01)
     grid.beta[:] = rng.normal(size=grid.beta.shape)
+    tev = TEvaluator(flat_chart(), grid)
     scaled = GridField(grid.xi1, grid.xi2, 3.0 * grid.beta, grid.time)
     a = step(grid, tev, 0.02)
     b = step(scaled, tev, 0.02)
@@ -97,10 +95,9 @@ def test_grid_validation():
         GridField.centered(3, 9, 0.05, 0.05)
     with pytest.raises(DomainError):
         GridField.centered(9, 9, -0.05, 0.05)
-    tev = flat_evaluator()
     big = GridField.centered(9, 9, 0.2, 0.2)
     with pytest.raises(DomainError):
-        tev.check_grid(big)
+        TEvaluator(flat_chart(), big)
 
 
 def test_initial_drift_refines_at_second_order():
@@ -116,31 +113,48 @@ def test_initial_drift_refines_at_second_order():
     assert 3.0 < ratio < 5.0
 
 
+def test_t_evaluator_matches_series_eval():
+    # Horner over the sampled t-coefficients against each entry of T evaluated
+    # at (t, xi) as a whole series; only the order of the sums differs
+    ch = build_chart(ex.parse("1+x1+x1^3+x2*x3+x3"), None, (0, 0, 0), t_order=5, xi_order=4)
+    grid = GridField.centered(7, 5, 0.03, 0.04)
+    tev = TEvaluator(ch, grid)
+    entries = tensor_T(ch).m
+    for t in (0.0, 0.07, -0.2):
+        pts = np.column_stack([np.full(35, t), grid.nodes()])
+        expect = np.stack([[entries[i][j].eval(pts) for j in range(2)] for i in range(2)])
+        err = np.max(np.abs(tev(t) - expect.transpose(2, 0, 1)))
+        assert err <= 1e-14 * np.max(np.abs(expect))
+
+
 def test_nodes_evolve_independently():
     # evolving a subgrid reproduces the matching nodes of the full grid
     f = ex.parse("1+x1^2+x3")
     ch = build_chart(f, None, (0, 0, 0), t_order=4, xi_order=4)
-    tev = TEvaluator(ch)
     full = GridField.centered(9, 9, 0.01, 0.01)
     full = init_from_potential(full, ex.parse("x1+x2^2"))
     sub = GridField(full.xi1[2:7], full.xi2[2:7], full.beta[2:7, 2:7].copy(), 0.0)
-    full_out = step(full, tev, 0.01)
-    sub_out = step(sub, tev, 0.01)
+    full_tev = TEvaluator(ch, full)
+    full_out = step(full, full_tev, 0.01)
+    sub_out = step(sub, TEvaluator(ch, sub), 0.01)
     assert np.array_equal(sub_out.beta, full_out.beta[2:7, 2:7])
+    # an evaluator belongs to the grid it was sampled on
+    with pytest.raises(DomainError):
+        step(sub, full_tev, 0.01)
 
 
 def test_energy_bound():
     f = ex.parse("1+x1^2+x3")
     ch = build_chart(f, None, (0, 0, 0), t_order=5, xi_order=5)
-    tev = TEvaluator(ch)
     grid = GridField.centered(9, 9, 0.01, 0.01)
     grid = init_from_potential(grid, ex.parse("x1+x2"))
+    tev = TEvaluator(ch, grid)
     dt, steps = 0.005, 20
     norm0 = np.linalg.norm(grid.beta, axis=2)
     integral = np.zeros(norm0.shape).ravel()
     g = grid
     for _ in range(steps):
-        Ts = tev(g.time, g.nodes())
+        Ts = tev(g.time)
         integral += np.linalg.norm(Ts, ord=2, axis=(1, 2)) * dt
         g = step(g, tev, dt)
     norm_t = np.linalg.norm(g.beta, axis=2)
@@ -157,7 +171,7 @@ def test_timestep_convergence_order():
     def final_beta(dt):
         rep_grid = GridField.centered(5, 5, 0.01, 0.01)
         ch = build_chart(f, bindings, (0, 0, 0), t_order=5, xi_order=5)
-        tev = TEvaluator(ch)
+        tev = TEvaluator(ch, rep_grid)
         g = init_from_potential(rep_grid, ex.parse("x1+x2"))
         nsteps = int(round(0.2 / dt))
         for _ in range(nsteps):
@@ -189,6 +203,43 @@ def test_run_generic_drift_grows():
     assert rep.max_drift[0] < 1e-14  # constant initial data is exactly closed
     assert rep.max_drift[-1] > 1e-3
     assert rep.times == sorted(rep.times)
+
+
+@pytest.mark.parametrize("t_max,dt", [
+    (0.1, 0.0),
+    (0.1, -0.005),
+    (-0.1, 0.005),
+    (0.1, 0.03),  # not a multiple of dt
+    (0.3, 0.005),  # beyond the patch
+])
+def test_run_rejects_time_inputs_before_building_a_chart(monkeypatch, t_max, dt):
+    def no_chart(*args, **kwargs):
+        raise AssertionError("a chart was built before the time inputs were checked")
+
+    monkeypatch.setattr(evolution, "build_chart", no_chart)
+    with pytest.raises(DomainError):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=t_max, dt=dt, n1=9, n2=9, h1=0.01, h2=0.01)
+
+
+def test_run_samples_T_on_the_grid_once(monkeypatch):
+    # a design matrix per RK4 stage would make the count grow with the steps
+    real, calls = series._design_matrix, []
+
+    def counting(space, pts):
+        calls.append(len(pts))
+        return real(space, pts)
+
+    for module in (series, evolution):
+        monkeypatch.setattr(module, "_design_matrix", counting)
+    counts = []
+    for steps in (2, 8):
+        calls.clear()
+        run(ex.parse("1+x1^2+x3"), None, (0, 0, 0), ("psi", ex.parse("x1+x2")),
+            t_max=steps * 0.005, dt=0.005, n1=9, n2=9, h1=0.01, h2=0.01,
+            t_order=4, xi_order=4)
+        counts.append(list(calls))
+    assert counts == [[81], [81]]
 
 
 def test_csv_format():
