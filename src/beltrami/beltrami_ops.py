@@ -188,30 +188,28 @@ def riemannian_curl(metric, v: VectorExpr, bindings, p):
     )
 
 
-def chart_pullback(u: VectorExpr, chart: ChartData, bindings=None):
-    """Components (beta_1, beta_2, beta_t) of the Euclidean dual form of u in
-    chart coordinates: beta_i = u(x(t, xi)) . d_i x."""
-    xw = chart.x_world()
-    pulled = ex.compose(u.components, bindings, xw)
+def chart_pullback(u: VectorExpr, x, bindings=None) -> tuple:
+    """Components of the Euclidean dual form of u in the coordinates of the
+    world map ``x`` (three series): u(x) . d_v x for each variable v of x, in
+    x's order.  On ``chart.x_world()`` that is (beta_t, beta_1, beta_2); on
+    its t = 0 slice, (beta_1, beta_2) on the level surface."""
+    pulled = ex.compose(u.components, bindings, x)
 
-    def dot_with(partial_var):
-        dxw = [s.derive(partial_var) for s in xw]
+    def dot_with(v):
+        dx = [s.derive(v) for s in x]
         out = None
         for k in range(3):
-            term = pulled[k].truncate(dxw[k].order) * dxw[k]
+            term = pulled[k].truncate(dx[k].order) * dx[k]
             out = term if out is None else out + term
         return out
 
-    beta1 = dot_with("xi1")
-    beta2 = dot_with("xi2")
-    beta_t = dot_with("t")
-    return beta1, beta2, beta_t
+    return tuple(dot_with(v) for v in x[0].vars)
 
 
 def pullback_system_residuals(u: VectorExpr, chart: ChartData, T, bindings=None) -> dict:
     """Max coefficient residuals of the chart-coordinate system for a field:
     the two evolution rows, the closedness constraint, and the dt-component."""
-    beta1, beta2, beta_t = chart_pullback(u, chart, bindings)
+    beta_t, beta1, beta2 = chart_pullback(u, chart.x_world(), bindings)
     b1, b2 = beta1.truncate(T.order), beta2.truncate(T.order)
     row1 = beta1.derive("t").truncate(T.order) - (T.entry(0, 0) * b1 + T.entry(0, 1) * b2)
     row2 = beta2.derive("t").truncate(T.order) - (T.entry(1, 0) * b1 + T.entry(1, 1) * b2)

@@ -179,11 +179,10 @@ def init_from_potential(grid: GridField, psi, bindings=None) -> GridField:
 
 
 def init_from_field(grid: GridField, u, chart: ChartData, bindings=None) -> GridField:
-    """beta from the chart pullback of a vector field, sampled at t = 0."""
-    beta1, beta2, _ = chart_pullback(u, chart, bindings)
-    nodes = grid.nodes()
-    pts = np.column_stack([np.zeros(nodes.shape[0]), nodes])
-    beta = np.column_stack([beta1.eval(pts), beta2.eval(pts)])
+    """beta from the pullback of a vector field to the chart's level surface
+    t = 0, evaluated on the grid's nodes."""
+    x0 = tuple(s.slice_at_zero("t") for s in chart.x_world())
+    beta = np.column_stack([b.eval(grid.nodes()) for b in chart_pullback(u, x0, bindings)])
     return GridField(grid.xi1, grid.xi2, beta.reshape(grid.beta.shape), 0.0)
 
 

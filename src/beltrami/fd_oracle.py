@@ -35,24 +35,24 @@ _E3 = np.eye(3)
 
 @dataclass(frozen=True)
 class StencilSpec:
-    """Step sizes and stencil geometry for the oracle.
+    """Step size and stencil geometry for the oracle.
 
-    ``radius`` is the half-width of 1-D stencils (2*radius + 1 nodes); the
-    jet stencil auto-widens so every requested derivative order fits.  The
-    8e-3 defaults sit at the measured optimum between stencil truncation and
-    noise amplified through the recursion's repeated time derivatives.
+    ``step_space`` is the step of every stencil, in t and in each space
+    direction.  ``radius`` is the half-width of 1-D stencils (2*radius + 1
+    nodes); the jet stencil auto-widens so every requested derivative order
+    fits.  The 8e-3 default sits at the measured optimum between stencil
+    truncation and noise amplified through the recursion's repeated time
+    derivatives.
     """
 
     step_space: float = 8e-3
-    step_time: float = 8e-3
-    step_cross: float = 8e-3
     radius: int = 2
     richardson: int = 1
     flow_dt: float = 2e-3
 
     def __post_init__(self):
-        if self.step_space <= 0 or self.step_time <= 0 or self.step_cross <= 0:
-            raise DomainError("stencil steps must be positive")
+        if self.step_space <= 0:
+            raise DomainError("stencil step must be positive")
         if self.radius < 1:
             raise DomainError("stencil radius must be >= 1")
 
@@ -262,26 +262,22 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     c0 = float(F(np.zeros((1, 3)))[0])
 
     rt = spec.radius
+    step = spec.step_space  # one step for every stencil: t, the cross and the metric
     levels = max_n - 1
     t_half = rt * levels
-    t_nodes = np.arange(-t_half, t_half + 1, dtype=np.float64) * spec.step_time
+    t_nodes = np.arange(-t_half, t_half + 1, dtype=np.float64) * step
     n_t = t_nodes.size
 
-    dc = spec.step_cross
-    cross = _cross_offsets(rt, dc)
+    cross = _cross_offsets(rt, step)
     n_cross = cross.shape[0]
 
-    dm = spec.step_space
-    moffsets = _cross_offsets(rt, dm)
-    n_m = moffsets.shape[0]
-
     # unique xi start points (cross position + metric offset), then one batched flow
-    xi_all = (cross[:, None, :] + moffsets[None, :, :]).reshape(-1, 2)
-    key = np.round(xi_all / min(dc, dm) * 4).astype(np.int64)
+    xi_all = (cross[:, None, :] + cross[None, :, :]).reshape(-1, 2)
+    key = np.round(xi_all / step * 4).astype(np.int64)
     _, first_idx, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     xi_uniq = xi_all[first_idx]
 
-    h_uniq = _newton_graph(F, xi_uniq, c0, spec.step_space, rt)
+    h_uniq = _newton_graph(F, xi_uniq, c0, step, rt)
     starts_u = np.column_stack([xi_uniq, h_uniq])
 
     n_u = starts_u.shape[0]
@@ -291,10 +287,11 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
 
     # evolution tensor at every (cross position, t node); the metric cross
     # around each position leads, its center first
-    x = np.moveaxis(flowed[inverse.reshape(n_cross, n_m)], 1, 0)
-    grad = _partials(F, x[0].reshape(-1, 3), dm, rt).reshape(n_cross, n_t, 3)
+    x = np.moveaxis(flowed[inverse.reshape(n_cross, n_cross)], 1, 0)
+    grad = _partials(F, x[0].reshape(-1, 3), step, rt).reshape(n_cross, n_t, 3)
     dxt = grad / np.sum(grad * grad, axis=-1, keepdims=True)
-    dxi1, dxi2 = _cross_derivs(deriv_weights(1, rt, dm), x)
+    w = deriv_weights(1, rt, step)
+    dxi1, dxi2 = _cross_derivs(w, x)
     g11 = np.sum(dxi1 * dxi1, axis=-1)
     g12 = np.sum(dxi1 * dxi2, axis=-1)
     g22 = np.sum(dxi2 * dxi2, axis=-1)
@@ -306,11 +303,9 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     )
 
     # recursion with stencil t-derivatives; valid window shrinks by rt per level
-    wt = deriv_weights(1, rt, spec.step_time)
-
     def ddt(arr):
-        windows = np.lib.stride_tricks.sliding_window_view(arr, wt.size, axis=1)
-        return np.einsum("ctijw,w->ctij", windows, wt)
+        windows = np.lib.stride_tricks.sliding_window_view(arr, w.size, axis=1)
+        return np.einsum("ctijw,w->ctij", windows, w)
 
     Tn = T_vals
     lo = 0
@@ -328,12 +323,11 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
 
     T_at0 = T_vals[:, t_half]  # (n_cross, 2, 2)
 
-    wc = deriv_weights(1, rt, dc)
-    d1T, d2T = _cross_derivs(wc, T_at0)
+    d1T, d2T = _cross_derivs(w, T_at0)
     T0 = T_at0[0]
 
     def constraint_vector(Tn_vals):
-        d1, d2 = _cross_derivs(wc, Tn_vals)
+        d1, d2 = _cross_derivs(w, Tn_vals)
         A = Tn_vals[0]
         ratio = A[0, 1] / T0[0, 1]
         return np.array(

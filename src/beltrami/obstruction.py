@@ -12,7 +12,9 @@ higher time derivatives of beta, and each one yields a linear constraint
 ``script_T(n) . (beta_1, beta_2, d1 beta_1, d2 beta_1) = 0`` on closed data.
 Four of those constraint vectors can only admit a nonzero solution if their
 4x4 determinant vanishes: that determinant, restricted to t = 0, is the
-obstruction polynomial evaluated here.
+obstruction polynomial evaluated here.  The obstruction reads the vectors at
+t = 0 only, so they are built as series in (xi1, xi2) on the t = 0 slices of
+T and T_n.
 """
 
 from __future__ import annotations
@@ -125,50 +127,46 @@ def tensor_Tn(T: SeriesMatrix2, n: int) -> SeriesMatrix2:
 def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int = 0) -> ConstraintVector4:
     """Constraint 4-vector of T_n against T; costs one xi-order.
 
-    Division is by the (0,1) entry of T, whose constant term is guaranteed
-    nonzero away from the zero level set.  `n` is carried as metadata only.
+    Works on the (t, xi) series and on their t = 0 slices alike.  Division is
+    by the (0,1) entry of T, whose constant term is guaranteed nonzero away
+    from the zero level set.  `n` is carried as metadata only.
     """
     pivot = T.entry(0, 1)
     if abs(float(pivot.constant_term())) < 1e-12:
         raise DomainError("pivot entry of T has (near-)zero constant term")
-    a, b = Tn.order
+    low = Tn.entry(0, 0).derive("xi1").order
+
+    def bracket(M):
+        """(d1 M10 - d2 M00, d1 M11 - d2 M01, M10, M11 - M00), one xi-order down."""
+        (m00, m01), (m10, m11) = M.m
+        return (m10.derive("xi1") - m00.derive("xi2"),
+                m11.derive("xi1") - m01.derive("xi2"),
+                m10.truncate(low),
+                m11.truncate(low) - m00.truncate(low))
+
     Tl = T.truncate(Tn.order)
-
-    def d1(e):
-        return e.derive("xi1")
-
-    def d2(e):
-        return e.derive("xi2")
-
-    def lower(e):
-        return e.truncate((a, b - 1))
-
-    ratio = lower(Tn.entry(0, 1)) * lower(Tl.entry(0, 1)).reciprocal()
-    c1 = d1(Tn.entry(1, 0)) - d2(Tn.entry(0, 0)) - ratio * (
-        d1(Tl.entry(1, 0)) - d2(Tl.entry(0, 0))
-    )
-    c2 = d1(Tn.entry(1, 1)) - d2(Tn.entry(0, 1)) - ratio * (
-        d1(Tl.entry(1, 1)) - d2(Tl.entry(0, 1))
-    )
-    c3 = lower(Tn.entry(1, 0)) - ratio * lower(Tl.entry(1, 0))
-    c4 = lower(Tn.entry(1, 1)) - lower(Tn.entry(0, 0)) - ratio * (
-        lower(Tl.entry(1, 1)) - lower(Tl.entry(0, 0))
-    )
-    return ConstraintVector4(n=n, components=(c1, c2, c3, c4))
+    ratio = Tn.entry(0, 1).truncate(low) * Tl.entry(0, 1).truncate(low).reciprocal()
+    components = tuple(a - ratio * b for a, b in zip(bracket(Tn), bracket(Tl)))
+    return ConstraintVector4(n=n, components=components)
 
 
 def hierarchy_vectors(chart: ChartData, indices) -> dict:
-    """Constraint vectors for every requested recursion index, sharing work."""
+    """Constraint vectors for every requested recursion index, sharing work,
+    as series in (xi1, xi2) at t = 0: T is cut to the t-degrees the recursion
+    to the largest index reads, and each T_n is sliced before ``script_Tn``."""
     indices = tuple(indices)
+    if min(indices) < 2:
+        raise DomainError(f"recursion indices must be >= 2, got {indices}")
     T = tensor_T(chart)
+    a, b = T.order
+    T = T.truncate((min(a, max(indices) - 1), b))
+    T0 = T.slice_at_zero("t")
     out = {}
     Tn = T
     for n in range(2, max(indices) + 1):
         Tn = _recursion_step(T, Tn, n - 1)
         if n in indices:
-            out[n] = script_Tn(T, Tn, n=n)
-    if 1 in indices:
-        out[1] = script_Tn(T, T, n=1)
+            out[n] = script_Tn(T0, Tn.slice_at_zero("t"), n=n)
     return out
 
 
@@ -220,9 +218,10 @@ def obstruction_from_chart(chart: ChartData, degree: int,
                            indices=DEFAULT_INDICES) -> ObstructionPoly:
     indices = _validate_request(degree, indices, chart.t_order, chart.xi_order)
     vectors = hierarchy_vectors(chart, indices)
-    # every constraint vector is at xi-order xi_order - 1 >= degree at t = 0
-    det = det4([tuple(c.slice_at_zero("t") for c in vectors[n].components) for n in indices])
-    coeffs = {mono: value for mono, value in det.nonzero_terms() if sum(mono) <= degree}
+    # every constraint vector is a t = 0 series in xi at xi-order
+    # xi_order - 1 >= degree; the determinant reads it through degree
+    det = det4([tuple(c.truncate(degree) for c in vectors[n].components) for n in indices])
+    coeffs = dict(det.nonzero_terms())
     return ObstructionPoly(
         coeffs=coeffs,
         degree=degree,

@@ -586,28 +586,20 @@ class SeriesMatrix2:
                 a[1][0] * b[0][0] + a[1][1] * b[1][0],
                 a[1][0] * b[0][1] + a[1][1] * b[1][1],
             )
-        return SeriesMatrix2(
-            self.m[0][0] * other,
-            self.m[0][1] * other,
-            self.m[1][0] * other,
-            self.m[1][1] * other,
-        )
+        return self._map(lambda e: e * other)
+
+    def _map(self, fn):
+        """The matrix of ``fn`` applied to each entry."""
+        return SeriesMatrix2(*(fn(e) for row in self.m for e in row))
 
     def derive(self, name: str):
-        return SeriesMatrix2(
-            self.m[0][0].derive(name),
-            self.m[0][1].derive(name),
-            self.m[1][0].derive(name),
-            self.m[1][1].derive(name),
-        )
+        return self._map(lambda e: e.derive(name))
 
-    def truncate(self, order: int):
-        return SeriesMatrix2(
-            self.m[0][0].truncate(order),
-            self.m[0][1].truncate(order),
-            self.m[1][0].truncate(order),
-            self.m[1][1].truncate(order),
-        )
+    def truncate(self, order):
+        return self._map(lambda e: e.truncate(order))
+
+    def slice_at_zero(self, name: str):
+        return self._map(lambda e: e.slice_at_zero(name))
 
     def max_abs(self) -> float:
         return max(e.max_abs() for row in self.m for e in row)

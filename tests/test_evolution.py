@@ -3,7 +3,7 @@ import pytest
 
 from beltrami import evolution, series
 from beltrami import expr as ex
-from beltrami.beltrami_ops import affine_field
+from beltrami.beltrami_ops import affine_field, chart_pullback, orthogonal_unit
 from beltrami.chart import build_chart
 from beltrami.errors import DomainError
 from beltrami.evolution import (
@@ -11,6 +11,7 @@ from beltrami.evolution import (
     GridField,
     TEvaluator,
     drift,
+    init_from_field,
     init_from_potential,
     run,
     step,
@@ -40,6 +41,24 @@ def test_init_from_potential_matches_jets(text):
         j = ex.jet(psi, None, (u, v, 0.0), 1)
         expect = np.array([j.coeff((1, 0, 0)), j.coeff((0, 1, 0))])
         assert np.all(np.abs(beta - expect) <= 1e-14 * np.maximum(1.0, np.abs(expect)))
+
+
+@pytest.mark.parametrize("text, u", [
+    ("1+a*x1+x3", affine_field(1.0, (1.0, 0.0, 1.0), orthogonal_unit((1.0, 0.0, 1.0)))),
+    # not a Beltrami field, but its pullback varies over the grid
+    ("1+x1^2+x3", ex.parse_vector(["x2", "sin(x1)", "x1*x3"])),
+])
+def test_init_from_field_matches_full_pullback_at_t0(text, u):
+    # init_from_field pulls back along the t = 0 slice of the flow; the full
+    # (t, xi) pullback evaluated at t = 0 gives the same data
+    ch = build_chart(ex.parse(text), {"a": 1.0}, (0, 0, 0))
+    grid = GridField.centered(41, 41, 0.005, 0.005)
+    got = init_from_field(grid, u, ch).beta.reshape(-1, 2)
+    _, beta1, beta2 = chart_pullback(u, ch.x_world())
+    nodes = grid.nodes()
+    pts = np.column_stack([np.zeros(nodes.shape[0]), nodes])
+    want = np.column_stack([beta1.eval(pts), beta2.eval(pts)])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_step_frozen_field():
