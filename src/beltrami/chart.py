@@ -35,7 +35,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, json_number
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -155,6 +155,15 @@ def _world(bp: BasePoint, y):
     return tuple(_combine([R[j][i] for j in range(3)], y) + bp.point[i] for i in range(3))
 
 
+def _check_residual(residual: TruncatedSeries, scale: float, what: str) -> float:
+    """The largest coefficient of a residual series, which must be 0 in
+    rational mode and within 1e-9 * scale in double mode."""
+    size = float(residual.max_abs())
+    if size > (0.0 if residual.exact else 1e-9 * scale):
+        raise DomainError(f"{what}: residual {size:.3e} (coefficient scale {scale:.3e})")
+    return size
+
+
 def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
     """Solve f(p + R^T (xi1, xi2, h(xi))) = c0 for the graph function h by
     series Newton; the slope is the frame-x3 row of R grad f."""
@@ -174,8 +183,7 @@ def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> Trunc
         if residual.max_abs() == 0.0:
             break
     final = ex.compose(f, bindings, _world(bp, (xi1, xi2, h))) - c0
-    if not exact and final.max_abs() > 1e-9 * max(1.0, abs(float(c0))):
-        raise DomainError(f"graph solve did not converge: residual {final.max_abs():.3e}")
+    _check_residual(final, max(1.0, abs(float(c0))), "graph solve did not converge")
     return h
 
 
@@ -246,8 +254,8 @@ class ChartData:
 
     def to_json(self) -> dict:
         return {
-            "point": [str(c) if self.exact else float(c) for c in self.bp.point],
-            "level": str(self.level) if self.exact else float(self.level),
+            "point": [json_number(c, self.exact) for c in self.bp.point],
+            "level": json_number(self.level, self.exact),
             "frame": self.bp.frame,
             "mode": self.bp.mode,
             "orders": {"t": self.t_order, "xi": self.xi_order},
@@ -307,16 +315,11 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
 
     composed = ex.compose(f, bindings, _world(bp, x))
     tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", exact=exact)
-    residual = composed - (tvar + bp.level)
-    flow_residual = float(residual.max_abs())
     # scale by the series magnitude: high orders legitimately carry large
     # coefficients (finite convergence radius), and rounding grows with them
     scale = max(1.0, abs(float(bp.level)), max(abs(float(c)) for c in x[2].coeffs))
-    if not exact and flow_residual > 1e-9 * scale:
-        raise DomainError(
-            f"flow series inconsistent: |f(x) - (c0 + t)| = {flow_residual:.3e} "
-            f"(coefficient scale {scale:.3e})"
-        )
+    flow_residual = _check_residual(composed - (tvar + bp.level), scale,
+                                    "flow series inconsistent: f(x) != c0 + t")
 
     return ChartData(
         bp=bp,

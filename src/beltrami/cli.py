@@ -39,6 +39,7 @@ from .evolution import run as evolution_run
 from .expr import Mul, Pow, VectorExpr
 from .fd_oracle import P_point_fd
 from .obstruction import DEFAULT_INDICES, obstruction_P, obstruction_Pijkl, tensor_T
+from .series import json_number
 
 CONFIG_KEYS = ("t_order", "xi_order", "mode", "frame", "patch_radius", "seed", "samples")
 CHOICES = {"mode": ("double", "rational"), "frame": ("auto", "graph", "rotated")}
@@ -165,10 +166,6 @@ def _write_report(args, payload):
         raise BeltramiError(f"cannot write --out {out!r}: {err.strerror or err}") from None
 
 
-def _enc(value, mode):
-    return str(value) if mode == "rational" else float(value)
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 
@@ -178,10 +175,8 @@ def _cmd_obstruction(args):
     indices = DEFAULT_INDICES
     if getattr(args, "indices", None) is not None:
         indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
-    poly = obstruction_Pijkl(
-        f, bindings, point, indices, degree=args.degree, t_order=cfg.t_order,
-        xi_order=cfg.xi_order, frame=cfg.frame, mode=cfg.mode,
-    )
+    poly = obstruction_Pijkl(f, bindings, point, indices, degree=args.degree,
+                             frame=cfg.frame, mode=cfg.mode)
     _write_report(args, poly.to_json())
     return 0
 
@@ -193,12 +188,13 @@ def _family_report(poly, refs, mode, **fields):
     Rational mode compares exactly; double mode within FAMILY_TOL, relative
     to the reference where it exceeds 1 in size.
     """
+    exact = mode == "rational"
     computed, reference, match = {}, {}, {}
     for name, (mono, ref) in refs.items():
         c = poly.coeff(mono)
-        computed[name] = _enc(c, mode)
-        reference[name] = _enc(ref, mode)
-        if mode == "rational":
+        computed[name] = json_number(c, exact)
+        reference[name] = json_number(ref, exact)
+        if exact:
             match[name] = c == ref
         else:
             scale = max(1.0, abs(float(ref)))
@@ -209,33 +205,32 @@ def _family_report(poly, refs, mode, **fields):
     return report
 
 
-def _family_poly(cfg, text, bindings, degree):
-    return obstruction_P(
-        ex.parse(text), bindings, (0, 0, 0), degree=degree, t_order=cfg.t_order,
-        xi_order=cfg.xi_order, frame="graph", mode=cfg.mode,
-    )
+def _family_poly(mode, text, bindings, degree):
+    return obstruction_P(ex.parse(text), bindings, (0, 0, 0), degree=degree, frame="graph",
+                         mode=mode)
 
 
 def _cmd_coeffs_prop3(args):
     cfg = _merge_config(args)
     a = _number(args.a, "--a", cfg.mode)
     b = _number(args.b, "--b", cfg.mode)
-    poly = _family_poly(cfg, "1+a*x1+b*x1^3+x3", {"a": a, "b": b}, 4 if a == 0 else 3)
+    poly = _family_poly(cfg.mode, "1+a*x1+b*x1^3+x3", {"a": a, "b": b}, 4 if a == 0 else 3)
     refs = {f"c{j}": ((j, 0), r) for j, r in enumerate(reference.cubic_family_coeffs(a, b))}
     if a == 0:
         refs["c4"] = ((4, 0), reference.cubic_family_c4_pure(b))
-    _write_report(args, _family_report(poly, refs, cfg.mode, a=_enc(a, cfg.mode),
-                                       b=_enc(b, cfg.mode)))
+    exact = cfg.mode == "rational"
+    _write_report(args, _family_report(poly, refs, cfg.mode, a=json_number(a, exact),
+                                       b=json_number(b, exact)))
     return 0
 
 
 def _cmd_coeffs_prop4(args):
     cfg = _merge_config(args)
     a = _number(args.a, "--a", cfg.mode)
-    poly = _family_poly(cfg, "1+x1^2+a*x2^2+x3", {"a": a}, 2)
+    poly = _family_poly(cfg.mode, "1+x1^2+a*x2^2+x3", {"a": a}, 2)
     monos = ((2, 0), (1, 1), (0, 2))
     refs = dict(zip(("q20", "q11", "q02"), zip(monos, reference.quadratic_family_form(a))))
-    report = _family_report(poly, refs, cfg.mode, a=_enc(a, cfg.mode))
+    report = _family_report(poly, refs, cfg.mode, a=json_number(a, cfg.mode == "rational"))
     sub = max(
         (abs(float(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
     )
@@ -355,17 +350,18 @@ BATTERY = (
 )
 
 
-def cross_check_battery(t_order=6, xi_order=6):
+def cross_check_battery():
     """Series vs finite-difference degree-0 obstruction on the fixed battery.
 
-    Agreement is relative 1e-3 when the series value is away from zero and
-    absolute 1e-6 otherwise (both pipelines must then agree the value is 0).
+    The series side builds each chart at the orders P0 reads (see
+    ``obstruction_P``).  Agreement is relative 1e-3 when the series value is
+    away from zero and absolute 1e-6 otherwise (both pipelines must then
+    agree the value is 0).
     """
     rows = []
     for name, ftext, bindings in BATTERY:
         f = ex.parse(ftext)
-        poly = obstruction_P(f, bindings, (0, 0, 0), degree=0, t_order=t_order,
-                             xi_order=xi_order, frame="graph")
+        poly = obstruction_P(f, bindings, (0, 0, 0), degree=0, frame="graph")
         series_val = float(poly.coeff((0, 0)))
         fd_val = P_point_fd(f, bindings, (0, 0, 0))
         if abs(series_val) > 1e-3:
@@ -392,8 +388,8 @@ def cross_check_battery(t_order=6, xi_order=6):
 
 
 def _cmd_cross_check(args):
-    cfg = _merge_config(args)
-    report = cross_check_battery(t_order=cfg.t_order, xi_order=cfg.xi_order)
+    _merge_config(args)  # checks the --config file
+    report = cross_check_battery()
     _write_report(args, report)
     return 0 if report["pass"] else 1
 
@@ -480,22 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     orders = ("t_order", "xi_order")
 
     sp = sub.add_parser("p-eval", help="obstruction polynomial at a base point")
-    _add_common(sp, *_SITE, "degree", *orders, "mode", "frame")
+    _add_common(sp, *_SITE, "degree", "mode", "frame")
     sp.set_defaults(fn=_cmd_obstruction)
 
     sp = sub.add_parser("p-hierarchy", help="hierarchy determinant for chosen indices")
-    _add_common(sp, *_SITE, "degree", *orders, "mode", "frame")
+    _add_common(sp, *_SITE, "degree", "mode", "frame")
     sp.add_argument("--indices", required=True, help="i,j,k,l with l>k>j>i>=2")
     sp.set_defaults(fn=_cmd_obstruction)
 
     sp = sub.add_parser("coeffs-prop3", help="cubic-family coefficients vs closed forms")
-    _add_common(sp, *orders, "mode")
+    _add_common(sp, "mode")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.set_defaults(fn=_cmd_coeffs_prop3, defaults={"mode": "rational"})
 
     sp = sub.add_parser("coeffs-prop4", help="quadratic-family form vs closed forms")
-    _add_common(sp, *orders, "mode")
+    _add_common(sp, "mode")
     sp.add_argument("--a", required=True)
     sp.set_defaults(fn=_cmd_coeffs_prop4, defaults={"mode": "rational"})
 
@@ -520,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_evolve)
 
     sp = sub.add_parser("cross-check", help="series vs finite-difference oracle battery")
-    _add_common(sp, *orders)
+    _add_common(sp)
     sp.set_defaults(fn=_cmd_cross_check)
 
     sp = sub.add_parser("dump-chart", help="adapted-chart series data as JSON")

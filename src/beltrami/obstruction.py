@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .chart import ChartData, build_chart
 from .errors import BudgetError, DomainError
-from .series import SeriesMatrix2, TruncatedSeries
+from .series import SeriesMatrix2, TruncatedSeries, json_number
 
 DEFAULT_INDICES = (2, 3, 4, 5)
 
@@ -72,16 +72,14 @@ class ObstructionPoly:
         return max(abs(c) for c in self.coeffs.values())
 
     def to_json(self) -> dict:
-        def enc(v):
-            return str(v) if self.mode == "rational" else float(v)
-
+        exact = self.mode == "rational"
         monos = sorted(self.coeffs, key=lambda m: (sum(m), m))
         return {
-            "base_point": [enc(c) for c in self.base_point],
-            "level": enc(self.level),
+            "base_point": [json_number(c, exact) for c in self.base_point],
+            "level": json_number(self.level, exact),
             "indices": list(self.indices),
             "degree": self.degree,
-            "coeffs": [{"mi": list(m), "c": enc(self.coeffs[m])} for m in monos],
+            "coeffs": [{"mi": list(m), "c": json_number(self.coeffs[m], exact)} for m in monos],
             "orders": {"t": self.t_order, "xi": self.xi_order},
             "frame": self.frame,
             "mode": self.mode,
@@ -194,16 +192,19 @@ def minimum_orders(degree: int, max_index: int) -> dict:
     return {"t_order": max_index - 1, "xi_order": degree + 1}
 
 
-def _validate_request(degree, indices, t_order, xi_order) -> tuple:
+def _validate_request(degree, indices, t_order=None, xi_order=None) -> tuple:
     """The indices as a tuple, after the one rule on what may be asked: four
     indices l > k > j > i >= 2, degree >= 0, and t_order and xi_order each
-    reaching the bound of ``minimum_orders``."""
+    reaching the bound of ``minimum_orders``.  An order left as None stands
+    for that bound, which is where ``obstruction_Pijkl`` then builds."""
     indices = tuple(int(i) for i in indices)
     if len(indices) != 4 or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 2:
         raise DomainError(f"indices must satisfy l > k > j > i >= 2, got {indices}")
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     need = minimum_orders(degree, max(indices))
+    t_order = need["t_order"] if t_order is None else t_order
+    xi_order = need["xi_order"] if xi_order is None else xi_order
     if t_order < need["t_order"] or xi_order < need["xi_order"]:
         raise BudgetError(
             f"orders (t={t_order}, xi={xi_order}) insufficient for degree {degree} "
@@ -235,20 +236,33 @@ def obstruction_from_chart(chart: ChartData, degree: int,
     )
 
 
-def obstruction_P(f, bindings, p, degree: int = 4, t_order: int = 6,
-                  xi_order: int = 6, frame: str = "auto",
+def obstruction_P(f, bindings, p, degree: int = 4, t_order: int | None = None,
+                  xi_order: int | None = None, frame: str = "auto",
                   mode: str = "double") -> ObstructionPoly:
-    """Obstruction polynomial det of the constraint vectors 2..5 at t = 0."""
+    """Obstruction polynomial det of the constraint vectors 2..5 at t = 0.
+
+    The orders are those of ``obstruction_Pijkl``: by default the chart is
+    built at ``minimum_orders(degree, 5)``, i.e. ``(4, degree + 1)``.
+    """
     return obstruction_Pijkl(f, bindings, p, DEFAULT_INDICES, degree=degree,
                              t_order=t_order, xi_order=xi_order, frame=frame, mode=mode)
 
 
 def obstruction_Pijkl(f, bindings, p, indices, degree: int = 4,
-                      t_order: int = 6, xi_order: int = 6, frame: str = "auto",
-                      mode: str = "double") -> ObstructionPoly:
-    """Hierarchy member: determinant of the constraint vectors (i, j, k, l)."""
+                      t_order: int | None = None, xi_order: int | None = None,
+                      frame: str = "auto", mode: str = "double") -> ObstructionPoly:
+    """Hierarchy member: determinant of the constraint vectors (i, j, k, l).
+
+    The chart is built at the orders the polynomial reads: an order left as
+    None is the bound of ``minimum_orders(degree, max(indices))``.  A given
+    order must reach that bound; larger ones give the same coefficients at
+    more cost.  Either way the result's orders are those of the chart built.
+    """
     indices = _validate_request(degree, indices, t_order, xi_order)  # before any chart
-    chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order,
+    need = minimum_orders(degree, max(indices))
+    chart = build_chart(f, bindings, p,
+                        t_order=need["t_order"] if t_order is None else t_order,
+                        xi_order=need["xi_order"] if xi_order is None else xi_order,
                         frame=frame, mode=mode)
     return obstruction_from_chart(chart, degree, indices)
 

@@ -456,15 +456,12 @@ class TruncatedSeries:
         return float(vals[0]) if single else vals
 
     def to_json(self) -> dict:
-        def enc(c):
-            return str(c) if self.exact else float(c)
-
         sp = self.space
         return {
             "vars": list(self.vars),
             "order": self.order if isinstance(self.order, int) else list(self.order),
             "coeffs": [
-                {"mi": list(sp.monos[i]), "c": enc(c)}
+                {"mi": list(sp.monos[i]), "c": json_number(c, self.exact)}
                 for i, c in enumerate(self.coeffs)
                 if c != 0
             ],
@@ -479,6 +476,12 @@ class TruncatedSeries:
         order = data["order"]  # a JSON list for an order pair
         order = order if isinstance(order, int) else tuple(order)
         return cls.from_terms(tuple(data["vars"]), order, terms, exact=exact)
+
+
+def json_number(value, exact: bool):
+    """A number as a JSON value: exact values as their ``p/q`` string, so
+    nothing is rounded, and doubles as floats."""
+    return str(value) if exact else float(value)
 
 
 def _design_matrix(space: _Space, pts: np.ndarray) -> np.ndarray:

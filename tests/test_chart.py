@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from beltrami import chart
 from beltrami import expr as ex
 from beltrami.chart import (
     CHART_VARS,
@@ -9,7 +10,7 @@ from beltrami.chart import (
     base_point,
     build_chart,
 )
-from beltrami.errors import CriticalPointError, FrameError
+from beltrami.errors import CriticalPointError, DomainError, FrameError
 from beltrami.series import TruncatedSeries
 
 
@@ -206,6 +207,22 @@ def test_nonunit_level_value():
     ch = build_chart(f, None, (0.0, 0.0, 1.0), t_order=4, xi_order=4)
     assert abs(ch.level - 4.0) < 1e-14
     assert ch.flow_residual < 1e-9
+
+
+def test_rational_chart_holds_its_flow_exactly(monkeypatch):
+    # in rational mode f(x(t, xi)) = c0 + t holds exactly, so a flow off by
+    # t^3/1000 is an error and not a flow_residual of 0.001
+    flow = chart._flow_from_jet
+
+    def off_by_t3(*args):
+        x = flow(*args)
+        t = TruncatedSeries.variable(CHART_VARS, x[2].order, "t", exact=True)
+        return (x[0], x[1], x[2] + t * t * t * Fraction(1, 1000))
+
+    monkeypatch.setattr(chart, "_flow_from_jet", off_by_t3)
+    with pytest.raises(DomainError, match="flow"):
+        build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=3, xi_order=3,
+                    frame="graph", mode="rational")
 
 
 def _linear_substitution(f, M):

@@ -42,17 +42,16 @@ def test_p_eval_critical_point_exit_code(capsys):
 # the flags each subcommand offers besides -h, --config and --out: exactly the
 # options its body reads
 FLAGS = {
-    "p-eval": {"--f", "--param", "--point", "--degree", "--t-order", "--xi-order",
-               "--mode", "--frame"},
-    "p-hierarchy": {"--f", "--param", "--point", "--degree", "--t-order", "--xi-order",
-                    "--mode", "--frame", "--indices"},
-    "coeffs-prop3": {"--a", "--b", "--t-order", "--xi-order", "--mode"},
-    "coeffs-prop4": {"--a", "--t-order", "--xi-order", "--mode"},
+    "p-eval": {"--f", "--param", "--point", "--degree", "--mode", "--frame"},
+    "p-hierarchy": {"--f", "--param", "--point", "--degree", "--mode", "--frame",
+                    "--indices"},
+    "coeffs-prop3": {"--a", "--b", "--mode"},
+    "coeffs-prop4": {"--a", "--mode"},
     "verify-affine": {"--a", "--samples", "--seed", "--t-order", "--xi-order"},
     "conformal-check": {"--f", "--samples", "--seed"},
     "evolve": {"--f", "--param", "--point", "--t-order", "--xi-order", "--frame", "--tmax",
                "--dt", "--grid", "--spacing", "--init", "--format"},
-    "cross-check": {"--t-order", "--xi-order"},
+    "cross-check": set(),
     "dump-chart": {"--f", "--param", "--point", "--t-order", "--xi-order", "--mode",
                    "--frame"},
 }
@@ -78,7 +77,7 @@ def test_each_subcommand_offers_the_options_it_reads():
         assert {"-h", "--help", "--config", "--out"} <= offered, command
         assert offered - {"-h", "--help", "--config", "--out"} == FLAGS[command], command
         sp.parse_args(REQUIRED[command])
-    assert sum(map(len, FLAGS.values())) == 55
+    assert sum(map(len, FLAGS.values())) == 45
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -90,6 +89,10 @@ def test_each_subcommand_offers_the_options_it_reads():
                                           "cross-check")],
     ("conformal-check", "--t-order", "4"),
     ("conformal-check", "--xi-order", "4"),
+    # the obstruction path works out its own orders
+    *[(c, flag, "4") for c in ("p-eval", "p-hierarchy", "coeffs-prop3", "coeffs-prop4",
+                               "cross-check")
+      for flag in ("--t-order", "--xi-order")],
 ])
 def test_unread_flags_are_usage_errors(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -325,12 +328,16 @@ def test_oversized_orders_fail_before_allocating(capsys, monkeypatch):
         raise AssertionError("graph solve started before the budget check")
 
     monkeypatch.setattr("beltrami.chart._graph_solve_from_jet", no_solve)
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "p-eval", "--f", "1+x1^2+x3",
-                             "--t-order", "40", "--xi-order", "40")
-    assert time.perf_counter() - start < 1.0
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "BudgetError"
+    for argv in (
+        ["dump-chart", "--f", "1+x1^2+x3", "--t-order", "40", "--xi-order", "40"],
+        # built at (4, 41): the flow at (5, 42) needs 3,426,885 pairs per product
+        ["p-eval", "--f", "1+x1^2+x3", "--degree", "40"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 1 and out == "", argv
+        assert json.loads(err)["error"] == "BudgetError", argv
 
 
 def test_config_overrides_subcommand_mode_default(tmp_path, capsys):

@@ -23,7 +23,7 @@ GOLDEN_P_EVAL = {
     "indices": [2, 3, 4, 5],
     "level": "1",
     "mode": "rational",
-    "orders": {"t": 6, "xi": 6},
+    "orders": {"t": 4, "xi": 3},
 }
 
 

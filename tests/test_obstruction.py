@@ -294,7 +294,8 @@ def test_obstruction_json_schema():
     data = P.to_json()
     assert data["indices"] == [2, 3, 4, 5]
     assert data["degree"] == 2
-    assert data["orders"] == {"t": 6, "xi": 6}
+    # the orders the chart was built at: minimum_orders(2, 5)
+    assert data["orders"] == {"t": 4, "xi": 3}
     assert all(len(entry["mi"]) == 2 for entry in data["coeffs"])
 
 
@@ -455,6 +456,27 @@ def test_rational_quadratic_product_budget(monkeypatch):
     obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, t_order=6, xi_order=6,
                   frame="graph", mode="rational")
     assert products <= 281
+
+
+def test_rational_quadratic_default_order_budget(monkeypatch):
+    # the default call builds at minimum_orders(2, 5) = (4, 3): fewer products
+    # than at (6, 6), and each over a much smaller pair table
+    products = pairs = 0
+    mul = TruncatedSeries.__mul__
+
+    def counting(a, b):
+        nonlocal products, pairs
+        if isinstance(b, TruncatedSeries):
+            products += 1
+            pairs += len(a.space.pairs()[0])
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    f = ex.parse("1+x1^2+a*x2^2+x3")
+    P = obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, frame="graph", mode="rational")
+    assert (P.t_order, P.xi_order) == (4, 3)
+    assert products <= 243
+    assert pairs <= 153_849
 
 
 @pytest.mark.parametrize("text, bindings, point, degree, frame, mode", [
