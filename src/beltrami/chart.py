@@ -201,7 +201,7 @@ def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
         w = [_combine(R[i], g) for i in range(3)]
         inv = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).reciprocal()
         xn = tuple(x0[i] + (w[i] * inv).integrate("t") for i in range(3))
-        done = all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(x, xn))
+        done = all(a.equals(b) for a, b in zip(x, xn))
         x = xn
         if done:  # a sweep that changes nothing is the fixed point
             break
@@ -317,7 +317,7 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
     tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", exact=exact)
     # scale by the series magnitude: high orders legitimately carry large
     # coefficients (finite convergence radius), and rounding grows with them
-    scale = max(1.0, abs(float(bp.level)), max(abs(float(c)) for c in x[2].coeffs))
+    scale = max(1.0, abs(float(bp.level)), float(x[2].max_abs()))
     flow_residual = _check_residual(composed - (tvar + bp.level), scale,
                                     "flow series inconsistent: f(x) != c0 + t")
 

@@ -464,7 +464,7 @@ class _Composition:
             if isinstance(den, TruncatedSeries):
                 if not exact:
                     return ev(n.lhs) * den.reciprocal()
-                if any(v != 0 for v in den.coeffs[1:]):
+                if any(den.num[1:]):
                     raise DomainError("rational mode supports division by constants only")
                 den = den.constant_term()
             if den == 0:

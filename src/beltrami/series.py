@@ -8,9 +8,18 @@ variable is at most ``a`` and the total degree in the others at most ``b``;
 the chart series over ``(t, xi1, xi2)`` are truncated this way, since the
 obstruction reads t-degrees and xi-degrees against separate bounds.  Both
 kinds of truncation are quotients by an ideal, so every ring operation is
-exact through the order.  Coefficients are IEEE doubles by default; exact
-mode stores ``fractions.Fraction`` coefficients in an object array and keeps
-every ring operation exact.
+exact through the order.
+
+Coefficients are IEEE doubles by default.  An exact series holds an object
+array of Python ``int`` numerators over one ``int`` denominator, in canonical
+form: ``den >= 1``, ``gcd(den, *num) == 1``, and the zero series has
+``den == 1``.  A ring operation is integer arithmetic on the numerators
+followed by one gcd that reduces the denominator.  ``fractions.Fraction``
+values appear only where a coefficient enters or leaves a series:
+:meth:`~TruncatedSeries.from_terms`, :meth:`~TruncatedSeries.constant`,
+:meth:`~TruncatedSeries.coeff`, :meth:`~TruncatedSeries.constant_term`,
+:meth:`~TruncatedSeries.max_abs`, :meth:`~TruncatedSeries.nonzero_terms`, the
+JSON encoders and the read-only :attr:`~TruncatedSeries.coeffs` view.
 
 Truncation orders are strict: binary operations require identical variable
 tuples *and* identical orders, and lowering must be done explicitly with
@@ -25,23 +34,24 @@ Both coefficient modes run through the same index arrays, built once per
 ``_Space`` (variables, order) and kept:
 
 * the pair table ``(I, J, K)`` with ``mono[I] + mono[J] = mono[K]``; a
-  product is one ``np.add.at`` over it.  In exact mode the operands enter
-  the product as integer numerators over one common denominator
-  (``math.lcm``), pairs with a zero factor are masked out, and a
-  ``Fraction`` is rebuilt only at each nonzero output;
+  product is one ``np.add.at`` over it, on doubles or on numerators, and the
+  denominators multiply;
 * per variable, the derivative and antiderivative maps ``(src, dst, k)``;
 * per target space, the map that places there each monomial that space
   holds, shared by :meth:`TruncatedSeries.truncate`,
   :meth:`TruncatedSeries.slice_at_zero` and :meth:`TruncatedSeries.embed`.
 
 Scalar products, derivatives, antiderivatives and re-placements are then one
-indexed numpy operation, identical for ``Fraction`` and double entries.
+indexed numpy operation on the doubles or the numerators.  An exact
+antiderivative puts its divisors over their least common multiple, which
+joins the denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -167,116 +177,137 @@ def _shift(mono: tuple, pos: int, step: int) -> tuple:
     return mono[:pos] + (mono[pos] + step,) + mono[pos + 1:]
 
 
-def _integers(coeffs: np.ndarray):
-    """Exact coefficients as integer numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return np.array([c.numerator * (den // c.denominator) for c in coeffs], dtype=object), den
-
-
-def _fractions(nums: np.ndarray, den: int) -> np.ndarray:
-    """Integer numerators over ``den`` back to Fractions, reduced only where nonzero."""
-    out = np.full(nums.size, Fraction(0), dtype=object)
-    nz = np.flatnonzero(nums)
-    out[nz] = [Fraction(n, den) for n in nums[nz]]
-    return out
+def _ratio(value) -> tuple:
+    """An exact scalar as (numerator, denominator), without building a Fraction."""
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, int):
+        return value, 1
+    raise DomainError(f"exact mode requires rational coefficients, got {value!r}")
 
 
 def _coerce(value, exact: bool):
-    if exact:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise DomainError(f"exact mode requires rational coefficients, got {value!r}")
-    return float(value)
+    """A scalar in the coefficient mode: a Fraction or a float."""
+    if not exact:
+        return float(value)
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 class TruncatedSeries:
     """A polynomial in named variables truncated at a fixed order: a total
-    degree, or a pair (degree in the first variable, total degree in the rest)."""
+    degree, or a pair (degree in the first variable, total degree in the rest).
 
-    __slots__ = ("vars", "order", "coeffs")
+    ``num`` holds one entry per monomial, in graded order.  In double mode
+    ``den`` is None and ``num`` is the float array of coefficients; in exact
+    mode ``num`` is an object array of ints, the coefficient is
+    ``num[i] / den``, and the constructor brings the pair to canonical form.
+    """
 
-    def __init__(self, vars: tuple, order, coeffs: np.ndarray):
+    __slots__ = ("vars", "order", "num", "den")
+
+    def __init__(self, vars: tuple, order, num: np.ndarray, den: int | None = None):
         self.vars = tuple(vars)
         self.order = order
-        self.coeffs = coeffs
+        if den is not None and den != 1:
+            g = math.gcd(den, *num)  # past a running gcd of 1 the rest costs no division
+            if g != 1:
+                num, den = num // g, den // g
+        self.num = num
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, vars, order, exact=False):
-        size = _space(tuple(vars), order).size
-        c = np.full(size, Fraction(0), dtype=object) if exact else np.zeros(size)
-        return cls(tuple(vars), order, c)
+        return cls.from_terms(vars, order, {}, exact=exact)
 
     @classmethod
     def constant(cls, vars, order, value, exact=False):
-        s = cls.zeros(vars, order, exact=exact)
-        s.coeffs[0] = _coerce(value, exact)
-        return s
+        return cls.from_terms(vars, order, {(0,) * len(vars): value}, exact=exact)
 
     @classmethod
     def variable(cls, vars, order, name, exact=False):
         """The series of the coordinate function `name` (no constant part); it is
         0 in a space that holds no degree of `name`, as it is in the quotient."""
-        sp = _space(tuple(vars), order)
-        s = cls.zeros(vars, order, exact=exact)
         mono = tuple(1 if v == name else 0 for v in vars)
         if sum(mono) != 1:
             raise SeriesMismatchError(f"{name!r} is not one of {vars}")
-        if mono in sp.index:
-            s.coeffs[sp.index[mono]] = _coerce(1, exact)
-        return s
+        held = mono in _space(tuple(vars), order).index
+        return cls.from_terms(vars, order, {mono: 1} if held else {}, exact=exact)
 
     @classmethod
     def from_terms(cls, vars, order, terms: dict, exact=False):
         sp = _space(tuple(vars), order)
-        s = cls.zeros(vars, order, exact=exact)
+        values = {}
         for mono, value in terms.items():
             mono = tuple(mono)
             if mono not in sp.index:
                 raise SeriesMismatchError(f"monomial {mono} exceeds order {order}")
-            s.coeffs[sp.index[mono]] = _coerce(value, exact)
-        return s
+            values[sp.index[mono]] = _ratio(value) if exact else float(value)
+        if not exact:
+            num = np.zeros(sp.size)
+            for i, v in values.items():
+                num[i] = v
+            return cls(vars, order, num)
+        den = math.lcm(*(q for _, q in values.values()))
+        num = np.zeros(sp.size, dtype=object)
+        for i, (p, q) in values.items():
+            num[i] = p * (den // q)
+        return cls(vars, order, num, den)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def exact(self) -> bool:
-        return self.coeffs.dtype == object
+        return self.den is not None
 
     @property
     def space(self) -> _Space:
         return _space(self.vars, self.order)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients in graded monomial order: in double mode the stored
+        array itself, in exact mode a read-only array of Fractions."""
+        if self.den is None:
+            return self.num
+        out = np.array([Fraction(n, self.den) for n in self.num], dtype=object)
+        out.flags.writeable = False  # a write here would not reach the series
+        return out
+
+    def _value(self, i):
+        return self.num[i] if self.den is None else Fraction(self.num[i], self.den)
 
     def coeff(self, mono):
         sp = self.space
         mono = tuple(mono)
         if mono not in sp.index:
             return Fraction(0) if self.exact else 0.0
-        return self.coeffs[sp.index[mono]]
+        return self._value(sp.index[mono])
 
     def nonzero_terms(self):
         sp = self.space
-        return [(sp.monos[i], c) for i, c in enumerate(self.coeffs) if c != 0]
+        return [(sp.monos[i], self._value(i)) for i in np.flatnonzero(self.num != 0)]
 
-    def max_abs(self) -> float:
-        if self.coeffs.size == 0:
-            return 0.0
-        return max(abs(c) for c in self.coeffs) if self.exact else float(np.max(np.abs(self.coeffs)))
+    def max_abs(self) -> float | Fraction:
+        """The largest coefficient magnitude: a float, or a Fraction in exact mode."""
+        if self.den is None:
+            return float(np.max(np.abs(self.num)))
+        return Fraction(max(map(abs, self.num)), self.den)
 
     def constant_term(self):
-        return self.coeffs[0]
+        return self._value(0)
 
     def copy(self):
-        return TruncatedSeries(self.vars, self.order, self.coeffs.copy())
+        return TruncatedSeries(self.vars, self.order, self.num.copy(), self.den)
 
     def equals(self, other) -> bool:
+        # canonical exact form: equal values have equal numerators and denominator
         return (
             self.vars == other.vars
             and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and self.den == other.den
+            and np.array_equal(self.num, other.num)
         )
 
     def __repr__(self):
@@ -299,51 +330,75 @@ class TruncatedSeries:
         if self.exact != other.exact:
             raise SeriesMismatchError("cannot mix exact and double coefficient modes")
 
+    def _sum(self, other, op):
+        """``op`` (np.add or np.subtract) of two series of one space; exact
+        operands meet over the least common multiple of their denominators."""
+        self._check(other)
+        if self.den is None:
+            return TruncatedSeries(self.vars, self.order, op(self.num, other.num))
+        g = math.gcd(self.den, other.den)
+        ka, kb = other.den // g, self.den // g
+        a = self.num if ka == 1 else self.num * ka
+        b = other.num if kb == 1 else other.num * kb
+        return TruncatedSeries(self.vars, self.order, op(a, b), self.den * ka)
+
+    def _plus_constant(self, value, sign: int):
+        """The series plus ``sign * value`` in the constant term."""
+        if self.den is None:
+            num = self.num.copy()
+            num[0] = num[0] + sign * float(value)
+            return TruncatedSeries(self.vars, self.order, num)
+        p, q = _ratio(value)
+        num = self.num * q if q != 1 else self.num.copy()
+        num[0] += sign * p * self.den
+        return TruncatedSeries(self.vars, self.order, num, self.den * q)
+
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            out = self.copy()
-            out.coeffs[0] = out.coeffs[0] + _coerce(other, self.exact)
-            return out
-        self._check(other)
-        return TruncatedSeries(self.vars, self.order, self.coeffs + other.coeffs)
+            return self._plus_constant(other, 1)
+        return self._sum(other, np.add)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self.__add__(-_coerce(other, self.exact))
-        self._check(other)
-        return TruncatedSeries(self.vars, self.order, self.coeffs - other.coeffs)
+            return self._plus_constant(other, -1)
+        return self._sum(other, np.subtract)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return TruncatedSeries(self.vars, self.order, -self.coeffs)
+        return TruncatedSeries(self.vars, self.order, -self.num, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            out = self.coeffs.copy()
-            nz = np.flatnonzero(out)
-            out[nz] = out[nz] * _coerce(other, self.exact)
-            return TruncatedSeries(self.vars, self.order, out)
+            return self._scale(other)
         self._check(other)
         I, J, K = self.space.pairs()
-        a, b = self.coeffs, other.coeffs
-        if self.exact:
-            a, da = _integers(a)
-            b, db = _integers(b)
+        a, b = self.num, other.num
+        if self.den is not None:
+            # each exact pair costs a Python int product, so pairs with a zero
+            # factor are dropped; on doubles the mask would cost more than it saves
             keep = (a != 0)[I] & (b != 0)[J]
             I, J, K = I[keep], J[keep], K[keep]
         out = np.zeros(a.size, dtype=a.dtype)
         np.add.at(out, K, a[I] * b[J])
-        if self.exact:
-            out = _fractions(out, da * db)
-        return TruncatedSeries(self.vars, self.order, out)
+        return TruncatedSeries(self.vars, self.order, out,
+                               None if self.den is None else self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+    def _scale(self, value):
+        if self.den is None:
+            out = self.num.copy()
+            nz = np.flatnonzero(out)
+            out[nz] = out[nz] * float(value)
+            return TruncatedSeries(self.vars, self.order, out)
+        p, q = _ratio(value)
+        return TruncatedSeries(self.vars, self.order, self.num * p, self.den * q)
 
     # -- calculus ----------------------------------------------------------
 
@@ -359,10 +414,11 @@ class TruncatedSeries:
         """Formal partial derivative; the bound on `name`'s degree drops by one."""
         sp = self.space
         pos = sp.var_pos(name)
-        out = TruncatedSeries.zeros(self.vars, _lowered(self.order, pos), exact=self.exact)
+        order = _lowered(self.order, pos)
         src, dst, fac = sp.diff_map(pos)
-        out.coeffs[dst] = self.coeffs[src] * fac
-        return out
+        num = np.zeros(_space(self.vars, order).size, dtype=self.num.dtype)
+        num[dst] = self.num[src] * fac
+        return TruncatedSeries(self.vars, order, num, self.den)
 
     def integrate(self, name: str):
         """Antiderivative in `name` vanishing at 0; kept at the same order.
@@ -373,9 +429,14 @@ class TruncatedSeries:
         """
         sp = self.space
         src, dst, div = sp.integ_map(sp.var_pos(name))
-        out = TruncatedSeries.zeros(self.vars, self.order, exact=self.exact)
-        out.coeffs[dst] = self.coeffs[src] / div
-        return out
+        num = np.zeros_like(self.num)
+        if self.den is None:
+            num[dst] = self.num[src] / div
+            return TruncatedSeries(self.vars, self.order, num)
+        div = div.astype(object)  # the lcm can pass the int64 range
+        lcm = math.lcm(*div)
+        num[dst] = self.num[src] * (lcm // div)
+        return TruncatedSeries(self.vars, self.order, num, self.den * lcm)
 
     def reciprocal(self):
         """Series inverse by Newton iteration; constant term must be nonzero."""
@@ -428,16 +489,16 @@ class TruncatedSeries:
         """The same series over a superset variable tuple, at ``order``, which
         must hold every monomial of this one."""
         vars = tuple(vars)
-        if len(self.space.onto_map(vars, order)[0]) < self.coeffs.size:
+        if len(self.space.onto_map(vars, order)[0]) < self.num.size:
             raise SeriesMismatchError(
                 f"{vars} at order {order} cannot hold {self.vars} at order {self.order}")
         return self._onto(vars, order)
 
     def _onto(self, names: tuple, order):
         src, dst = self.space.onto_map(names, order)
-        out = TruncatedSeries.zeros(names, order, exact=self.exact)
-        out.coeffs[dst] = self.coeffs[src]
-        return out
+        num = np.zeros(_space(names, order).size, dtype=self.num.dtype)
+        num[dst] = self.num[src]
+        return TruncatedSeries(names, order, num, self.den)
 
     # -- evaluation / serialization -----------------------------------------
 
@@ -451,20 +512,17 @@ class TruncatedSeries:
             raise SeriesMismatchError(
                 f"points have {pts.shape[1]} coordinates, series has {len(self.vars)}"
             )
-        coeffs = self.coeffs.astype(np.float64) if self.exact else self.coeffs
+        # int / int is correctly rounded, as float(Fraction) is
+        coeffs = self.num if self.den is None else (self.num / self.den).astype(np.float64)
         vals = _design_matrix(self.space, pts) @ coeffs
         return float(vals[0]) if single else vals
 
     def to_json(self) -> dict:
-        sp = self.space
         return {
             "vars": list(self.vars),
             "order": self.order if isinstance(self.order, int) else list(self.order),
-            "coeffs": [
-                {"mi": list(sp.monos[i]), "c": json_number(c, self.exact)}
-                for i, c in enumerate(self.coeffs)
-                if c != 0
-            ],
+            "coeffs": [{"mi": list(m), "c": json_number(c, self.exact)}
+                       for m, c in self.nonzero_terms()],
         }
 
     @classmethod
@@ -480,8 +538,16 @@ class TruncatedSeries:
 
 def json_number(value, exact: bool):
     """A number as a JSON value: exact values as their ``p/q`` string, so
-    nothing is rounded, and doubles as floats."""
-    return str(value) if exact else float(value)
+    nothing is rounded, and doubles as floats.  An exact value with more
+    digits than the interpreter converts to text is a :class:`BudgetError`."""
+    if not exact:
+        return float(value)
+    try:
+        return str(value)
+    except ValueError:  # the int-to-str digit limit (sys.set_int_max_str_digits)
+        raise BudgetError(
+            f"an exact coefficient has more than {sys.get_int_max_str_digits()} digits "
+            f"in its numerator or denominator, too many to write") from None
 
 
 def _design_matrix(space: _Space, pts: np.ndarray) -> np.ndarray:
@@ -516,8 +582,9 @@ def apply_univariate(s: TruncatedSeries, taylor: list):
     powers of the nilpotent part above ``s.space.top`` vanish, so no caller
     needs a longer table.
     """
-    u = s.copy()
-    u.coeffs[0] = Fraction(0) if s.exact else 0.0
+    num = s.num.copy()
+    num[0] = 0
+    u = TruncatedSeries(s.vars, s.order, num, s.den)
     out = TruncatedSeries.constant(s.vars, s.order, taylor[-1], exact=s.exact)
     for k in range(len(taylor) - 2, -1, -1):
         out = out * u + taylor[k]
@@ -604,6 +671,6 @@ class SeriesMatrix2:
     def slice_at_zero(self, name: str):
         return self._map(lambda e: e.slice_at_zero(name))
 
-    def max_abs(self) -> float:
+    def max_abs(self) -> float | Fraction:
         return max(e.max_abs() for row in self.m for e in row)
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -338,6 +339,19 @@ def test_oversized_orders_fail_before_allocating(capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 1 and out == "", argv
         assert json.loads(err)["error"] == "BudgetError", argv
+
+
+def test_overlong_exact_coefficient_is_a_budget_error(capsys):
+    # at x1 = 1e-200 the rational P has a numerator past the interpreter's
+    # int-to-str digit limit, so it cannot be written: a JSON error, and the
+    # limit is left as it was.  "--point 1e-400,0,0 --degree 2" fails the
+    # same way at several times the cost
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "p-eval", "--f", "1+x3+x1^2", "--point", "1e-200,0,0",
+                             "--mode", "rational", "--degree", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "BudgetError"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_config_overrides_subcommand_mode_default(tmp_path, capsys):

@@ -479,6 +479,25 @@ def test_rational_quadratic_default_order_budget(monkeypatch):
     assert pairs <= 153_849
 
 
+def test_rational_quadratic_fraction_budget(monkeypatch):
+    # exact series hold integer numerators over one denominator; Fractions are
+    # made only at the boundary (13,137 at the default orders when every
+    # coefficient was a Fraction)
+    made = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    f = ex.parse("1+x1^2+a*x2^2+x3")
+    bindings = {"a": Fraction(2)}
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    obstruction_P(f, bindings, ORIGIN, degree=2, frame="graph", mode="rational")
+    assert made <= 96
+
+
 @pytest.mark.parametrize("text, bindings, point, degree, frame, mode", [
     ("1+a*x1+b*x1^3+x3", {"a": Fraction(3, 2), "b": Fraction(-2)}, ORIGIN, 3, "graph",
      "rational"),

@@ -14,10 +14,10 @@ VARS = ("t", "xi1", "xi2")
 
 
 def _series_from_list(values, vars=("t", "xi1"), order=4, exact=False):
-    s = TruncatedSeries.zeros(vars, order, exact=exact)
-    for i, v in enumerate(values[: s.coeffs.size]):
-        s.coeffs[i] = Fraction(v) if exact else float(v)
-    return s
+    # values[i] is the coefficient of the i-th monomial in graded order
+    monos = TruncatedSeries.zeros(vars, order).space.monos
+    terms = {m: Fraction(v) if exact else float(v) for m, v in zip(monos, values)}
+    return TruncatedSeries.from_terms(vars, order, terms, exact=exact)
 
 
 small_coeffs = st.lists(
@@ -240,8 +240,16 @@ EMBED_VARS = ("s", "t", "xi1", "xi2")
 three_var_coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=35)
 
 
+def _canonical(s):
+    # integer numerators over one positive denominator that shares no factor
+    # with all of them; the zero series sits over 1
+    assert all(type(n) is int for n in s.num) and type(s.den) is int
+    assert s.den >= 1 and math.gcd(s.den, *s.num) == 1
+
+
 def _same_coefficients(exact, double):
     assert (exact.vars, exact.order) == (double.vars, double.order)
+    _canonical(exact)
     assert all(type(c) is Fraction for c in exact.coeffs)
     assert [float(c) for c in exact.coeffs] == double.coeffs.tolist()
 
@@ -254,6 +262,8 @@ def test_exact_and_double_modes_agree(order, av, bv, k):
     a, b = (_series_from_list(v, VARS, order, exact=True) for v in (av, bv))
     ad, bd = (_series_from_list(v, VARS, order) for v in (av, bv))
     _same_coefficients(a * b, ad * bd)
+    _same_coefficients(a + b, ad + bd)
+    _same_coefficients(a - b, ad - bd)
     _same_coefficients(a * k, ad * k)
     _same_coefficients(a * Fraction(k, 2), ad * (k / 2))
     for name in VARS:
@@ -287,10 +297,56 @@ def test_exact_product_with_mixed_denominators():
                 if fits(m):
                     expected[m] = expected.get(m, 0) + ca * cb
         prod = a * b
-        assert dict(prod.nonzero_terms()) == {m: c for m, c in expected.items() if c != 0}
         assert all(type(c) is Fraction for c in prod.coeffs)
         assert prod.coeff((1, 1, 0)) == Fraction(-2, 9)  # (-2/3) * (1/3)
         assert prod.coeff((0, 1, 1)) == Fraction(-5, 4)  # (5/6) * (-3/2)
+        with pytest.raises(ValueError):  # the exact view is read-only
+            prod.coeffs[0] = Fraction(1)
+        # every other exact operation against a per-coefficient Fraction reference
+        q = Fraction(-9, 4)
+        checks = [(prod, expected), (a * q, {m: c * q for m, c in a.nonzero_terms()})]
+        for sign, got in ((1, a + b), (-1, a - b)):
+            want = dict(a.nonzero_terms())
+            for m, c in b.nonzero_terms():
+                want[m] = want.get(m, 0) + sign * c
+            checks.append((got, want))
+        for pos, name in enumerate(VARS):
+            def moved(m, step):
+                return m[:pos] + (m[pos] + step,) + m[pos + 1:]
+
+            checks.append((a.derive(name),
+                           {moved(m, -1): c * m[pos] for m, c in a.nonzero_terms() if m[pos]}))
+            checks.append((a.integrate(name), {moved(m, 1): c / (m[pos] + 1)
+                                               for m, c in a.nonzero_terms() if fits(moved(m, 1))}))
+        for got, want in checks:
+            _canonical(got)
+            assert dict(got.nonzero_terms()) == {m: c for m, c in want.items() if c != 0}
+
+
+def test_exact_ring_operations_build_no_fractions(monkeypatch):
+    # exact series compute on integer numerators: a Fraction is made only where
+    # a coefficient enters or leaves a series, never inside these operations
+    a, b = (TruncatedSeries.from_terms(VARS, (2, 3), terms, exact=True) for terms in (
+        {(0, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(-2, 3), (0, 1, 2): Fraction(5, 6)},
+        {(0, 0, 0): Fraction(-3, 2), (0, 0, 1): Fraction(1, 3), (2, 0, 1): Fraction(7)}))
+    q = Fraction(-9, 4)
+    made = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    results = [a * b, a + b, a - b, -a, a * q, a * 3, a + q, a - 2,
+               a.truncate((1, 2)), a.slice_at_zero("t"), a.slice_at_zero("t").embed(VARS, (2, 3))]
+    for name in VARS:
+        results += [a.derive(name), a.integrate(name)]
+    assert made == 0
+    monkeypatch.undo()
+    for s in results:
+        _canonical(s)
 
 
 def test_json_round_trip():
