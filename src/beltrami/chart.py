@@ -12,7 +12,11 @@ Two frames are supported at the base point:
   third axis; then h has a critical point at the origin and g(0) = identity.
 * ``graph``    — the ambient axes are kept; valid whenever the third gradient
   component clears the floor.  This is the frame in which the benchmark
-  coefficient families are quoted, so obstruction evaluation defaults to it.
+  coefficient families are quoted.
+
+Obstruction evaluation defaults to ``auto``, which picks ``graph`` when
+|d3 f| >= 1e-2 |grad f| at the base point (``AUTO_GRAPH_RATIO``) and
+``rotated`` otherwise.
 
 f enters through its expression: the graph solve puts p + R^T (xi1, xi2, h)
 into f and into the frame-x3 row of R grad f, and the flow puts p + R^T x
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import TruncatedSeries, json_number
+from .series import TruncatedSeries, _coerce, json_number
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -132,10 +136,7 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
     else:
         raise FrameError(f"unknown frame {frame!r}")
 
-    if exact:
-        pt = tuple(ex.as_fraction(c) for c in p)
-    else:
-        pt = tuple(float(c) for c in p)
+    pt = tuple(_coerce(c, exact) for c in p)
     return BasePoint(point=pt, level=c0, grad=grad, rotation=rot, frame=frame, mode=mode)
 
 

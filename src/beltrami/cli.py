@@ -5,10 +5,9 @@ evolution demonstrator) to --out; domain failures produce a machine-readable
 error object on stderr and exit code 1, usage errors exit 2.
 
 Each subcommand offers exactly the options its body reads (see
-``build_parser``), plus ``--config`` and ``--out``; any other flag is a usage
-error.  A ``--config`` file holds shared defaults in flat ``key = value``
-lines over ``CONFIG_KEYS``: every key is checked, and each subcommand reads
-the keys it uses.
+``build_parser``), plus ``--out``; any other flag is a usage error.  The flags
+are the only source of option values: each default is declared once, on its
+flag, and a subcommand that differs overrides it with ``set_defaults``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,46 +39,11 @@ from .fd_oracle import P_point_fd
 from .obstruction import DEFAULT_INDICES, obstruction_P, obstruction_Pijkl, tensor_T
 from .series import json_number
 
-CONFIG_KEYS = ("t_order", "xi_order", "mode", "frame", "patch_radius", "seed", "samples")
-CHOICES = {"mode": ("double", "rational"), "frame": ("auto", "graph", "rotated")}
 FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
 
 
-@dataclass
-class RunConfig:
-    t_order: int = 6
-    xi_order: int = 6
-    mode: str = "double"
-    frame: str = "auto"
-    patch_radius: float = 0.2
-    seed: int = 0
-    samples: int = 100
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as err:
-        raise BeltramiError(f"cannot read --config {path!r}: {err.strerror or err}") from None
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise BeltramiError(f"config line without '=': {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise BeltramiError(f"unknown config key {key!r}")
-        out[key] = value
-    return out
-
-
 def _number(text: str, what: str, kind: str = "double"):
-    """A finite number from a flag or config value.
+    """A finite number from a flag.
 
     Accepts integers, decimals and ``p/q`` rationals.  ``kind`` is
     ``"rational"`` (a Fraction), ``"double"`` (a float) or ``"int"``; anything
@@ -102,30 +65,14 @@ def _number(text: str, what: str, kind: str = "double"):
         raise BeltramiError(f"{what} needs {noun}, got {text!r}") from None
 
 
-def _merge_config(args) -> RunConfig:
-    """Built-in defaults, then the subcommand's defaults, then the config
-    file, then the flags: each layer overrides the ones before it."""
-    cfg = RunConfig()
-    for key, value in getattr(args, "defaults", {}).items():
-        setattr(cfg, key, value)
-    for key, text in _load_config(args.config).items():
-        if key in CHOICES:
-            if text not in CHOICES[key]:
-                raise BeltramiError(
-                    f"config key {key!r} must be one of {CHOICES[key]}, got {text!r}")
-            setattr(cfg, key, text)
-        else:
-            kind = "int" if isinstance(getattr(cfg, key), int) else "double"
-            setattr(cfg, key, _number(text, f"config key {key!r}", kind))
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if cfg.samples < 1:
-        raise BeltramiError(f"samples must be at least 1, got {cfg.samples}")
-    if cfg.seed < 0:
-        raise BeltramiError(f"seed must be at least 0, got {cfg.seed}")
-    return cfg
+def _rng(args):
+    """The seeded generator of a sampling check, once --samples and --seed
+    are checked."""
+    if args.samples < 1:
+        raise BeltramiError(f"samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise BeltramiError(f"seed must be at least 0, got {args.seed}")
+    return np.random.default_rng(args.seed)
 
 
 def _parse_site(args, mode: str):
@@ -170,13 +117,12 @@ def _write_report(args, payload):
 
 
 def _cmd_obstruction(args):
-    cfg = _merge_config(args)
-    f, bindings, point = _parse_site(args, cfg.mode)
+    f, bindings, point = _parse_site(args, args.mode)
     indices = DEFAULT_INDICES
     if getattr(args, "indices", None) is not None:
         indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
     poly = obstruction_Pijkl(f, bindings, point, indices, degree=args.degree,
-                             frame=cfg.frame, mode=cfg.mode)
+                             frame=args.frame, mode=args.mode)
     _write_report(args, poly.to_json())
     return 0
 
@@ -211,26 +157,24 @@ def _family_poly(mode, text, bindings, degree):
 
 
 def _cmd_coeffs_prop3(args):
-    cfg = _merge_config(args)
-    a = _number(args.a, "--a", cfg.mode)
-    b = _number(args.b, "--b", cfg.mode)
-    poly = _family_poly(cfg.mode, "1+a*x1+b*x1^3+x3", {"a": a, "b": b}, 4 if a == 0 else 3)
+    a = _number(args.a, "--a", args.mode)
+    b = _number(args.b, "--b", args.mode)
+    poly = _family_poly(args.mode, "1+a*x1+b*x1^3+x3", {"a": a, "b": b}, 4 if a == 0 else 3)
     refs = {f"c{j}": ((j, 0), r) for j, r in enumerate(reference.cubic_family_coeffs(a, b))}
     if a == 0:
         refs["c4"] = ((4, 0), reference.cubic_family_c4_pure(b))
-    exact = cfg.mode == "rational"
-    _write_report(args, _family_report(poly, refs, cfg.mode, a=json_number(a, exact),
+    exact = args.mode == "rational"
+    _write_report(args, _family_report(poly, refs, args.mode, a=json_number(a, exact),
                                        b=json_number(b, exact)))
     return 0
 
 
 def _cmd_coeffs_prop4(args):
-    cfg = _merge_config(args)
-    a = _number(args.a, "--a", cfg.mode)
-    poly = _family_poly(cfg.mode, "1+x1^2+a*x2^2+x3", {"a": a}, 2)
+    a = _number(args.a, "--a", args.mode)
+    poly = _family_poly(args.mode, "1+x1^2+a*x2^2+x3", {"a": a}, 2)
     monos = ((2, 0), (1, 1), (0, 2))
     refs = dict(zip(("q20", "q11", "q02"), zip(monos, reference.quadratic_family_form(a))))
-    report = _family_report(poly, refs, cfg.mode, a=json_number(a, cfg.mode == "rational"))
+    report = _family_report(poly, refs, args.mode, a=json_number(a, args.mode == "rational"))
     sub = max(
         (abs(float(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
     )
@@ -244,21 +188,20 @@ def _cmd_coeffs_prop4(args):
 
 
 def _cmd_verify_affine(args):
-    cfg = _merge_config(args)
+    rng = _rng(args)
     a = _number(args.a, "--a")
     e = (a, 0.0, 1.0)
     u = affine_field(1.0, e, orthogonal_unit(e))
     f = ex.parse("1+a*x1+x3")
     bindings = {"a": a}
-    rng = np.random.default_rng(cfg.seed)
-    points = rng.uniform(-1.0, 1.0, size=(cfg.samples, 3))
+    points = rng.uniform(-1.0, 1.0, size=(args.samples, 3))
 
     samples = [sample_point(u, f, bindings, p) for p in points]
     bel = max(s.beltrami for s in samples)
     ell = max(s.elliptic for s in samples)
 
-    chart = build_chart(f, bindings, (0, 0, 0), t_order=cfg.t_order,
-                        xi_order=cfg.xi_order, frame="graph")
+    chart = build_chart(f, bindings, (0, 0, 0), t_order=args.t_order,
+                        xi_order=args.xi_order, frame="graph")
     sys_res = pullback_system_residuals(u, chart, tensor_T(chart), bindings)
     per_check = {
         "beltrami_residual": bel,
@@ -278,8 +221,8 @@ def _cmd_verify_affine(args):
         args,
         {
             "a": a,
-            "samples": int(cfg.samples),
-            "seed": int(cfg.seed),
+            "samples": args.samples,
+            "seed": args.seed,
             "max_residual": max(per_check.values()),
             "per_check": per_check,
             "pass": bool(ok),
@@ -312,12 +255,11 @@ def _random_poly_field(rng, degree=3) -> VectorExpr:
 
 
 def _cmd_conformal_check(args):
-    cfg = _merge_config(args)
+    rng = _rng(args)
     f = ex.parse(args.f)
-    rng = np.random.default_rng(cfg.seed)
     v = _random_poly_field(rng)
     metric = conformal_metric(f)
-    points = rng.uniform(-0.8, 0.8, size=(cfg.samples, 3))
+    points = rng.uniform(-0.8, 0.8, size=(args.samples, 3))
 
     def rel_err(p):
         u = VectorExpr(tuple(Mul(Pow(f, 2), comp) for comp in v.components))
@@ -332,8 +274,8 @@ def _cmd_conformal_check(args):
         args,
         {
             "f": args.f,
-            "samples": int(cfg.samples),
-            "seed": int(cfg.seed),
+            "samples": args.samples,
+            "seed": args.seed,
             "max_rel_error": worst,
             "pass": bool(worst < 1e-8),
         },
@@ -388,14 +330,12 @@ def cross_check_battery():
 
 
 def _cmd_cross_check(args):
-    _merge_config(args)  # checks the --config file
     report = cross_check_battery()
     _write_report(args, report)
     return 0 if report["pass"] else 1
 
 
 def _cmd_evolve(args):
-    cfg = _merge_config(args)
     f, bindings, point = _parse_site(args, "double")
     n1, sep, n2 = args.grid.partition("x")
     if not sep or not n1.isdigit() or not n2.isdigit():
@@ -404,8 +344,6 @@ def _cmd_evolve(args):
     t_max = _number(args.tmax, "--tmax")
     dt = _number(args.dt, "--dt")
     spacing = _number(args.spacing, "--spacing")
-    if dt <= 0:
-        raise BeltramiError(f"--dt must be positive, got {args.dt!r}")
     if args.init == "affine-exact":
         e = tuple(gradient(f, bindings, point)) if ex.poly_degree(f) in (0, 1) else ()
         if not any(e):
@@ -418,9 +356,8 @@ def _cmd_evolve(args):
     else:
         raise BeltramiError("--init must be 'affine-exact' or 'psi:<expr>'")
     report = evolution_run(
-        f, bindings, point, init, t_max=t_max, dt=dt, n1=n1, n2=n2,
-        h1=spacing, h2=spacing, t_order=cfg.t_order,
-        xi_order=cfg.xi_order, frame=cfg.frame, patch_radius=cfg.patch_radius,
+        f, bindings, point, init, t_max=t_max, dt=dt, n1=n1, n2=n2, h1=spacing, h2=spacing,
+        t_order=args.t_order, xi_order=args.xi_order, frame=args.frame,
     )
     if args.format == "json":
         _write_report(args, {"final": report.final(), "steps": len(report.times) - 1})
@@ -430,10 +367,9 @@ def _cmd_evolve(args):
 
 
 def _cmd_dump_chart(args):
-    cfg = _merge_config(args)
-    f, bindings, point = _parse_site(args, cfg.mode)
-    chart = build_chart(f, bindings, point, t_order=cfg.t_order,
-                        xi_order=cfg.xi_order, frame=cfg.frame, mode=cfg.mode)
+    f, bindings, point = _parse_site(args, args.mode)
+    chart = build_chart(f, bindings, point, t_order=args.t_order,
+                        xi_order=args.xi_order, frame=args.frame, mode=args.mode)
     _write_report(args, chart.to_json())
     return 0
 
@@ -447,22 +383,21 @@ _OPTIONS = {
     "param": dict(action="append", help="name=value binding"),
     "point": dict(default="0,0,0", help="base point x1,x2,x3"),
     "degree": dict(type=int, default=4),
-    "t_order": dict(type=int),
-    "xi_order": dict(type=int),
-    "mode": dict(choices=CHOICES["mode"]),
-    "frame": dict(choices=CHOICES["frame"]),
-    "seed": dict(type=int),
-    "samples": dict(type=int),
+    "t_order": dict(type=int, default=6),
+    "xi_order": dict(type=int, default=6),
+    "mode": dict(choices=("double", "rational"), default="double"),
+    "frame": dict(choices=("auto", "graph", "rotated"), default="auto"),
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=100),
 }
 _SITE = ("f", "param", "point")
 
 
 def _add_common(sp, *names):
     """Offer the shared options ``names`` that the subcommand reads, then
-    --config and --out, which every subcommand has."""
+    --out, which every subcommand has."""
     for name in names:
         sp.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
-    sp.add_argument("--config", help="flat key=value config file")
     sp.add_argument("--out", default="-", help="output path or '-' for stdout")
     sp.set_defaults(parser=sp)  # reports the flags it does not offer
 
@@ -488,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "mode")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.set_defaults(fn=_cmd_coeffs_prop3, defaults={"mode": "rational"})
+    sp.set_defaults(fn=_cmd_coeffs_prop3, mode="rational")
 
     sp = sub.add_parser("coeffs-prop4", help="quadratic-family form vs closed forms")
     _add_common(sp, "mode")
     sp.add_argument("--a", required=True)
-    sp.set_defaults(fn=_cmd_coeffs_prop4, defaults={"mode": "rational"})
+    sp.set_defaults(fn=_cmd_coeffs_prop4, mode="rational")
 
     sp = sub.add_parser("verify-affine", help="residual checks for the explicit solution")
     _add_common(sp, *orders, "seed", "samples")
@@ -503,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("conformal-check", help="conformal curl transformation law")
     _add_common(sp, "seed", "samples")
     sp.add_argument("--f", default="1+x1^2+x2^2+x3^2")
-    sp.set_defaults(fn=_cmd_conformal_check, defaults={"samples": 50})
+    sp.set_defaults(fn=_cmd_conformal_check, samples=50)
 
     sp = sub.add_parser("evolve", help="grid evolution with drift monitoring")
     _add_common(sp, *_SITE, *orders, "frame")

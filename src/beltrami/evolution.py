@@ -23,7 +23,13 @@ from .errors import DomainError
 from .obstruction import tensor_T
 from .series import _design_matrix, _space
 
-PATCH_RADIUS = 0.2
+PATCH_RADIUS = 0.2  # grids and times stay within this distance of the base point
+
+
+def _check_extent(r: float):
+    if r > PATCH_RADIUS + 1e-12:
+        raise DomainError(f"grid extent {r:.3g} exceeds the chart validity patch "
+                          f"{PATCH_RADIUS:.3g}")
 
 
 @dataclass
@@ -63,14 +69,9 @@ class TEvaluator:
     t-coefficients are sampled on the nodes once, into ``coeffs`` of shape
     (t_order + 1, N, 2, 2), and a call sums them by Horner in t."""
 
-    def __init__(self, chart: ChartData, grid: GridField,
-                 patch_radius: float = PATCH_RADIUS):
+    def __init__(self, chart: ChartData, grid: GridField):
         nodes = grid.nodes()
-        r = float(np.max(np.abs(nodes)))
-        if r > patch_radius + 1e-12:
-            raise DomainError(f"grid extent {r:.3g} exceeds the chart validity patch "
-                              f"{patch_radius:.3g}")
-        self.patch_radius = patch_radius
+        _check_extent(float(np.max(np.abs(nodes))))
         self.xi1, self.xi2 = grid.xi1, grid.xi2
         entries = [e for row in tensor_T(chart).m for e in row]
         space = entries[0].space
@@ -84,7 +85,7 @@ class TEvaluator:
 
     def __call__(self, t: float) -> np.ndarray:
         """T at time t on every node of the grid; returns (N, 2, 2)."""
-        if abs(t) > self.patch_radius + 1e-12:
+        if abs(t) > PATCH_RADIUS + 1e-12:
             raise DomainError(f"time {t} outside the chart validity patch")
         out = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
@@ -188,19 +189,23 @@ def init_from_field(grid: GridField, u, chart: ChartData, bindings=None) -> Grid
 
 def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
         h1: float, h2: float, t_order: int = 6, xi_order: int = 6,
-        frame: str = "auto", patch_radius: float = PATCH_RADIUS) -> DriftReport:
+        frame: str = "auto") -> DriftReport:
     """Integrate the evolution and sample the drift after every step.
 
     ``init`` is either ``("psi", expr)`` for beta = d psi, or
-    ``("field", vector_expr)`` for the pullback of an explicit field.
+    ``("field", vector_expr)`` for the pullback of an explicit field.  The
+    step, the final time and the grid's extent are checked before the grid
+    is allocated or the chart built.
     """
     if dt <= 0 or t_max < 0:
         raise DomainError(f"need dt > 0 and t_max >= 0, got dt = {dt}, t_max = {t_max}")
     steps = int(round(t_max / dt))
     if abs(steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise DomainError("t_max must be an integer multiple of dt")
-    if t_max > patch_radius + 1e-12:
-        raise DomainError(f"t_max {t_max} exceeds the chart validity patch {patch_radius}")
+    if t_max > PATCH_RADIUS + 1e-12:
+        raise DomainError(f"t_max {t_max} exceeds the chart validity patch {PATCH_RADIUS}")
+    # the extent of GridField.centered, in the same floating-point operations
+    _check_extent(max((n1 - 1) / 2.0 * h1, (n2 - 1) / 2.0 * h2))
     grid = GridField.centered(n1, n2, h1, h2)
     chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order, frame=frame)
     kind, payload = init
@@ -210,7 +215,7 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
         grid = init_from_field(grid, payload, chart, bindings)
     else:
         raise DomainError(f"unknown init kind {kind!r}")
-    tev = TEvaluator(chart, grid, patch_radius=patch_radius)
+    tev = TEvaluator(chart, grid)
     report = DriftReport()
     report.record(grid)
     for _ in range(steps):

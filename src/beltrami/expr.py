@@ -510,7 +510,7 @@ def jet(node, bindings: dict | None, point, order: int, mode: str = "double") ->
     exact = mode == "rational"
     shift = [TruncatedSeries.variable(VAR_NAMES, order, v, exact=exact) for v in VAR_NAMES]
     return compose(node, bindings, tuple(
-        s + (as_fraction(c) if exact else float(c)) for s, c in zip(shift, point)))
+        s + _coerce(c, exact) for s, c in zip(shift, point)))
 
 
 _ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))

@@ -61,15 +61,15 @@ class ObstructionPoly:
     frame: str
     mode: str
 
-    def coeff(self, mono):
-        mono = tuple(mono)
-        default = Fraction(0) if self.mode == "rational" else 0.0
-        return self.coeffs.get(mono, default)
+    def _zero(self):
+        return Fraction(0) if self.mode == "rational" else 0.0
 
-    def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+    def coeff(self, mono):
+        return self.coeffs.get(tuple(mono), self._zero())
+
+    def max_abs(self) -> float | Fraction:
+        """The largest coefficient magnitude: a float, or a Fraction in rational mode."""
+        return max(map(abs, self.coeffs.values()), default=self._zero())
 
     def to_json(self) -> dict:
         exact = self.mode == "rational"

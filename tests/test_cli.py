@@ -40,8 +40,8 @@ def test_p_eval_critical_point_exit_code(capsys):
     assert payload["error"] == "CriticalPointError"
 
 
-# the flags each subcommand offers besides -h, --config and --out: exactly the
-# options its body reads
+# the flags each subcommand offers besides -h and --out: exactly the options its
+# body reads
 FLAGS = {
     "p-eval": {"--f", "--param", "--point", "--degree", "--mode", "--frame"},
     "p-hierarchy": {"--f", "--param", "--point", "--degree", "--mode", "--frame",
@@ -75,8 +75,8 @@ def test_each_subcommand_offers_the_options_it_reads():
     assert set(parsers) == set(FLAGS)
     for command, sp in parsers.items():
         offered = set(sp._option_string_actions)
-        assert {"-h", "--help", "--config", "--out"} <= offered, command
-        assert offered - {"-h", "--help", "--config", "--out"} == FLAGS[command], command
+        assert {"-h", "--help", "--out"} <= offered, command
+        assert offered - {"-h", "--help", "--out"} == FLAGS[command], command
         sp.parse_args(REQUIRED[command])
     assert sum(map(len, FLAGS.values())) == 45
 
@@ -94,6 +94,8 @@ def test_each_subcommand_offers_the_options_it_reads():
     *[(c, flag, "4") for c in ("p-eval", "p-hierarchy", "coeffs-prop3", "coeffs-prop4",
                                "cross-check")
       for flag in ("--t-order", "--xi-order")],
+    # option values come from flags only
+    *[(c, "--config", "x.cfg") for c in FLAGS],
 ])
 def test_unread_flags_are_usage_errors(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -253,24 +255,20 @@ def test_dump_chart(capsys):
     assert data["g"]["g11"]["order"] == [3, 3]
 
 
-def test_out_file_and_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_order = 4\nxi_order = 4\n# comment\nseed = 9\n")
+def test_out_file_and_order_flags(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(
-        capsys, "dump-chart", "--f", "1+x3", "--point", "0,0,0",
-        "--config", str(cfg), "--out", str(out_path),
+        capsys, "dump-chart", "--f", "1+x3", "--point", "0,0,0", "--out", str(out_path),
     )
     assert code == 0
     assert out == ""
     data = json.loads(out_path.read_text())
-    assert data["orders"] == {"t": 4, "xi": 4}
-    # flags override the file
+    assert data["orders"] == {"t": 6, "xi": 6}
     code, out, _ = run_cli(
-        capsys, "dump-chart", "--f", "1+x3", "--point", "0,0,0",
-        "--config", str(cfg), "--t-order", "3",
+        capsys, "dump-chart", "--f", "1+x3", "--point", "0,0,0", "--t-order", "3",
     )
-    assert json.loads(out)["orders"]["t"] == 3
+    assert code == 0
+    assert json.loads(out)["orders"] == {"t": 3, "xi": 6}
 
 
 def test_negative_parameter_values(capsys):
@@ -288,7 +286,7 @@ def test_negative_parameter_values(capsys):
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "inf", "--init", "psi:x1"],
     ["p-hierarchy", "--f", "1+x3", "--indices", "2,3,x,6"],
     ["conformal-check", "--samples", "0"],
-    ["dump-chart", "--f", "1+x3", "--config", "/nonexistent.cfg"],
+    ["verify-affine", "--seed", "-1"],
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1",
      "--grid", "5x5", "--out", "/nonexistent/dir/x.csv"],
     ["p-eval", "--f", "1+x1^2+x3+1e200*x2^3", "--point", "1,1,0"],  # overflows to NaN
@@ -299,7 +297,9 @@ def test_bad_numbers_are_json_errors(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "BeltramiError"
+    # evolution.run checks the step itself, before it allocates anything
+    zero_step = argv[0] == "evolve" and argv[argv.index("--dt") + 1] == "0"
+    assert json.loads(err)["error"] == ("DomainError" if zero_step else "BeltramiError")
 
 
 def test_function_overflow_is_a_json_error(capsys):
@@ -354,35 +354,22 @@ def test_overlong_exact_coefficient_is_a_budget_error(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_config_overrides_subcommand_mode_default(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = double\n")
-    code, out, _ = run_cli(capsys, "coeffs-prop4", "--a", "2", "--config", str(cfg))
+def test_mode_flag_overrides_subcommand_default(capsys):
+    code, out, _ = run_cli(capsys, "coeffs-prop4", "--a", "2")
+    assert code == 0
+    assert json.loads(out)["mode"] == "rational"
+    code, out, _ = run_cli(capsys, "coeffs-prop4", "--a", "2", "--mode", "double")
     assert code == 0
     assert json.loads(out)["mode"] == "double"
-    # a flag still overrides the file
-    _, out, _ = run_cli(capsys, "coeffs-prop4", "--a", "2", "--config", str(cfg),
-                        "--mode", "rational")
-    assert json.loads(out)["mode"] == "rational"
 
 
-def test_config_overrides_subcommand_samples_default(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("samples = 3\n")
-    code, out, _ = run_cli(capsys, "conformal-check", "--config", str(cfg))
+def test_samples_flag_overrides_subcommand_default(capsys):
+    code, out, _ = run_cli(capsys, "conformal-check")
+    assert code == 0
+    assert json.loads(out)["samples"] == 50
+    code, out, _ = run_cli(capsys, "conformal-check", "--samples", "3")
     assert code == 0
     assert json.loads(out)["samples"] == 3
-    _, out, _ = run_cli(capsys, "conformal-check")
-    assert json.loads(out)["samples"] == 50
-
-
-@pytest.mark.parametrize("line", ["t_order = foo", "patch_radius = nan", "mode = exact"])
-def test_bad_config_values_are_json_errors(tmp_path, capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    code, _, err = run_cli(capsys, "dump-chart", "--f", "1+x3", "--config", str(cfg))
-    assert code == 1
-    assert json.loads(err)["error"] == "BeltramiError"
 
 
 def test_determinism_byte_identical(capsys):

@@ -241,6 +241,22 @@ def test_run_rejects_time_inputs_before_building_a_chart(monkeypatch, t_max, dt)
             t_max=t_max, dt=dt, n1=9, n2=9, h1=0.01, h2=0.01)
 
 
+def test_run_rejects_a_grid_beyond_the_patch_before_allocating(monkeypatch):
+    # 41 nodes at spacing 0.1 reach 2.0 from the base point; the grid is not
+    # built, nor the chart, nor the initial data evaluated
+    def no_call(*args, **kwargs):
+        raise AssertionError("the run went past its grid-extent check")
+
+    monkeypatch.setattr(GridField, "centered", no_call)
+    monkeypatch.setattr(evolution, "build_chart", no_call)
+    with pytest.raises(DomainError, match="grid extent 2 exceeds"):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=0.01, dt=0.005, n1=41, n2=41, h1=0.1, h2=0.1)
+    with pytest.raises(DomainError, match="grid extent 0.25 exceeds"):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=0.01, dt=0.005, n1=9, n2=51, h1=0.01, h2=0.01)
+
+
 def test_run_samples_T_on_the_grid_once(monkeypatch):
     # a design matrix per RK4 stage would make the count grow with the steps
     real, calls = series._design_matrix, []

@@ -173,6 +173,31 @@ def test_affine_vanishing_all_indices():
         assert H.max_abs() < 1e-12
 
 
+def test_rational_zero_P_has_a_fraction_max_abs():
+    # the affine family's P is identically 0: its size is the mode's own zero
+    f = ex.parse("1+a*x1+x3")
+    P = obstruction_P(f, {"a": Fraction(1)}, ORIGIN, degree=2, frame="graph", mode="rational")
+    assert P.coeffs == {}
+    assert type(P.max_abs()) is Fraction and P.max_abs() == 0
+    P = obstruction_P(f, {"a": 1.0}, ORIGIN, degree=2, frame="graph")
+    assert type(P.max_abs()) is float and P.max_abs() == 0.0
+
+
+def test_rational_mode_rejects_a_float_point():
+    # a float coordinate is refused like a float binding, not expanded into
+    # the hundreds of digits of its binary value
+    f = ex.parse("1+a*x1+x3+x1^2")
+    bindings = {"a": Fraction(1, 2)}
+    for point in ((0.1, 0, 0), (0, 0, 0.5)):
+        with pytest.raises(DomainError):
+            ex.jet(f, bindings, point, 1, mode="rational")
+        with pytest.raises(DomainError):
+            obstruction_P(f, bindings, point, degree=0, frame="graph", mode="rational")
+    P = obstruction_P(f, bindings, (Fraction(1, 10), 0, 0), degree=0, frame="graph",
+                      mode="rational")
+    assert P.base_point == (Fraction(1, 10), Fraction(0), Fraction(0))
+
+
 def test_general_affine_family_vanishes():
     # lambda + a . x with a general direction, offset base point, both frames
     f = ex.parse("2 + x1 - x2 + 3*x3")
