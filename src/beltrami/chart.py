@@ -6,6 +6,12 @@ coordinate t flows along X = grad f / |grad f|^2, so that f = c0 + t along
 the flow and the ambient metric splits into chi^2 dt^2 + g_ij dxi_i dxi_j
 with no cross terms.
 
+The flow is solved by graded Picard sweeps: sweep k fixes t-degree k and
+composes at t-order k - 1 only, below the order of the whole flow.
+1/|w|^2 is carried from sweep to sweep and refined by one Newton step, and a
+sweep that adds nothing at its t-degree is followed by one full-order sweep
+that checks for the fixed point (an affine f ends there).
+
 Two frames are supported at the base point:
 
 * ``rotated``  — the frame axes are rotated so the gradient points along the
@@ -188,24 +194,61 @@ def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> Trunc
     return h
 
 
-def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
-    """Power-series solution of dx/dt = w / |w|^2 with w = R grad f(p + R^T x)
-    and x(0, xi) = x0 = (xi1, xi2, h).
+def _sweep(grad, bindings, bp: BasePoint, x0, x, inv):
+    """One Picard sweep x0 + int_0^t w / |w|^2 along x, one t-degree above x's
+    order (capped at x0's), and 1/|w|^2 at x's order.
 
-    Solved by Picard iteration; each sweep fixes one more t-degree, so the
-    triple is exact through the order pair of x0.
+    ``inv`` is None, or 1/|w|^2 of an earlier sweep at a lower t-order a,
+    where it agrees with this one: it is correct modulo t^(a + 1), and each
+    Newton step inv (2 - |w|^2 inv) doubles that power.
     """
     R = bp.rotation
-    x = x0
-    for _ in range(x0[0].order[0] + 1):
-        g = ex.compose(grad, bindings, _world(bp, x))
-        w = [_combine(R[i], g) for i in range(3)]
-        inv = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).reciprocal()
-        xn = tuple(x0[i] + (w[i] * inv).integrate("t") for i in range(3))
-        done = all(a.equals(b) for a, b in zip(x, xn))
-        x = xn
-        if done:  # a sweep that changes nothing is the fixed point
-            break
+    g = ex.compose(grad, bindings, _world(bp, x))
+    w = [_combine(R[i], g) for i in range(3)]
+    norm2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+    k, X = x[0].order
+    if inv is None:
+        inv = norm2.reciprocal()
+    else:
+        correct = inv.order[0] + 1
+        inv = inv.embed(CHART_VARS, (k, X))
+        while correct <= k:
+            inv = inv * (2 - norm2 * inv)
+            correct *= 2
+    up = (min(k + 1, x0[0].order[0]), X)
+    xn = tuple(x0[i].truncate(up) + (w[i] * inv).embed(CHART_VARS, up).integrate("t")
+               for i in range(3))
+    return xn, inv
+
+
+def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
+    """Power-series solution of dx/dt = w / |w|^2 with w = R grad f(p + R^T x)
+    and x(0, xi) = x0 = (xi1, xi2, h), through the order pair (T, X) of x0.
+
+    Graded Picard sweeps: an iterate exact through t-degree k - 1 makes the
+    integrand exact through t-degree k - 1, so sweep k composes at (k - 1, X)
+    only and its antiderivative fixes t-degree k at (k, X).  1/|w|^2 is
+    carried from sweep to sweep: the first sweep inverts at (0, X), and each
+    later one takes a single Newton step from the last inverse, which is
+    correct modulo t^(k - 1) and so becomes correct modulo t^(2k - 2), past
+    t^k.  When a sweep adds nothing at its new t-degree, x may already be the
+    solution (an affine f gives x0 + t w / |w|^2): x is embedded at (T, X)
+    and one full-order sweep decides it.  If that sweep returns x unchanged,
+    x is the fixed point; otherwise its result, exact one t-degree further,
+    continues the graded sweeps.
+    """
+    T, X = x0[0].order
+    x, inv = tuple(s.truncate((0, X)) for s in x0), None
+    while x[0].order[0] < T:
+        x, inv = _sweep(grad, bindings, bp, x0, x, inv)
+        k = x[0].order[0]
+        if k < T and not any(np.any(s.num[s.space.grades[:, 0] == k] != 0) for s in x):
+            full = tuple(s.embed(CHART_VARS, x0[0].order) for s in x)
+            x, inv = _sweep(grad, bindings, bp, x0, full, inv)
+            if all(a.equals(b) for a, b in zip(full, x)):
+                return x
+            x = tuple(s.truncate((k + 1, X)) for s in x)
+            inv = inv.truncate((k, X))
     return x
 
 

@@ -19,17 +19,27 @@ import numpy as np
 from . import expr as ex
 from .beltrami_ops import chart_pullback
 from .chart import ChartData, build_chart
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .obstruction import tensor_T
 from .series import _design_matrix, _space
 
 PATCH_RADIUS = 0.2  # grids and times stay within this distance of the base point
+# Largest grid a run may allocate: 501x501.  At the default orders (6, 6) a
+# node holds its 28 xi-monomial values and 28 sampled T coefficients, so the
+# sampled tables reach about 110 MB.
+MAX_GRID_NODES = 251_001
 
 
 def _check_extent(r: float):
     if r > PATCH_RADIUS + 1e-12:
         raise DomainError(f"grid extent {r:.3g} exceeds the chart validity patch "
                           f"{PATCH_RADIUS:.3g}")
+
+
+def _check_nodes(n1: int, n2: int):
+    if n1 * n2 > MAX_GRID_NODES:
+        raise BudgetError(f"a {n1}x{n2} grid has {n1 * n2} nodes, above the limit "
+                          f"{MAX_GRID_NODES}")
 
 
 @dataclass
@@ -194,8 +204,8 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
 
     ``init`` is either ``("psi", expr)`` for beta = d psi, or
     ``("field", vector_expr)`` for the pullback of an explicit field.  The
-    step, the final time and the grid's extent are checked before the grid
-    is allocated or the chart built.
+    step, the final time, the grid's extent and its node count are checked
+    before the grid is allocated or the chart built.
     """
     if dt <= 0 or t_max < 0:
         raise DomainError(f"need dt > 0 and t_max >= 0, got dt = {dt}, t_max = {t_max}")
@@ -206,6 +216,7 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
         raise DomainError(f"t_max {t_max} exceeds the chart validity patch {PATCH_RADIUS}")
     # the extent of GridField.centered, in the same floating-point operations
     _check_extent(max((n1 - 1) / 2.0 * h1, (n2 - 1) / 2.0 * h2))
+    _check_nodes(n1, n2)
     grid = GridField.centered(n1, n2, h1, h2)
     chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order, frame=frame)
     kind, payload = init

@@ -41,6 +41,10 @@ Both coefficient modes run through the same index arrays, built once per
   holds, shared by :meth:`TruncatedSeries.truncate`,
   :meth:`TruncatedSeries.slice_at_zero` and :meth:`TruncatedSeries.embed`.
 
+Each map is built with numpy over the exponent array: a monomial's index is
+found from its additive key, the exponents read as digits in base
+``top + 1``, by a search in the space's sorted keys.
+
 Scalar products, derivatives, antiderivatives and re-placements are then one
 indexed numpy operation on the doubles or the numerators.  An exact
 antiderivative puts its divisors over their least common multiple, which
@@ -49,7 +53,6 @@ joins the denominator.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -97,15 +100,19 @@ class _Space:
         self.top = sum(bounds)  # the largest total degree in the space
         self.bounds = np.array(bounds)
         # member[v, k] = 1 when the order bounds variable v in its k-th degree
-        member = np.repeat(np.eye(len(blocks), dtype=np.int64), blocks, axis=0)
-        grid = np.array(list(itertools.product(range(self.top + 1), repeat=self.nvars)))
-        fits = (grid @ member <= self.bounds).all(axis=1)
-        monos = sorted(map(tuple, grid[fits].tolist()), key=lambda m: (sum(m), m))
-        self.monos = monos
-        self.index = {m: i for i, m in enumerate(monos)}
-        self.size = len(monos)
-        self.expo = np.array(monos, dtype=np.int64).reshape(self.size, self.nvars)
-        self.grades = (self.expo @ member).astype(np.int16)  # the bounded degrees
+        self.member = np.repeat(np.eye(len(blocks), dtype=np.int64), blocks, axis=0)
+        grid = np.indices((self.top + 1,) * self.nvars).reshape(self.nvars, -1).T
+        held = grid[self.fits(grid)]
+        # graded order: total degree first, then lexicographic (lexsort's last key leads)
+        self.expo = held[np.lexsort((*held.T[::-1], held.sum(axis=1)))]
+        self.size = len(self.expo)
+        self.monos = list(map(tuple, self.expo.tolist()))
+        self.index = {m: i for i, m in enumerate(self.monos)}
+        self.grades = (self.expo @ self.member).astype(np.int16)  # the bounded degrees
+        # additive keys: the key of a sum of exponents is the sum of their keys
+        self.base = (self.top + 1) ** np.arange(self.nvars)
+        self.codes = self.expo @ self.base
+        self._rank = np.argsort(self.codes)
         self._maps = {}
 
     def var_pos(self, name: str) -> int:
@@ -115,10 +122,18 @@ class _Space:
             raise SeriesMismatchError(f"unknown variable {name!r} in {self.names}") from None
 
     def _cached(self, key, build):
-        """Index arrays from ``build()`` (a tuple of int lists), built once."""
+        """Index arrays from ``build()`` (a tuple of int sequences), built once."""
         if key not in self._maps:
             self._maps[key] = tuple(np.array(col, dtype=np.int64) for col in build())
         return self._maps[key]
+
+    def fits(self, expo: np.ndarray) -> np.ndarray:
+        """Which rows of exponents, over this space's variables, it holds."""
+        return (expo @ self.member <= self.bounds).all(axis=1)
+
+    def locate(self, codes: np.ndarray) -> np.ndarray:
+        """The index of each additive key; every key must be one the space holds."""
+        return self._rank[np.searchsorted(self.codes[self._rank], codes)]
 
     def pairs(self):
         """(I, J, K) index arrays with mono[I] + mono[J] = mono[K] inside the space."""
@@ -126,9 +141,7 @@ class _Space:
         def build():
             fits = (self.grades[:, None] + self.grades[None] <= self.bounds).all(axis=2)
             I, J = np.nonzero(fits)
-            codes = self.expo @ (self.top + 1) ** np.arange(self.nvars)  # additive keys
-            rank = np.argsort(codes)
-            return I, J, rank[np.searchsorted(codes[rank], codes[I] + codes[J])]
+            return I, J, self.locate(self.codes[I] + self.codes[J])
 
         return self._cached("pairs", build)
 
@@ -137,9 +150,10 @@ class _Space:
 
         def build():
             lower = _space(self.names, _lowered(self.order, pos))
-            src = [i for i, m in enumerate(self.monos) if m[pos]]
-            return (src, [lower.index[_shift(self.monos[i], pos, -1)] for i in src],
-                    [self.monos[i][pos] for i in src])
+            src = np.flatnonzero(self.expo[:, pos])
+            down = self.expo[src]
+            down[:, pos] -= 1
+            return src, lower.locate(down @ lower.base), self.expo[src, pos]
 
         return self._cached(("diff", pos), build)
 
@@ -148,9 +162,10 @@ class _Space:
         monomials that would rise above the order are left out."""
 
         def build():
-            src = [i for i, m in enumerate(self.monos) if _shift(m, pos, 1) in self.index]
-            return (src, [self.index[_shift(self.monos[i], pos, 1)] for i in src],
-                    [self.monos[i][pos] + 1 for i in src])
+            up = self.expo.copy()
+            up[:, pos] += 1
+            src = np.flatnonzero(self.fits(up))
+            return src, self.locate(self.codes[src] + self.base[pos]), self.expo[src, pos] + 1
 
         return self._cached(("integ", pos), build)
 
@@ -160,21 +175,16 @@ class _Space:
 
         def build():
             target = _space(names, order)
-            src, dst = [], []
-            for i, m in enumerate(self.monos):
-                powers = dict(zip(self.names, m))
-                key = tuple(powers.get(v, 0) for v in names)
-                # equal degrees: m uses no variable outside names
-                if sum(key) == sum(m) and key in target.index:
-                    src.append(i)
-                    dst.append(target.index[key])
-            return src, dst
+            key = np.zeros((self.size, len(names)), dtype=np.int64)
+            for j, v in enumerate(names):
+                if v in self.names:
+                    key[:, j] = self.expo[:, self.names.index(v)]
+            # equal degrees: the monomial uses no variable outside names
+            held = (key.sum(axis=1) == self.expo.sum(axis=1)) & target.fits(key)
+            src = np.flatnonzero(held)
+            return src, target.locate(key[src] @ target.base)
 
         return self._cached(("onto", names, order), build)
-
-
-def _shift(mono: tuple, pos: int, step: int) -> tuple:
-    return mono[:pos] + (mono[pos] + step,) + mono[pos + 1:]
 
 
 def _ratio(value) -> tuple:
@@ -489,6 +499,8 @@ class TruncatedSeries:
         """The same series over a superset variable tuple, at ``order``, which
         must hold every monomial of this one."""
         vars = tuple(vars)
+        if vars == self.vars and order == self.order:
+            return self
         if len(self.space.onto_map(vars, order)[0]) < self.num.size:
             raise SeriesMismatchError(
                 f"{vars} at order {order} cannot hold {self.vars} at order {self.order}")

@@ -1,6 +1,8 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from beltrami import chart
 from beltrami import expr as ex
@@ -223,6 +225,99 @@ def test_rational_chart_holds_its_flow_exactly(monkeypatch):
     with pytest.raises(DomainError, match="flow"):
         build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=3, xi_order=3,
                     frame="graph", mode="rational")
+
+
+def _flow_call(monkeypatch, text, bindings, point, frame, mode, orders=(6, 6)):
+    """The arguments and the result of the flow inside one build_chart."""
+    flow, calls = chart._flow_from_jet, []
+
+    def spy(*args):
+        calls.append((args, flow(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(chart, "_flow_from_jet", spy)
+    build_chart(ex.parse(text), bindings, point, *orders, frame=frame, mode=mode)
+    return calls[0]
+
+
+def _full_order_picard(grad, bindings, bp, x0):
+    """Plain Picard at x0's full order (T, X): T sweeps fix t-degrees 1..T."""
+    x = x0
+    for _ in range(x0[0].order[0]):
+        g = ex.compose(grad, bindings, chart._world(bp, x))
+        w = [chart._combine(bp.rotation[i], g) for i in range(3)]
+        inv = (w[0] * w[0] + w[1] * w[1] + w[2] * w[2]).reciprocal()
+        x = tuple(x0[i] + (w[i] * inv).integrate("t") for i in range(3))
+    return x
+
+
+@pytest.mark.parametrize("text, bindings, point, frame, mode", [
+    ("1+a*x1+b*x1^3+x3", {"a": Fraction(3, 2), "b": Fraction(-2)}, (0, 0, 0), "graph",
+     "rational"),
+    ("1+x1^2+a*x2^2+x3", {"a": Fraction(2)}, (0, 0, 0), "graph", "rational"),
+    ("x1^2+x2^2+x3^2", None, (Fraction(1, 3), Fraction(1, 5), Fraction(3, 4)), "graph",
+     "rational"),
+    ("1+sin(x1)+exp(x2)*x3+x3", None, (0.1, 0.2, 0.0), "rotated", "double"),
+    # x3 = t - t^3 + 3 t^5 - ...: each even t-degree adds nothing, and the
+    # full-order sweep that follows must find x not yet fixed
+    ("1+x3+x3^3", None, (0, 0, 0), "graph", "rational"),
+])
+def test_graded_flow_equals_full_order_picard(monkeypatch, text, bindings, point, frame, mode):
+    # the fixed point is unique: graded sweeps and a warm-started inverse
+    # reach the same series as full-order sweeps, exactly in rational mode
+    args, x = _flow_call(monkeypatch, text, bindings, point, frame, mode)
+    ref = _full_order_picard(*args)
+    for a, b in zip(x, ref, strict=True):
+        assert a.order == b.order == (7, 7)
+        if mode == "rational":
+            assert a.equals(b)
+        else:
+            assert np.max(np.abs(a.num - b.num)) <= 1e-12 * b.max_abs()
+
+
+def _count_flow_products(monkeypatch):
+    """A Counter of the orders of the series products made inside the flow."""
+    flow, mul, orders, inside = chart._flow_from_jet, TruncatedSeries.__mul__, Counter(), []
+
+    def counting(a, b):
+        if inside and isinstance(b, TruncatedSeries):
+            orders[a.order] += 1
+            orders["pairs"] += len(a.space.pairs()[0])
+        return mul(a, b)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return flow(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(chart, "_flow_from_jet", flagged)
+    return orders
+
+
+def test_rational_quadratic_flow_budget(monkeypatch):
+    # full-order sweeps made 112 products over 1,330,560 pair entries here
+    orders = _count_flow_products(monkeypatch)
+    build_chart(ex.parse("1+x1^2+a*x2^2+x3"), {"a": Fraction(2)}, (0, 0, 0), 6, 6,
+                frame="graph", mode="rational")
+    assert sum(v for k, v in orders.items() if k != "pairs") == 60
+    assert orders["pairs"] == 223_080
+
+
+@pytest.mark.parametrize("mode", ["double", "rational"])
+def test_affine_flow_runs_one_full_order_sweep(monkeypatch, mode):
+    # x = x0 + t w / |w|^2: sweeps at (0, 7) and (1, 7) find no t^2 term, and
+    # one sweep at the full order (7, 7) confirms the fixed point
+    orders = _count_flow_products(monkeypatch)
+    ch = build_chart(ex.parse("1+x1+2*x2+x3"), None, (0, 0, 0), 6, 6, frame="graph", mode=mode)
+    del orders["pairs"]
+    assert set(orders) == {(0, 7), (1, 7), (7, 7)}
+    # |w|^2: three products, two Newton steps from t-degree 1 to 7, w / |w|^2: three
+    assert orders[7, 7] == 3 + 2 * 2 + 3
+    t = ch.x[2].coeff((1, 0, 0))
+    assert t == (Fraction(1, 6) if mode == "rational" else 1 / 6)
 
 
 def _linear_substitution(f, M):

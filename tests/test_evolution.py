@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from beltrami import evolution, series
 from beltrami import expr as ex
 from beltrami.beltrami_ops import affine_field, chart_pullback, orthogonal_unit
 from beltrami.chart import build_chart
-from beltrami.errors import DomainError
+from beltrami.errors import BudgetError, DomainError
 from beltrami.evolution import (
     DriftReport,
     GridField,
@@ -255,6 +257,27 @@ def test_run_rejects_a_grid_beyond_the_patch_before_allocating(monkeypatch):
     with pytest.raises(DomainError, match="grid extent 0.25 exceeds"):
         run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
             t_max=0.01, dt=0.005, n1=9, n2=51, h1=0.01, h2=0.01)
+
+
+def test_run_rejects_a_grid_above_the_node_budget_before_allocating(monkeypatch):
+    # 20001x20001 nodes at spacing 1e-5 stay inside the patch, and the grid
+    # alone would take 6.4 GB; the run refuses it before anything is built
+    def no_call(*args, **kwargs):
+        raise AssertionError("the run went past its node-count check")
+
+    monkeypatch.setattr(GridField, "centered", no_call)
+    monkeypatch.setattr(evolution, "build_chart", no_call)
+    with pytest.raises(BudgetError, match="20001x20001 grid has 400040001 nodes"):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=0.01, dt=0.005, n1=20001, n2=20001, h1=1e-5, h2=1e-5)
+    n = math.isqrt(evolution.MAX_GRID_NODES)
+    with pytest.raises(BudgetError, match="above the limit"):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=0.01, dt=0.005, n1=n + 1, n2=n, h1=1e-5, h2=1e-5)
+    # at the limit the check passes and the grid is built
+    with pytest.raises(AssertionError, match="node-count"):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=0.01, dt=0.005, n1=n, n2=n, h1=1e-5, h2=1e-5)
 
 
 def test_run_samples_T_on_the_grid_once(monkeypatch):

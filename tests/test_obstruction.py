@@ -480,7 +480,7 @@ def test_rational_quadratic_product_budget(monkeypatch):
     f = ex.parse("1+x1^2+a*x2^2+x3")
     obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, t_order=6, xi_order=6,
                   frame="graph", mode="rational")
-    assert products <= 281
+    assert products <= 229  # 281 when every Picard sweep ran at the flow's full order
 
 
 def test_rational_quadratic_default_order_budget(monkeypatch):
@@ -500,8 +500,9 @@ def test_rational_quadratic_default_order_budget(monkeypatch):
     f = ex.parse("1+x1^2+a*x2^2+x3")
     P = obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, frame="graph", mode="rational")
     assert (P.t_order, P.xi_order) == (4, 3)
-    assert products <= 243
-    assert pairs <= 153_849
+    # 243 and 153,849 when every Picard sweep ran at the flow's full order
+    assert products <= 203
+    assert pairs <= 50_249
 
 
 def test_rational_quadratic_fraction_budget(monkeypatch):

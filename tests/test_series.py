@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -8,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from beltrami import expr as ex
 from beltrami.errors import BudgetError, DomainError, SeriesMismatchError
-from beltrami.series import MAX_PAIRS, SeriesMatrix2, TruncatedSeries, apply_univariate
+from beltrami.series import (
+    MAX_PAIRS,
+    SeriesMatrix2,
+    TruncatedSeries,
+    _lowered,
+    _space,
+    apply_univariate,
+)
 
 VARS = ("t", "xi1", "xi2")
 
@@ -234,6 +242,77 @@ def test_slice_and_embed():
     back = sl.embed(VARS, 3)
     assert back.coeff((0, 1, 1)) == 2.0
     assert back.coeff((1, 1, 0)) == 0.0
+
+
+def _monomial_tables(sp):
+    """The monomials of a space in graded order and its pair table, built
+    monomial by monomial."""
+    if isinstance(sp.order, int):
+        bounds, held = (sp.order,), lambda m: sum(m) <= sp.order
+    else:
+        bounds, held = sp.order, lambda m: m[0] <= sp.order[0] and sum(m[1:]) <= sp.order[1]
+    grid = itertools.product(range(sum(bounds) + 1), repeat=sp.nvars)
+    monos = sorted(filter(held, grid), key=lambda m: (sum(m), m))
+    index = {m: i for i, m in enumerate(monos)}
+    sums = [(i, j, tuple(map(sum, zip(a, b)))) for i, a in enumerate(monos)
+            for j, b in enumerate(monos)]
+    pairs = [(i, j, index[m]) for i, j, m in sums if m in index]
+    return monos, tuple(map(list, zip(*pairs)))
+
+
+def _monomial_maps(sp):
+    """The index maps of a space, built monomial by monomial from dicts."""
+
+    def shift(m, pos, step):
+        return m[:pos] + (m[pos] + step,) + m[pos + 1:]
+
+    maps = {}
+    for pos in range(sp.nvars):
+        low = _lowered(sp.order, pos)
+        if min(np.atleast_1d(low)) >= 0:
+            lower = _space(sp.names, low)
+            src = [i for i, m in enumerate(sp.monos) if m[pos]]
+            maps["diff", pos] = (src, [lower.index[shift(sp.monos[i], pos, -1)] for i in src],
+                                 [sp.monos[i][pos] for i in src])
+        src = [i for i, m in enumerate(sp.monos) if shift(m, pos, 1) in sp.index]
+        maps["integ", pos] = (src, [sp.index[shift(sp.monos[i], pos, 1)] for i in src],
+                              [sp.monos[i][pos] + 1 for i in src])
+    return maps
+
+
+def _monomial_onto(sp, names, order):
+    target, src, dst = _space(names, order), [], []
+    for i, m in enumerate(sp.monos):
+        key = tuple(dict(zip(sp.names, m)).get(v, 0) for v in names)
+        if sum(key) == sum(m) and key in target.index:
+            src.append(i)
+            dst.append(target.index[key])
+    return src, dst
+
+
+@pytest.mark.parametrize("names, order, targets", [
+    (("t", "xi1", "xi2"), (3, 4), [(("t", "xi1", "xi2"), (4, 4)), (("t", "xi1", "xi2"), (2, 4)),
+                                   (("t", "xi1", "xi2"), (3, 2)), (("xi1", "xi2"), 4)]),
+    (("t", "xi1", "xi2"), (0, 5), [(("t", "xi1", "xi2"), (7, 7)), (("xi1", "xi2"), 5)]),
+    (("t", "xi1", "xi2"), (7, 7), [(("t", "xi1", "xi2"), (1, 7)), (("xi1", "xi2"), 3)]),
+    (("xi1", "xi2"), 5, [(("t", "xi1", "xi2"), (2, 5)), (("xi1", "xi2"), 6)]),
+    (("x1", "x2", "x3"), 6, [(("x1", "x2", "x3"), 3), (("x1", "x2", "x3", "s"), 6)]),
+])
+def test_index_tables_match_a_monomial_by_monomial_build(names, order, targets):
+    # the tables are built with numpy over additive exponent keys; they must
+    # equal the per-monomial dict lookup they replaced, entry for entry
+    sp = TruncatedSeries.zeros(names, order).space
+    monos, pairs = _monomial_tables(sp)
+    assert sp.monos == monos
+    for a, b in zip(sp.pairs(), pairs, strict=True):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+    for (kind, pos), ref in _monomial_maps(sp).items():
+        built = sp.diff_map(pos) if kind == "diff" else sp.integ_map(pos)
+        for a, b in zip(built, ref, strict=True):
+            assert a.dtype == np.int64 and np.array_equal(a, b), (kind, pos)
+    for target in targets:
+        for a, b in zip(sp.onto_map(*target), _monomial_onto(sp, *target), strict=True):
+            assert a.dtype == np.int64 and np.array_equal(a, b), target
 
 
 EMBED_VARS = ("s", "t", "xi1", "xi2")
