@@ -235,20 +235,24 @@ def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
     solution (an affine f gives x0 + t w / |w|^2): x is embedded at (T, X)
     and one full-order sweep decides it.  If that sweep returns x unchanged,
     x is the fixed point; otherwise its result, exact one t-degree further,
-    continues the graded sweeps.
+    continues the graded sweeps, and no later sweep is checked: a flow odd
+    in t adds nothing at every even t-degree and would fail each check.
     """
     T, X = x0[0].order
     x, inv = tuple(s.truncate((0, X)) for s in x0), None
+    checking = True
     while x[0].order[0] < T:
         x, inv = _sweep(grad, bindings, bp, x0, x, inv)
         k = x[0].order[0]
-        if k < T and not any(np.any(s.num[s.space.grades[:, 0] == k] != 0) for s in x):
+        if checking and k < T and not any(
+                np.any(s.num[s.space.grades[:, 0] == k] != 0) for s in x):
             full = tuple(s.embed(CHART_VARS, x0[0].order) for s in x)
             x, inv = _sweep(grad, bindings, bp, x0, full, inv)
             if all(a.equals(b) for a, b in zip(full, x)):
                 return x
             x = tuple(s.truncate((k + 1, X)) for s in x)
             inv = inv.truncate((k, X))
+            checking = False
     return x
 
 

@@ -7,14 +7,15 @@ tensors.  Each stencil derivative is one batched evaluation or slice and
 one contraction with the weights of :func:`deriv_weights`.
 
 Its agreement with the series pipeline is measured, not guaranteed.  The
-``cross-check`` battery holds 3e-5 relative and its zeros 1e-8 absolute;
-cubic-family members ``1 + a x1 + b x1^3 + x3`` agree within 4e-5 in both
-frames except ``a = 3/2, b = -2``, which reaches 1.3e-3 in the graph frame
-(3e-5 rotated); random polynomials of degree <= 4 miss by up to 65%
-(``1 + x3 - x2 x3 - x1^2 x2^2 + 2 x1^4 - 2 x3^3 + 2 x3^2``, graph frame).
-Rounding noise alone is of the order of 1e-3 on small values:
-one-ulp changes to the stencil weights move the error for
-``1 + x1 + x3 + x1^2 + x2^2`` (P = -1/8) between 2e-4 and 1.3e-3.
+``cross-check`` battery holds 2e-5 relative and its zeros 1e-10 absolute;
+cubic-family members ``1 + a x1 + b x1^3 + x3`` with ``a b > 0`` agree within
+3e-5 in both frames, while opposite signs reach 1.3e-3 in the graph frame
+(``a = 3/2, b = -2``) and 2.2e-4 rotated; random polynomials of degree <= 4
+miss by up to 65% (``1 + x3 - x2 x3 - x1^2 x2^2 + 2 x1^4 - 2 x3^3 + 2 x3^2``,
+graph frame).  Rounding noise alone is of the order of 1e-3 on small values:
+the eight one-ulp antisymmetric changes to the first-derivative weights move
+the error for ``1 + x1 + x3 + x1^2 + x2^2`` (P = -1/8) between 5.7e-4 and
+1.3e-3 in the graph frame and between 7.2e-4 and 1.4e-3 rotated.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ class StencilSpec:
     nodes); the jet stencil auto-widens so every requested derivative order
     fits.  The 8e-3 default sits at the measured optimum between stencil
     truncation and noise amplified through the recursion's repeated time
-    derivatives.
+    derivatives.  ``flow_dt`` bounds the RK4 step in t: the oracle's flow
+    splits each step between t nodes into ``ceil(step_space / flow_dt)``
+    equal steps.
     """
 
     step_space: float = 8e-3
@@ -144,17 +147,20 @@ def _partials(F, pts, step, radius, axes=(0, 1, 2)):
     return np.einsum("j,ajn->na", w[nz], vals.reshape(len(axes), nz.size, -1))
 
 
-def _flow_batch(F, starts, times, spec: StencilSpec):
-    """Integrate dx/dt = grad F / |grad F|^2 from each start to its own time.
+def _flow_batch(F, starts, times, spec: StencilSpec, records: int = 1):
+    """Integrate dx/dt = grad F / |grad F|^2 from each start to its own time,
+    recording every trajectory at s = j / records, j = 1..records.
 
     Reparametrized to s in [0, 1] with per-row speed, advanced by the
-    classical 4th-order scheme.
+    classical 4th-order scheme in ``records * per`` equal steps, where
+    ``per = ceil(tmax / records / flow_dt)`` steps lie between records.
+    Returns the recorded positions, shape (records, N, 3).
     """
     pts = np.array(starts, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).reshape(-1, 1)
     tmax = float(np.max(np.abs(times)))
-    steps = max(1, int(math.ceil(tmax / spec.flow_dt)))
-    ds = 1.0 / steps
+    per = max(1, int(math.ceil(tmax / records / spec.flow_dt)))
+    ds = 1.0 / (per * records)
 
     def rhs(x):
         g = _partials(F, x, spec.step_space, spec.radius)
@@ -164,22 +170,27 @@ def _flow_batch(F, starts, times, spec: StencilSpec):
         return times * g / nsq
 
     before = F(pts)
-    for _ in range(steps):
-        k1 = rhs(pts)
-        k2 = rhs(pts + 0.5 * ds * k1)
-        k3 = rhs(pts + 0.5 * ds * k2)
-        k4 = rhs(pts + ds * k3)
-        pts = pts + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    out = np.empty((records,) + pts.shape)
+    for j in range(records):
+        for _ in range(per):
+            k1 = rhs(pts)
+            k2 = rhs(pts + 0.5 * ds * k1)
+            k3 = rhs(pts + 0.5 * ds * k2)
+            k4 = rhs(pts + ds * k3)
+            pts = pts + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[j] = pts
     # the defining property of the flow doubles as a blow-up detector: a
-    # trajectory that grazed a critical point cannot meet the increment
-    defect = np.abs(F(pts) - before - times[:, 0])
-    tol = 1e-6 * np.maximum(1.0, np.abs(times[:, 0]))
-    if not np.all(np.isfinite(pts)) or np.any(defect > tol):
+    # trajectory that grazed a critical point cannot meet the increment at
+    # the record after it
+    elapsed = np.arange(1, records + 1)[:, None] / records * times[:, 0]
+    defect = np.abs(F(out.reshape(-1, 3)).reshape(records, -1) - before - elapsed)
+    tol = 1e-6 * np.maximum(1.0, np.abs(elapsed))
+    if not np.all(np.isfinite(out)) or np.any(defect > tol):
         raise DomainError(
             f"flow integration failed the level-increment check "
             f"(max defect {np.max(defect):.3e}); gradient collapse en route?"
         )
-    return pts
+    return out
 
 
 def numeric_flow(f, bindings, x0, t, dt: float = 1e-2):
@@ -192,7 +203,7 @@ def numeric_flow(f, bindings, x0, t, dt: float = 1e-2):
     single = x0.ndim == 1
     starts = x0[None, :] if single else x0
     times = np.full(starts.shape[0], float(t))
-    out = _flow_batch(F, starts, times, StencilSpec(flow_dt=dt))
+    out = _flow_batch(F, starts, times, StencilSpec(flow_dt=dt))[0]
     return out[0] if single else out
 
 
@@ -236,7 +247,8 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     """Degree-0 obstruction coefficient at p, entirely by numerics.
 
     Builds the evolution tensor on a (t, xi) sample lattice via Newton graph
-    solves and flow integration, runs the recursion with stencil t-derivatives
+    solves and flow integration (one trajectory per xi start and direction,
+    recorded at every t node), runs the recursion with stencil t-derivatives
     (the usable t-window shrinks by one stencil radius per level), forms the
     constraint vectors with stencil xi-derivatives, and takes the 4x4
     determinant at the origin.
@@ -280,10 +292,11 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     h_uniq = _newton_graph(F, xi_uniq, c0, step, rt)
     starts_u = np.column_stack([xi_uniq, h_uniq])
 
-    n_u = starts_u.shape[0]
-    starts = np.repeat(starts_u, n_t, axis=0)
-    times = np.tile(t_nodes, n_u)
-    flowed = _flow_batch(F, starts, times, spec).reshape(n_u, n_t, 3)
+    # one trajectory per start and direction, recorded at every t node
+    ends = np.repeat([t_nodes[-1], t_nodes[0]], len(starts_u))
+    marched = _flow_batch(F, np.tile(starts_u, (2, 1)), ends, spec, records=t_half)
+    forward, backward = np.split(marched, 2, axis=1)
+    flowed = np.concatenate([backward[::-1], starts_u[None], forward]).swapaxes(0, 1)
 
     # evolution tensor at every (cross position, t node); the metric cross
     # around each position leads, its center first

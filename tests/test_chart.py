@@ -306,6 +306,17 @@ def test_rational_quadratic_flow_budget(monkeypatch):
     assert orders["pairs"] == 223_080
 
 
+def test_odd_flow_stops_checking_after_a_failed_check(monkeypatch):
+    # x3 = t - t^3 + ...: the sweep to t-degree 2 adds nothing, the full-order
+    # check at (7, 7) fails, and t-degrees 4 and 6, which add nothing either,
+    # are not checked again: one (7, 7) sweep, not three
+    orders = _count_flow_products(monkeypatch)
+    build_chart(ex.parse("1+x3+x3^3"), None, (0, 0, 0), 6, 6, frame="graph", mode="rational")
+    assert orders[7, 7] == 11
+    assert sum(v for k, v in orders.items() if k != "pairs") == 69
+    assert orders["pairs"] == 363_660
+
+
 @pytest.mark.parametrize("mode", ["double", "rational"])
 def test_affine_flow_runs_one_full_order_sweep(monkeypatch, mode):
     # x = x0 + t w / |w|^2: sweeps at (0, 7) and (1, 7) find no t^2 term, and
