@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from .obstruction import DEFAULT_INDICES, obstruction_P, obstruction_Pijkl, tens
 from .series import json_number
 
 FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
+_NON_FINITE_FIELDS = frozenset({"nan", "inf", "-inf"})  # a float's CSV field when not finite
 
 
 def _number(text: str, what: str, kind: str = "double"):
@@ -92,16 +94,19 @@ def _parse_site(args, mode: str):
 
 
 def _write_report(args, payload):
-    if isinstance(payload, str):
+    if isinstance(payload, str):  # CSV rows
         text = payload
+        finite = _NON_FINITE_FIELDS.isdisjoint(re.split(r"[,\n]", text))
     else:
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            finite = True
         except ValueError:
-            raise BeltramiError(
-                "the report holds a non-finite number (an overflow or a NaN); "
-                "no report written") from None
-        text += "\n"
+            finite = False
+    if not finite:
+        raise BeltramiError(
+            "the report holds a non-finite number (an overflow or a NaN); "
+            "no report written")
     out = args.out or "-"
     if out == "-":
         sys.stdout.write(text)
@@ -265,7 +270,7 @@ def _cmd_conformal_check(args):
         u = VectorExpr(tuple(Mul(Pow(f, 2), comp) for comp in v.components))
         lhs, _ = curl_div(u, None, p)
         fval = ex.evaluate(f, None, p)
-        rhs = fval**3 * riemannian_curl(metric, v, None, p)
+        rhs = fval * fval * fval * riemannian_curl(metric, v, None, p)
         denom = max(1.0, float(np.linalg.norm(rhs)))
         return float(np.linalg.norm(lhs - rhs)) / denom
 

@@ -135,16 +135,26 @@ def fd_jet(f, bindings, p, order: int, spec: StencilSpec | None = None):
     return TruncatedSeries.from_terms(ex.VAR_NAMES, order, terms)
 
 
+@functools.lru_cache(maxsize=64)
+def _first_stencil(step: float, radius: int, axes: tuple):
+    """The central first-derivative stencil along `axes` without its zero
+    centre: the nonzero weights, shape (node,), and the node offsets, shape
+    (axis, node, 3).  Built once per argument triple; read-only, as shared."""
+    w = deriv_weights(1, radius, step)
+    nz = np.flatnonzero(w)
+    offsets = ((nz - radius) * step)[None, :, None] * _E3[list(axes)][:, None, :]
+    weights = w[nz]
+    weights.flags.writeable = offsets.flags.writeable = False
+    return weights, offsets
+
+
 def _partials(F, pts, step, radius, axes=(0, 1, 2)):
     """First partials along `axes` of an R^3 scalar evaluator on an (N, 3)
     batch, shape (N, len(axes)): every stencil node of the batch in one F
     call, contracted once with the central weights (the zero centre skipped)."""
-    w = deriv_weights(1, radius, step)
-    nz = np.flatnonzero(w)
-    shifts = (nz - radius) * step
-    offsets = shifts[None, :, None] * _E3[list(axes)][:, None, :]  # (axis, node, 3)
+    w, offsets = _first_stencil(step, radius, tuple(axes))
     vals = F((pts[None, None] + offsets[:, :, None]).reshape(-1, 3))
-    return np.einsum("j,ajn->na", w[nz], vals.reshape(len(axes), nz.size, -1))
+    return np.einsum("j,ajn->na", w, vals.reshape(len(axes), w.size, -1))
 
 
 def _flow_batch(F, starts, times, spec: StencilSpec, records: int = 1):
@@ -164,8 +174,8 @@ def _flow_batch(F, starts, times, spec: StencilSpec, records: int = 1):
 
     def rhs(x):
         g = _partials(F, x, spec.step_space, spec.radius)
-        nsq = np.sum(g * g, axis=1, keepdims=True)
-        if np.any(nsq < 1e-8**2):
+        nsq = (g * g).sum(axis=1, keepdims=True)
+        if (nsq < 1e-8**2).any():
             raise DomainError("gradient collapsed along a flow trajectory")
         return times * g / nsq
 

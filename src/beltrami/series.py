@@ -416,7 +416,10 @@ class TruncatedSeries:
         """Explicitly lower the truncation order, or each bound of an order pair."""
         if order == self.order:
             return self
-        if type(order) is not type(self.order) or np.any(np.array(order) > self.order):
+        lower = type(order) is type(self.order) and (
+            all(a <= b for a, b in zip(order, self.order)) if isinstance(order, tuple)
+            else order <= self.order)
+        if not lower:
             raise SeriesMismatchError(f"cannot truncate order {self.order} to {order}")
         return self._onto(self.vars, order)
 

@@ -290,6 +290,13 @@ def test_negative_parameter_values(capsys):
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1",
      "--grid", "5x5", "--out", "/nonexistent/dir/x.csv"],
     ["p-eval", "--f", "1+x1^2+x3+1e200*x2^3", "--point", "1,1,0"],  # overflows to NaN
+    # non-finite results: CSV rows of nan and inf, a square past the double
+    # range (inf, not OverflowError), and f^3 overflowing in conformal-check
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1*10^200*10^200"],
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1*(10^200)^2"],
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1*(10^200)^2",
+     "--format", "json"],
+    ["conformal-check", "--f", "1+10^150*x1", "--samples", "1"],
 ])
 def test_bad_numbers_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -44,6 +44,32 @@ def test_eval_domain_errors():
         ex.evaluate(ex.parse("a*x1"), None, (1.0, 0.0, 0.0))  # unbound parameter
 
 
+def test_evaluate_raises_in_tree_order():
+    # a quotient checks its denominator before it evaluates its numerator;
+    # otherwise operands go left to right
+    cases = [("a/(x1-x1)", "division by zero"), ("x1/a", "unbound parameter 'a'"),
+             ("b+a", "unbound parameter 'b'"), ("log(x1)+sqrt(x2)", "log of a non-positive"),
+             ("sqrt(x2)*log(x1)", "sqrt of a negative")]
+    for text, message in cases:
+        for point in ((-1.0, -1.0, 0.0), np.full((3, 3), -1.0)):
+            with pytest.raises(DomainError, match=message):
+                ex.evaluate(ex.parse(text), None, point)
+
+
+@pytest.mark.parametrize("text", ["x1^5-2*x2^4*x3+x3^7", "(x1-x2)^3*(1+x3)^4",
+                                  "-(a*x1+x2)^6+3*x1^3*x2^2-x3^11"])
+def test_evaluate_matches_the_jet_bit_for_bit(text):
+    # both paths take ^ by repeated squaring, so a polynomial free of '/'
+    # (which the jet takes as a product with the reciprocal) takes the same
+    # double operations in the same order
+    f, b = ex.parse(text), {"a": -0.75}
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, size=(200, 3))
+    batch = ex.evaluate(f, b, points)
+    for p, value in zip(points, batch):
+        jet0 = float(ex.jet(f, b, tuple(p), 0).constant_term())
+        assert ex.evaluate(f, b, p) == jet0 == value
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ParseError) as err:
         ex.parse("1 + $")

@@ -10,6 +10,7 @@ from beltrami.errors import DomainError
 from beltrami.fd_oracle import (
     P_point_fd,
     StencilSpec,
+    _first_stencil,
     _flow_batch,
     deriv_weights,
     fd_jet,
@@ -225,3 +226,47 @@ def test_P_point_fd_evaluation_count(monkeypatch, frame, count):
     P_point_fd(ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0}, (0, 0, 0), frame=frame)
     assert len(calls) == count
     assert sum(calls) == {"graph": 104_137, "rotated": 104_314}[frame]
+
+
+def _nodes(tree):
+    """The distinct nodes of an expression tree."""
+    out, stack = {}, [tree]
+    while stack:
+        n = stack.pop()
+        out[id(n)] = n
+        stack += [getattr(n, name) for name in ("arg", "lhs", "rhs", "base") if hasattr(n, name)]
+    return list(out.values())
+
+
+def test_numeric_flow_compiles_each_tree_once(monkeypatch):
+    # the first evaluation compiles one closure per node of the tree; the
+    # other 4 * steps + 1 evaluations of the flow, and a second flow, reuse it
+    compiled = []
+    compile_ = ex._compile
+
+    def counting(n):
+        compiled.append(n)
+        return compile_(n)
+
+    monkeypatch.setattr(ex, "_compile", counting)
+    calls = _count_evaluations(monkeypatch)
+    f = ex.parse("1 + x3 + a*x1^3 - x2^2/(2 + x3)")
+    steps = 8
+    numeric_flow(f, {"a": 0.5}, (0.1, 0.2, 0.0), 0.25, dt=0.25 / steps)
+    assert len(calls) == 4 * steps + 2
+    assert sorted(map(id, compiled)) == sorted(map(id, _nodes(f)))
+    numeric_flow(f, {"a": -0.5}, (0.1, 0.2, 0.0), -0.25, dt=0.25 / steps)
+    assert len(calls) == 2 * (4 * steps + 2) and len(compiled) == len(_nodes(f))
+
+
+@pytest.mark.parametrize("frame", ["graph", "rotated"])
+def test_P_point_fd_builds_each_stencil_once(frame):
+    # one first-derivative stencil along all three axes (the 32 RK4 steps,
+    # the gradient, the rotation) and one along the vertical axis (the graph
+    # Newton steps), each built once for the 131 (graph) or 133 (rotated)
+    # stencil derivatives of the call
+    _first_stencil.cache_clear()
+    P_point_fd(ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0}, (0, 0, 0), frame=frame)
+    info = _first_stencil.cache_info()
+    assert info.misses == info.currsize == 2
+    assert info.hits == {"graph": 129, "rotated": 131}[frame]

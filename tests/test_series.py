@@ -154,6 +154,16 @@ def test_integrate_then_derive_round_trip():
     assert np.allclose(back.coeffs, trunc.coeffs)
 
 
+def test_truncate_only_lowers_an_order():
+    s = TruncatedSeries.zeros(VARS, 3)
+    pair = TruncatedSeries.zeros(VARS, (2, 3))
+    assert s.truncate(3) is s and s.truncate(1).order == 1
+    assert pair.truncate((2, 1)).order == (2, 1) and pair.truncate((0, 3)).order == (0, 3)
+    for series, order in ((s, 4), (s, (1, 1)), (pair, 2), (pair, (3, 1)), (pair, (1, 4))):
+        with pytest.raises(SeriesMismatchError, match="cannot truncate"):
+            series.truncate(order)
+
+
 def test_strict_order_and_vars_mismatch():
     a = TruncatedSeries.zeros(("t", "xi1"), 3)
     b = TruncatedSeries.zeros(("t", "xi1"), 2)
