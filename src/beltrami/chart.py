@@ -45,7 +45,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import TruncatedSeries, _coerce, json_number
+from .series import TruncatedSeries, _coerce, as_double, json_number
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -101,16 +101,16 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
     c0 = j1.constant_term()
     grad = (j1.coeff((1, 0, 0)), j1.coeff((0, 1, 0)), j1.coeff((0, 0, 1)))
     # magnitudes are compared, never squared, so huge values cannot overflow
-    floor = GRAD_FLOOR * max(1.0, abs(float(c0)))
-    gnorm = math.hypot(*map(float, grad))
+    floor = GRAD_FLOOR * max(1.0, abs(as_double(c0)))
+    gnorm = math.hypot(*map(as_double, grad))
     if gnorm < floor:
         raise CriticalPointError(f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {p}")
 
     if frame == "auto":
-        frame = "graph" if abs(float(grad[2])) >= AUTO_GRAPH_RATIO * gnorm else "rotated"
+        frame = "graph" if abs(as_double(grad[2])) >= AUTO_GRAPH_RATIO * gnorm else "rotated"
 
     if frame == "graph":
-        if abs(float(grad[2])) < floor:
+        if abs(as_double(grad[2])) < floor:
             raise FrameError(
                 "graph frame needs the third gradient component above the floor; "
                 "use frame='rotated'"
@@ -165,7 +165,7 @@ def _world(bp: BasePoint, y):
 def _check_residual(residual: TruncatedSeries, scale: float, what: str) -> float:
     """The largest coefficient of a residual series, which must be 0 in
     rational mode and within 1e-9 * scale in double mode."""
-    size = float(residual.max_abs())
+    size = as_double(residual.max_abs())
     if size > (0.0 if residual.exact else 1e-9 * scale):
         raise DomainError(f"{what}: residual {size:.3e} (coefficient scale {scale:.3e})")
     return size
@@ -190,7 +190,7 @@ def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> Trunc
         if residual.max_abs() == 0.0:
             break
     final = ex.compose(f, bindings, _world(bp, (xi1, xi2, h))) - c0
-    _check_residual(final, max(1.0, abs(float(c0))), "graph solve did not converge")
+    _check_residual(final, max(1.0, abs(as_double(c0))), "graph solve did not converge")
     return h
 
 
@@ -307,7 +307,7 @@ class ChartData:
             "frame": self.bp.frame,
             "mode": self.bp.mode,
             "orders": {"t": self.t_order, "xi": self.xi_order},
-            "rotation": [[float(e) for e in row] for row in self.bp.rotation],
+            "rotation": [[as_double(e) for e in row] for row in self.bp.rotation],
             "h": self.h.to_json(),
             "x": [s.to_json() for s in self.x],
             "chi2": self.chi2.to_json(),
@@ -365,7 +365,7 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
     tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", exact=exact)
     # scale by the series magnitude: high orders legitimately carry large
     # coefficients (finite convergence radius), and rounding grows with them
-    scale = max(1.0, abs(float(bp.level)), float(x[2].max_abs()))
+    scale = max(1.0, abs(as_double(bp.level)), as_double(x[2].max_abs()))
     flow_residual = _check_residual(composed - (tvar + bp.level), scale,
                                     "flow series inconsistent: f(x) != c0 + t")
 

@@ -38,7 +38,7 @@ from .evolution import run as evolution_run
 from .expr import Mul, Pow, VectorExpr
 from .fd_oracle import P_point_fd
 from .obstruction import DEFAULT_INDICES, obstruction_P, obstruction_Pijkl, tensor_T
-from .series import json_number
+from .series import as_double, json_number
 
 FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
 _NON_FINITE_FIELDS = frozenset({"nan", "inf", "-inf"})  # a float's CSV field when not finite
@@ -148,8 +148,8 @@ def _family_report(poly, refs, mode, **fields):
         if exact:
             match[name] = c == ref
         else:
-            scale = max(1.0, abs(float(ref)))
-            match[name] = abs(float(c) - float(ref)) <= FAMILY_TOL * scale
+            scale = max(1.0, abs(as_double(ref)))
+            match[name] = abs(as_double(c) - as_double(ref)) <= FAMILY_TOL * scale
     report = dict(fields, mode=mode, frame="graph", computed=computed, reference=reference,
                   match=match)
     report["pass"] = all(match.values())
@@ -181,9 +181,9 @@ def _cmd_coeffs_prop4(args):
     refs = dict(zip(("q20", "q11", "q02"), zip(monos, reference.quadratic_family_form(a))))
     report = _family_report(poly, refs, args.mode, a=json_number(a, args.mode == "rational"))
     sub = max(
-        (abs(float(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
+        (abs(as_double(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
     )
-    quad_max = max(abs(float(poly.coeff(m))) for m in monos)
+    quad_max = max(abs(as_double(poly.coeff(m))) for m in monos)
     report["subquadratic_max"] = sub
     report["quadratic_max"] = quad_max
     report["vanishes_at_1"] = bool(a == 1 and quad_max < 1e-10)

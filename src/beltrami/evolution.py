@@ -5,8 +5,10 @@ so every grid node integrates an independent 2x2 linear ODE; the closedness
 constraint d1 beta_2 - d2 beta_1 = 0 is monitored by central differences and
 its drift is the signal of interest.  T comes from the chart series built
 once at the central base point, which confines grids and times to a validity
-patch around the origin; its t-coefficients are sampled on a grid's nodes
-once, and each RK4 stage evaluates T(t) from them by Horner in t.
+patch around the origin.  Its t-coefficients are sampled on a grid's nodes
+once; T(t) is then the power row (1, t, ..., t^K) times that sample matrix.
+A classical RK4 step evaluates T three times, its two midpoint stages
+sharing one, and multiplies each node's 2x2 matrix into beta entry by entry.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .series import _design_matrix, _space
 
 PATCH_RADIUS = 0.2  # grids and times stay within this distance of the base point
 # Largest grid a run may allocate: 501x501.  At the default orders (6, 6) a
-# node holds its 28 xi-monomial values and 28 sampled T coefficients, so the
-# sampled tables reach about 110 MB.
+# node holds its 28 xi-monomial values and 28 sampled T coefficients, 56 MB
+# each over the grid; a 501x501 run peaks at about 165 MB resident, of which
+# the interpreter and numpy hold about 32 MB before it starts.
 MAX_GRID_NODES = 251_001
 
 
@@ -75,9 +78,14 @@ class GridField:
 
 
 class TEvaluator:
-    """The 2x2 evolution tensor T of a chart on the nodes of one grid: its
-    t-coefficients are sampled on the nodes once, into ``coeffs`` of shape
-    (t_order + 1, N, 2, 2), and a call sums them by Horner in t."""
+    """The 2x2 evolution tensor T of a chart on the nodes of one grid.
+
+    Its t-coefficients are sampled on the nodes once, into ``coeffs`` of
+    shape (t_order + 1, 4N): row k holds the t^k coefficients of T00 on every
+    node, then those of T01, T10 and T11.  A call multiplies the power row
+    (1, t, ..., t^K) into that matrix, one matrix-vector product, and returns
+    T(t) as an (N, 2, 2) view whose entries T[:, i, j] are contiguous.
+    """
 
     def __init__(self, chart: ChartData, grid: GridField):
         nodes = grid.nodes()
@@ -90,38 +98,44 @@ class TEvaluator:
         by_degree = np.zeros((chart.t_order + 1, xi_space.size, 4))
         xi_cols = [xi_space.index[m[1:]] for m in space.monos]
         by_degree[space.expo[:, 0], xi_cols] = np.stack([e.coeffs for e in entries], axis=1)
-        design = _design_matrix(xi_space, nodes)
-        self.coeffs = (design @ by_degree).reshape(-1, len(nodes), 2, 2)
+        sampled = _design_matrix(xi_space, nodes) @ by_degree  # (t_order + 1, N, 4)
+        self.coeffs = np.ascontiguousarray(sampled.transpose(0, 2, 1)).reshape(len(sampled), -1)
+        self._degrees = np.arange(len(sampled))
 
     def __call__(self, t: float) -> np.ndarray:
         """T at time t on every node of the grid; returns (N, 2, 2)."""
         if abs(t) > PATCH_RADIUS + 1e-12:
             raise DomainError(f"time {t} outside the chart validity patch")
-        out = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            out = out * t + c
-        return out
+        flat = np.power(t, self._degrees) @ self.coeffs
+        return flat.reshape(2, 2, -1).transpose(2, 0, 1)
 
 
 def step(grid: GridField, tev: TEvaluator, dt: float) -> GridField:
-    """One classical 4th-order step of the pointwise linear evolution."""
+    """One classical 4th-order step of the pointwise linear evolution.
+
+    Both midpoint stages share one evaluation of T(t + dt/2), and each 2x2
+    product is four elementwise products on the columns of entries.
+    """
     if not (np.array_equal(grid.xi1, tev.xi1) and np.array_equal(grid.xi2, tev.xi2)):
         raise DomainError("the evaluator was sampled on the nodes of another grid")
-    b = grid.beta.reshape(-1, 2)
-    t = grid.time
+    v = grid.beta.reshape(-1, 2).T.copy()  # rows: beta1 and beta2 on every node
+    t, h = grid.time, dt / 2.0
 
-    def apply(tval, vec):
-        return np.einsum("nij,nj->ni", tev(tval), vec)
+    def apply(T, u):
+        """T u on every node: column j of T, (T0j, T1j), times the row u[j]."""
+        T = T.transpose(1, 2, 0)
+        return T[:, 0] * u[0] + T[:, 1] * u[1]
 
-    k1 = apply(t, b)
-    k2 = apply(t + dt / 2.0, b + (dt / 2.0) * k1)
-    k3 = apply(t + dt / 2.0, b + (dt / 2.0) * k2)
-    k4 = apply(t + dt, b + dt * k3)
-    nb = b + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k1 = apply(tev(t), v)
+    mid = tev(t + h)
+    k2 = apply(mid, v + h * k1)
+    k3 = apply(mid, v + h * k2)
+    k4 = apply(tev(t + dt), v + dt * k3)
+    nb = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return GridField(
         xi1=grid.xi1,
         xi2=grid.xi2,
-        beta=nb.reshape(grid.beta.shape),
+        beta=np.ascontiguousarray(nb.T).reshape(grid.beta.shape),
         time=t + dt,
     )
 
@@ -183,9 +197,7 @@ def init_from_potential(grid: GridField, psi, bindings=None) -> GridField:
     each evaluated once on the node batch."""
     nodes = grid.nodes()
     pts = np.column_stack([nodes, np.zeros(nodes.shape[0])])
-    # a constant partial evaluates to one value, which every node shares
-    beta = np.column_stack([np.broadcast_to(ex.evaluate(ex.diff(psi, i), bindings, pts),
-                                            nodes.shape[:1]) for i in range(2)])
+    beta = np.column_stack([ex.evaluate(ex.diff(psi, i), bindings, pts) for i in range(2)])
     return GridField(grid.xi1, grid.xi2, beta.reshape(grid.beta.shape), 0.0)
 
 

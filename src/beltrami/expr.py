@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .series import TruncatedSeries, _coerce, apply_univariate
+from .series import TruncatedSeries, _coerce, apply_univariate, as_double
 
 VAR_NAMES = ("x1", "x2", "x3")
 FUNCS = ("sin", "cos", "exp", "log", "sqrt")
@@ -339,7 +339,8 @@ def _power(base, p: int, one):
 
 
 def evaluate(node, bindings: dict | None, point):
-    """IEEE-double value of the expression at a point or an (N, 3) batch.
+    """IEEE-double value of the expression at a point, or one value per row
+    of an (N, 3) batch.
 
     The tree is compiled into a kernel of nested closures on its first
     evaluation, and later calls reuse it; ``^`` is repeated squaring
@@ -349,7 +350,8 @@ def evaluate(node, bindings: dict | None, point):
     out = _kernel(node)(pts.T, bindings or {})
     if pts.ndim == 1:
         return float(out)
-    return np.asarray(out, dtype=np.float64)
+    # a tree without a variable gives one value, which every row shares
+    return np.asarray(out, dtype=np.float64) if np.ndim(out) else np.full(len(pts), out)
 
 
 def _kernel(n):
@@ -373,7 +375,7 @@ def _compile(n):
         i = n.index
         return lambda cols, b: cols[i]
     if isinstance(n, Num):
-        v = float(n.value)
+        v = as_double(n.value)
         return lambda cols, b: v
     if isinstance(n, Param):
         name = n.name
@@ -382,7 +384,7 @@ def _compile(n):
             if name not in b:
                 raise DomainError(f"unbound parameter {name!r}")
             v = b[name]
-            return v if type(v) is float else float(_as_number(v))
+            return v if type(v) is float else as_double(_as_number(v))
         return param
     if isinstance(n, Neg):
         arg = _kernel(n.arg)

@@ -30,6 +30,7 @@ import numpy as np
 from . import expr as ex
 from .chart import _minimal_rotation
 from .errors import DomainError
+from .series import TruncatedSeries, as_double
 
 _E3 = np.eye(3)
 
@@ -71,7 +72,7 @@ def _unit_weights(k: int, radius: int) -> tuple:
         for m in nodes:
             if m != j:
                 basis = np.convolve(basis, [Fraction(-m, j - m), Fraction(1, j - m)])
-        out.append(float(basis[k] * math.factorial(k)))
+        out.append(as_double(basis[k] * math.factorial(k)))
     return tuple(out)
 
 
@@ -103,8 +104,6 @@ def _jet_once(f, bindings, p, order, radius, step):
 def fd_jet(f, bindings, p, order: int, spec: StencilSpec | None = None):
     """Taylor coefficients of f at p through total degree `order`, by central
     differences on a tensor grid (optionally Richardson-extrapolated)."""
-    from .series import TruncatedSeries
-
     spec = spec or StencilSpec()
     if order < 0:
         raise DomainError("jet order must be >= 0")

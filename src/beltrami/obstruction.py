@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .chart import ChartData, build_chart
 from .errors import BudgetError, DomainError
-from .series import SeriesMatrix2, TruncatedSeries, json_number
+from .series import SeriesMatrix2, TruncatedSeries, as_double, json_number
 
 DEFAULT_INDICES = (2, 3, 4, 5)
 
@@ -92,13 +92,9 @@ def tensor_T(chart: ChartData) -> SeriesMatrix2:
     order = chart.chi_sqrt_detg.order
     tvar = TruncatedSeries.variable(chart.x[0].vars, order, "t", exact=exact)
     prefactor = (tvar + chart.level) * chart.chi_sqrt_detg
-    T = SeriesMatrix2(
-        prefactor * chart.ginv12,
-        prefactor * chart.ginv22,
-        -(prefactor * chart.ginv11),
-        -(prefactor * chart.ginv12),
-    )
-    if float(chart.level) > 0 and float(T.entry(0, 1).constant_term()) <= 0:
+    t01 = prefactor * chart.ginv12
+    T = SeriesMatrix2(t01, prefactor * chart.ginv22, -(prefactor * chart.ginv11), -t01)
+    if as_double(chart.level) > 0 and as_double(T.entry(0, 1).constant_term()) <= 0:
         raise DomainError("evolution tensor entry (0,1) lost positivity")
     return T
 
@@ -129,29 +125,42 @@ def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int = 0) -> ConstraintVect
     by the (0,1) entry of T, whose constant term is guaranteed nonzero away
     from the zero level set.  `n` is carried as metadata only.
     """
+    return _constraint(_pivot_terms(T, Tn.order), Tn, n)
+
+
+def _bracket(M: SeriesMatrix2, low):
+    """(d1 M10 - d2 M00, d1 M11 - d2 M01, M10, M11 - M00), cut to ``low``."""
+    (m00, m01), (m10, m11) = M.m
+    return (m10.derive("xi1") - m00.derive("xi2"),
+            m11.derive("xi1") - m01.derive("xi2"),
+            m10.truncate(low),
+            m11.truncate(low) - m00.truncate(low))
+
+
+def _pivot_terms(T: SeriesMatrix2, order) -> tuple:
+    """What every constraint vector against T at ``order`` shares: the order
+    one xi-order down, the reciprocal of T's pivot entry (0,1) there, and
+    the bracket of T."""
     pivot = T.entry(0, 1)
-    if abs(float(pivot.constant_term())) < 1e-12:
+    if abs(as_double(pivot.constant_term())) < 1e-12:
         raise DomainError("pivot entry of T has (near-)zero constant term")
-    low = Tn.entry(0, 0).derive("xi1").order
+    Tl = T.truncate(order)
+    low = Tl.entry(0, 0).derive("xi1").order
+    return low, Tl.entry(0, 1).truncate(low).reciprocal(), _bracket(Tl, low)
 
-    def bracket(M):
-        """(d1 M10 - d2 M00, d1 M11 - d2 M01, M10, M11 - M00), one xi-order down."""
-        (m00, m01), (m10, m11) = M.m
-        return (m10.derive("xi1") - m00.derive("xi2"),
-                m11.derive("xi1") - m01.derive("xi2"),
-                m10.truncate(low),
-                m11.truncate(low) - m00.truncate(low))
 
-    Tl = T.truncate(Tn.order)
-    ratio = Tn.entry(0, 1).truncate(low) * Tl.entry(0, 1).truncate(low).reciprocal()
-    components = tuple(a - ratio * b for a, b in zip(bracket(Tn), bracket(Tl)))
+def _constraint(shared: tuple, Tn: SeriesMatrix2, n: int) -> ConstraintVector4:
+    low, inverse_pivot, bracket_T = shared
+    ratio = Tn.entry(0, 1).truncate(low) * inverse_pivot
+    components = tuple(a - ratio * b for a, b in zip(_bracket(Tn, low), bracket_T))
     return ConstraintVector4(n=n, components=components)
 
 
 def hierarchy_vectors(chart: ChartData, indices) -> dict:
     """Constraint vectors for every requested recursion index, sharing work,
     as series in (xi1, xi2) at t = 0: T is cut to the t-degrees the recursion
-    to the largest index reads, and each T_n is sliced before ``script_Tn``."""
+    to the largest index reads, each T_n is sliced before its constraint is
+    built, and the pivot's reciprocal and the bracket of T are built once."""
     indices = tuple(indices)
     if min(indices) < 2:
         raise DomainError(f"recursion indices must be >= 2, got {indices}")
@@ -159,12 +168,13 @@ def hierarchy_vectors(chart: ChartData, indices) -> dict:
     a, b = T.order
     T = T.truncate((min(a, max(indices) - 1), b))
     T0 = T.slice_at_zero("t")
+    shared = _pivot_terms(T0, T0.order)  # every T_n slice has the order of T0
     out = {}
     Tn = T
     for n in range(2, max(indices) + 1):
         Tn = _recursion_step(T, Tn, n - 1)
         if n in indices:
-            out[n] = script_Tn(T0, Tn.slice_at_zero("t"), n=n)
+            out[n] = _constraint(shared, Tn.slice_at_zero("t"), n)
     return out
 
 

@@ -196,10 +196,23 @@ def _ratio(value) -> tuple:
     raise DomainError(f"exact mode requires rational coefficients, got {value!r}")
 
 
+def as_double(value, den=None):
+    """The IEEE double nearest an exact scalar (an int or a Fraction; a float
+    passes through), or, given ``den``, the doubles nearest ``value / den``
+    for an object array of int numerators.  Exact values become doubles
+    here: one beyond the double range is a DomainError, where ``float``
+    raises OverflowError."""
+    try:
+        # int / int is correctly rounded, as float(Fraction) is
+        return float(value) if den is None else (value / den).astype(np.float64)
+    except OverflowError:
+        raise DomainError("an exact value lies beyond the double range") from None
+
+
 def _coerce(value, exact: bool):
     """A scalar in the coefficient mode: a Fraction or a float."""
     if not exact:
-        return float(value)
+        return as_double(value)
     return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
@@ -253,7 +266,7 @@ class TruncatedSeries:
             mono = tuple(mono)
             if mono not in sp.index:
                 raise SeriesMismatchError(f"monomial {mono} exceeds order {order}")
-            values[sp.index[mono]] = _ratio(value) if exact else float(value)
+            values[sp.index[mono]] = _ratio(value) if exact else as_double(value)
         if not exact:
             num = np.zeros(sp.size)
             for i, v in values.items():
@@ -356,7 +369,7 @@ class TruncatedSeries:
         """The series plus ``sign * value`` in the constant term."""
         if self.den is None:
             num = self.num.copy()
-            num[0] = num[0] + sign * float(value)
+            num[0] = num[0] + sign * as_double(value)
             return TruncatedSeries(self.vars, self.order, num)
         p, q = _ratio(value)
         num = self.num * q if q != 1 else self.num.copy()
@@ -405,7 +418,7 @@ class TruncatedSeries:
         if self.den is None:
             out = self.num.copy()
             nz = np.flatnonzero(out)
-            out[nz] = out[nz] * float(value)
+            out[nz] = out[nz] * as_double(value)
             return TruncatedSeries(self.vars, self.order, out)
         p, q = _ratio(value)
         return TruncatedSeries(self.vars, self.order, self.num * p, self.den * q)
@@ -527,8 +540,7 @@ class TruncatedSeries:
             raise SeriesMismatchError(
                 f"points have {pts.shape[1]} coordinates, series has {len(self.vars)}"
             )
-        # int / int is correctly rounded, as float(Fraction) is
-        coeffs = self.num if self.den is None else (self.num / self.den).astype(np.float64)
+        coeffs = self.num if self.den is None else as_double(self.num, self.den)
         vals = _design_matrix(self.space, pts) @ coeffs
         return float(vals[0]) if single else vals
 

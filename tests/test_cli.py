@@ -277,6 +277,15 @@ def test_negative_parameter_values(capsys):
     assert json.loads(out)["pass"] is True
 
 
+# an exact literal or result beyond the double range, where a double is needed
+BEYOND_DOUBLE = [
+    ["p-eval", "--f", "1e400*x1+x3", "--point", "0,0,0"],
+    ["p-eval", "--f", "1e400*x1+x3", "--point", "0,0,0", "--mode", "rational"],
+    ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:1e400*x1"],
+    ["coeffs-prop4", "--a", "1e300", "--mode", "rational"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-affine", "--a", "1/0"],
     ["verify-affine", "--a", "nan"],
@@ -297,6 +306,7 @@ def test_negative_parameter_values(capsys):
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1*(10^200)^2",
      "--format", "json"],
     ["conformal-check", "--f", "1+10^150*x1", "--samples", "1"],
+    *BEYOND_DOUBLE,
 ])
 def test_bad_numbers_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -306,7 +316,8 @@ def test_bad_numbers_are_json_errors(capsys, argv):
     assert err.count("\n") == 1
     # evolution.run checks the step itself, before it allocates anything
     zero_step = argv[0] == "evolve" and argv[argv.index("--dt") + 1] == "0"
-    assert json.loads(err)["error"] == ("DomainError" if zero_step else "BeltramiError")
+    domain = zero_step or argv in BEYOND_DOUBLE
+    assert json.loads(err)["error"] == ("DomainError" if domain else "BeltramiError")
 
 
 def test_function_overflow_is_a_json_error(capsys):

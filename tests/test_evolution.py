@@ -148,6 +148,89 @@ def test_t_evaluator_matches_series_eval():
         assert err <= 1e-14 * np.max(np.abs(expect))
 
 
+def horner_T(chart, grid):
+    """T(t) on the grid's nodes by Horner in t: the t^k part of each entry of
+    tensor_T, as a series in xi, evaluated on the nodes."""
+    nodes = grid.nodes()
+    coeffs = np.zeros((chart.t_order + 1, len(nodes), 2, 2))
+    for i, row in enumerate(tensor_T(chart).m):
+        for j, entry in enumerate(row):
+            for k in range(chart.t_order + 1):
+                part = {m[1:]: c for m, c in entry.nonzero_terms() if m[0] == k}
+                coeffs[k, :, i, j] = series.TruncatedSeries.from_terms(
+                    entry.vars[1:], chart.xi_order, part).eval(nodes)
+
+    def T(t):
+        out = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            out = out * t + c
+        return out
+    return T
+
+
+def einsum_step(beta, T, t, dt):
+    """The classical RK4 step with an einsum per stage and T evaluated at
+    every stage."""
+    b = beta.reshape(-1, 2)
+
+    def apply(tval, vec):
+        return np.einsum("nij,nj->ni", T(tval), vec)
+
+    k1 = apply(t, b)
+    k2 = apply(t + dt / 2.0, b + (dt / 2.0) * k1)
+    k3 = apply(t + dt / 2.0, b + (dt / 2.0) * k2)
+    k4 = apply(t + dt, b + dt * k3)
+    return (b + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(beta.shape)
+
+
+class CountingEvaluator:
+    def __init__(self, tev):
+        self.inner, self.times = tev, []
+        self.xi1, self.xi2 = tev.xi1, tev.xi2
+
+    def __call__(self, t):
+        self.times.append(t)
+        return self.inner(t)
+
+
+def test_step_evaluates_T_once_per_distinct_time():
+    # the two midpoint stages share T(t + dt/2): 3 evaluations per step, not 4
+    grid = init_from_potential(GridField.centered(7, 7, 0.01, 0.01), ex.parse("x1+x2^2"))
+    tev = CountingEvaluator(TEvaluator(flat_chart(), grid))
+    dt = 0.005
+    for n in range(4):
+        t = grid.time
+        grid = step(grid, tev, dt)
+        assert tev.times[3 * n:] == [t, t + dt / 2.0, t + dt]
+
+
+def test_step_matches_einsum_reference():
+    ch = build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=5, xi_order=5)
+    grid = GridField.centered(9, 7, 0.01, 0.02)
+    grid.beta[:] = np.random.default_rng(3).normal(size=grid.beta.shape)
+    grid.time = 0.03
+    tev = TEvaluator(ch, grid)
+    got = step(grid, tev, 0.01).beta
+    want = einsum_step(grid.beta, tev, grid.time, 0.01)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_run_matches_horner_einsum_reference():
+    # 20 steps at the run's default orders (6, 6)
+    f, psi = ex.parse("1+x1^2+x3"), ex.parse("x1+x2^2-x1*x2")
+    rep = run(f, None, (0, 0, 0), ("psi", psi), t_max=0.1, dt=0.005,
+              n1=11, n2=9, h1=0.01, h2=0.01)
+    ch = build_chart(f, None, (0, 0, 0), t_order=6, xi_order=6, frame="auto")
+    got = init_from_potential(GridField.centered(11, 9, 0.01, 0.01), psi)
+    T, tev, ref = horner_T(ch, got), TEvaluator(ch, got), got.beta
+    for n in range(20):
+        ref = einsum_step(ref, T, got.time, 0.005)
+        got = step(got, tev, 0.005)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got.beta - ref)) <= 1e-13 * scale
+        assert abs(rep.max_beta[n + 1] - scale) <= 1e-13 * scale
+
+
 def test_nodes_evolve_independently():
     # evolving a subgrid reproduces the matching nodes of the full grid
     f = ex.parse("1+x1^2+x3")

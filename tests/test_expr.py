@@ -44,6 +44,29 @@ def test_eval_domain_errors():
         ex.evaluate(ex.parse("a*x1"), None, (1.0, 0.0, 0.0))  # unbound parameter
 
 
+@pytest.mark.parametrize("text", ["2", "x1^0", "a*3"])
+def test_evaluate_constant_tree_gives_one_value_per_row(text):
+    pts = np.zeros((4, 3))
+    got = ex.evaluate(ex.parse(text), {"a": 1 / 3}, pts)
+    assert got.shape == (4,)
+    assert np.all(got == ex.evaluate(ex.parse(text), {"a": 1 / 3}, pts[0]))
+    assert ex.evaluate(ex.parse(text), {"a": 1 / 3}, np.zeros((0, 3))).shape == (0,)
+
+
+def test_literal_beyond_the_double_range_is_a_domain_error():
+    # an exact literal, a rational binding and an exact jet coefficient alike
+    with pytest.raises(DomainError, match="beyond the double range"):
+        ex.evaluate(ex.parse("1e400*x1"), None, np.zeros((2, 3)))
+    with pytest.raises(DomainError, match="beyond the double range"):
+        ex.evaluate(ex.parse("a*x1"), {"a": Fraction(10**400)}, (0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="beyond the double range"):
+        ex.jet(ex.parse("1e400*x1"), None, (0, 0, 0), 1)
+    exact = ex.jet(ex.parse("1e400*x1"), None, (0, 0, 0), 1, mode="rational")
+    assert exact.coeff((1, 0, 0)) == 10**400
+    with pytest.raises(DomainError, match="beyond the double range"):
+        exact.eval((0.0, 0.0, 0.0))
+
+
 def test_evaluate_raises_in_tree_order():
     # a quotient checks its denominator before it evaluates its numerator;
     # otherwise operands go left to right

@@ -43,6 +43,13 @@ def test_fd_jet_order_zero():
     assert j.coeff((0, 0, 0)) == pytest.approx(2.25)
 
 
+def test_fd_jet_of_a_constant():
+    # a tree without a variable evaluates to one value per stencil node
+    j = fd_jet(ex.parse("2"), None, (0, 0, 0), 2)
+    assert j.coeff((0, 0, 0)) == 2.0
+    assert max(abs(c) for m, c in j.nonzero_terms() if sum(m)) < 1e-10
+
+
 def test_fd_jet_matches_series_jet():
     f = ex.parse("1+a*x1+b*x1^3+x3")
     bindings = {"a": 1.0, "b": 1.0}
