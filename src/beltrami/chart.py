@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,7 +54,7 @@ AUTO_GRAPH_RATIO = 1e-2  # |d3 f| / |grad f| needed before "auto" picks the grap
 
 @dataclass(frozen=True)
 class BasePoint:
-    """Base point data: location, level value, gradient, frame rotation.
+    """Base point data: location, level value, frame rotation.
 
     ``rotation`` maps world displacements into frame displacements
     (y = R (x - p)); its rows are the frame axes in world coordinates.
@@ -63,7 +62,6 @@ class BasePoint:
 
     point: tuple
     level: object
-    grad: tuple
     rotation: tuple
     frame: str
     mode: str
@@ -115,35 +113,24 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
                 "graph frame needs the third gradient component above the floor; "
                 "use frame='rotated'"
             )
-        if exact:
-            one, zero = Fraction(1), Fraction(0)
-            rot = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-        else:
-            rot = tuple(tuple(row) for row in np.eye(3))
+        R = np.eye(3, dtype=int)
     elif frame == "rotated":
-        gf = tuple(map(float, grad))
+        # exact rotations exist only when the gradient is already axis aligned;
+        # the rotation is then eye(3) or diag(1, -1, -1), whose entries are ints
+        if exact and (grad[0] != 0 or grad[1] != 0):
+            raise FrameError(
+                "rational mode supports the rotated frame only when grad f "
+                "is parallel to the third axis; use frame='graph'"
+            )
+        R = _minimal_rotation(tuple(map(as_double, grad)))
         if exact:
-            # exact rotations exist only when the gradient is already axis aligned
-            if grad[0] == 0 and grad[1] == 0:
-                sign = 1 if grad[2] > 0 else -1
-                one, zero = Fraction(1), Fraction(0)
-                rot = (
-                    (one, zero, zero),
-                    (zero, Fraction(sign), zero),
-                    (zero, zero, Fraction(sign)),
-                )
-            else:
-                raise FrameError(
-                    "rational mode supports the rotated frame only when grad f "
-                    "is parallel to the third axis; use frame='graph'"
-                )
-        else:
-            rot = tuple(tuple(row) for row in _minimal_rotation(gf))
+            R = R.astype(int)
     else:
         raise FrameError(f"unknown frame {frame!r}")
 
     pt = tuple(_coerce(c, exact) for c in p)
-    return BasePoint(point=pt, level=c0, grad=grad, rotation=rot, frame=frame, mode=mode)
+    return BasePoint(point=pt, level=c0, rotation=tuple(map(tuple, R.tolist())), frame=frame,
+                     mode=mode)
 
 
 def _combine(weights, series):

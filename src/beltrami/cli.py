@@ -37,7 +37,7 @@ from .errors import BeltramiError
 from .evolution import run as evolution_run
 from .expr import Mul, Pow, VectorExpr
 from .fd_oracle import P_point_fd
-from .obstruction import DEFAULT_INDICES, obstruction_P, obstruction_Pijkl, tensor_T
+from .obstruction import DEFAULT_INDICES, obstruction_P, tensor_T
 from .series import as_double, json_number
 
 FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
@@ -123,11 +123,9 @@ def _write_report(args, payload):
 
 def _cmd_obstruction(args):
     f, bindings, point = _parse_site(args, args.mode)
-    indices = DEFAULT_INDICES
-    if getattr(args, "indices", None) is not None:
-        indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
-    poly = obstruction_Pijkl(f, bindings, point, indices, degree=args.degree,
-                             frame=args.frame, mode=args.mode)
+    indices = tuple(_number(v, "--indices", "int") for v in args.indices.split(","))
+    poly = obstruction_P(f, bindings, point, degree=args.degree, frame=args.frame,
+                         mode=args.mode, indices=indices)
     _write_report(args, poly.to_json())
     return 0
 
@@ -417,11 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("p-eval", help="obstruction polynomial at a base point")
     _add_common(sp, *_SITE, "degree", "mode", "frame")
-    sp.set_defaults(fn=_cmd_obstruction)
-
-    sp = sub.add_parser("p-hierarchy", help="hierarchy determinant for chosen indices")
-    _add_common(sp, *_SITE, "degree", "mode", "frame")
-    sp.add_argument("--indices", required=True, help="i,j,k,l with l>k>j>i>=2")
+    sp.add_argument("--indices", default=",".join(map(str, DEFAULT_INDICES)),
+                    help="hierarchy member i,j,k,l with l>k>j>i>=2")
     sp.set_defaults(fn=_cmd_obstruction)
 
     sp = sub.add_parser("coeffs-prop3", help="cubic-family coefficients vs closed forms")

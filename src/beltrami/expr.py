@@ -308,13 +308,6 @@ def _as_number(v):
     raise DomainError(f"cannot interpret {v!r} as a number")
 
 
-def as_fraction(v) -> Fraction:
-    n = _as_number(v)
-    if isinstance(n, float):
-        return Fraction(n)
-    return n
-
-
 # -- numeric evaluation -------------------------------------------------------
 
 def _power(base, p: int, one):

@@ -202,14 +202,25 @@ def minimum_orders(degree: int, max_index: int) -> dict:
     return {"t_order": max_index - 1, "xi_order": degree + 1}
 
 
+# The largest recursion index a request may name.  The pair budget (MAX_PAIRS)
+# bounds one product, not a run, and a large l still gets through it.  Single
+# runs on 2 CPUs: rational ``1+x1^2+x2^2+x3+x1^4*x2`` at degree 1 took 1.6 s
+# with l = 20 and 35.7 s with l = 40; double ``1+x1^2+x3`` at degree 0 with
+# l = 200 ran 60.3 s and then overflowed; double runs at the pair limit took
+# 2.2-3.8 s for each l in 8, 12, 16, 20 and 24.
+MAX_INDEX = 24
+
+
 def _validate_request(degree, indices, t_order=None, xi_order=None) -> tuple:
-    """The indices as a tuple, after the one rule on what may be asked: four
-    indices l > k > j > i >= 2, degree >= 0, and t_order and xi_order each
-    reaching the bound of ``minimum_orders``.  An order left as None stands
-    for that bound, which is where ``obstruction_Pijkl`` then builds."""
+    """``(indices, t_order, xi_order)`` after the one rule on what may be
+    asked: four indices MAX_INDEX >= l > k > j > i >= 2, degree >= 0, and
+    t_order and xi_order each reaching the bound of ``minimum_orders``.  An
+    order left as None is resolved to that bound."""
     indices = tuple(int(i) for i in indices)
     if len(indices) != 4 or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 2:
         raise DomainError(f"indices must satisfy l > k > j > i >= 2, got {indices}")
+    if indices[-1] > MAX_INDEX:
+        raise BudgetError(f"recursion index l={indices[-1]} exceeds the limit {MAX_INDEX}")
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     need = minimum_orders(degree, max(indices))
@@ -222,12 +233,12 @@ def _validate_request(degree, indices, t_order=None, xi_order=None) -> tuple:
             f"xi_order >= {need['xi_order']}",
             required=need,
         )
-    return indices
+    return indices, t_order, xi_order
 
 
 def obstruction_from_chart(chart: ChartData, degree: int,
                            indices=DEFAULT_INDICES) -> ObstructionPoly:
-    indices = _validate_request(degree, indices, chart.t_order, chart.xi_order)
+    indices, _, _ = _validate_request(degree, indices, chart.t_order, chart.xi_order)
     vectors = hierarchy_vectors(chart, indices)
     # every constraint vector is a t = 0 series in xi at xi-order
     # xi_order - 1 >= degree; the determinant reads it through degree
@@ -248,31 +259,18 @@ def obstruction_from_chart(chart: ChartData, degree: int,
 
 def obstruction_P(f, bindings, p, degree: int = 4, t_order: int | None = None,
                   xi_order: int | None = None, frame: str = "auto",
-                  mode: str = "double") -> ObstructionPoly:
-    """Obstruction polynomial det of the constraint vectors 2..5 at t = 0.
-
-    The orders are those of ``obstruction_Pijkl``: by default the chart is
-    built at ``minimum_orders(degree, 5)``, i.e. ``(4, degree + 1)``.
-    """
-    return obstruction_Pijkl(f, bindings, p, DEFAULT_INDICES, degree=degree,
-                             t_order=t_order, xi_order=xi_order, frame=frame, mode=mode)
-
-
-def obstruction_Pijkl(f, bindings, p, indices, degree: int = 4,
-                      t_order: int | None = None, xi_order: int | None = None,
-                      frame: str = "auto", mode: str = "double") -> ObstructionPoly:
-    """Hierarchy member: determinant of the constraint vectors (i, j, k, l).
+                  mode: str = "double", indices=DEFAULT_INDICES) -> ObstructionPoly:
+    """Hierarchy member at t = 0: the determinant of the constraint vectors
+    (i, j, k, l) = ``indices``; the default (2, 3, 4, 5) gives P.
 
     The chart is built at the orders the polynomial reads: an order left as
-    None is the bound of ``minimum_orders(degree, max(indices))``.  A given
-    order must reach that bound; larger ones give the same coefficients at
-    more cost.  Either way the result's orders are those of the chart built.
+    None is the bound of ``minimum_orders(degree, max(indices))``, which is
+    ``(4, degree + 1)`` for P.  A given order must reach that bound; larger
+    ones give the same coefficients at more cost.  Either way the result's
+    orders are those of the chart built.
     """
-    indices = _validate_request(degree, indices, t_order, xi_order)  # before any chart
-    need = minimum_orders(degree, max(indices))
-    chart = build_chart(f, bindings, p,
-                        t_order=need["t_order"] if t_order is None else t_order,
-                        xi_order=need["xi_order"] if xi_order is None else xi_order,
+    indices, t_order, xi_order = _validate_request(degree, indices, t_order, xi_order)
+    chart = build_chart(f, bindings, p, t_order=t_order, xi_order=xi_order,
                         frame=frame, mode=mode)
     return obstruction_from_chart(chart, degree, indices)
 

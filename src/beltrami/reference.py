@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import as_fraction
-
 
 def cubic_family_coeffs(a, b) -> tuple:
     """c0..c3 of the cubic family obstruction, exact in (a, b)."""
-    a = as_fraction(a)
-    b = as_fraction(b)
+    a = Fraction(a)
+    b = Fraction(b)
     d14 = (a * a + 1) ** 14
     d15 = (a * a + 1) ** 15
     c0 = -Fraction(5184) * a**2 * b**4 * (15 * a**4 + 14 * a**2 + 36 * a * b - 1) / d14
@@ -48,13 +46,13 @@ def cubic_family_coeffs(a, b) -> tuple:
 
 def cubic_family_c4_pure(b) -> Fraction:
     """The c4 coefficient at a = 0, where the unpublished mixed term drops out."""
-    b = as_fraction(b)
+    b = Fraction(b)
     return Fraction(46656) * b**6
 
 
 def quadratic_family_form(a) -> tuple:
     """Quadratic-form coefficients (xi1^2, xi1*xi2, xi2^2) for the quadratic family."""
-    a = as_fraction(a)
+    a = Fraction(a)
     pref = Fraction(1024) * (a - 1) ** 2
     q20 = pref * (33 + 128 * a + 312 * a**2 + 224 * a**3 + 768 * a**4 - 256 * a**5)
     q11 = -pref * 16 * a**2 * (3 + 11 * a + 66 * a**2 - 88 * a**3 + 8 * a**4)

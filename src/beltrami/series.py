@@ -552,16 +552,6 @@ class TruncatedSeries:
                        for m, c in self.nonzero_terms()],
         }
 
-    @classmethod
-    def from_json(cls, data: dict, exact=False):
-        terms = {}
-        for entry in data["coeffs"]:
-            value = Fraction(entry["c"]) if exact else float(entry["c"])
-            terms[tuple(entry["mi"])] = value
-        order = data["order"]  # a JSON list for an order pair
-        order = order if isinstance(order, int) else tuple(order)
-        return cls.from_terms(tuple(data["vars"]), order, terms, exact=exact)
-
 
 def json_number(value, exact: bool):
     """A number as a JSON value: exact values as their ``p/q`` string, so
@@ -632,19 +622,6 @@ class SeriesMatrix2:
     def __init__(self, m00, m01, m10, m11):
         m00._check(m01), m00._check(m10), m00._check(m11)
         self.m = ((m00, m01), (m10, m11))
-
-    @classmethod
-    def identity(cls, vars, order, exact=False):
-        one = TruncatedSeries.constant(vars, order, 1, exact=exact)
-        zero = TruncatedSeries.zeros(vars, order, exact=exact)
-        return cls(one, zero.copy(), zero.copy(), one.copy())
-
-    @classmethod
-    def rotation_j(cls, vars, order, exact=False):
-        """The constant matrix [[0, 1], [-1, 0]]."""
-        one = TruncatedSeries.constant(vars, order, 1, exact=exact)
-        zero = TruncatedSeries.zeros(vars, order, exact=exact)
-        return cls(zero, one, -one, zero.copy())
 
     def entry(self, i, j) -> TruncatedSeries:
         return self.m[i][j]

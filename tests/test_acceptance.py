@@ -29,7 +29,6 @@ from beltrami.obstruction import (
     det4,
     hierarchy_vectors,
     obstruction_P,
-    obstruction_Pijkl,
     script_Tn,
     tensor_T,
 )
@@ -105,8 +104,8 @@ def test_criterion_3_affine_optimality():
     for a in (0.0, 1.0, 3.0):
         P = obstruction_P(f, {"a": a}, (0, 0, 0), degree=4, frame="graph")
         assert P.max_abs() < 1e-8, a
-        H = obstruction_Pijkl(f, {"a": a}, (0, 0, 0), (2, 3, 4, 6), degree=4,
-                              frame="graph")
+        H = obstruction_P(f, {"a": a}, (0, 0, 0), degree=4, frame="graph",
+                          indices=(2, 3, 4, 6))
         assert H.max_abs() < 1e-8, a
     report("3 (affine optimality)", True,
            "P and P_{2,3,4,6} vanish through degree 4 for a in {0, 1, 3}")

@@ -43,9 +43,7 @@ def test_p_eval_critical_point_exit_code(capsys):
 # the flags each subcommand offers besides -h and --out: exactly the options its
 # body reads
 FLAGS = {
-    "p-eval": {"--f", "--param", "--point", "--degree", "--mode", "--frame"},
-    "p-hierarchy": {"--f", "--param", "--point", "--degree", "--mode", "--frame",
-                    "--indices"},
+    "p-eval": {"--f", "--param", "--point", "--degree", "--mode", "--frame", "--indices"},
     "coeffs-prop3": {"--a", "--b", "--mode"},
     "coeffs-prop4": {"--a", "--mode"},
     "verify-affine": {"--a", "--samples", "--seed", "--t-order", "--xi-order"},
@@ -59,7 +57,6 @@ FLAGS = {
 # the required flags of each subcommand, so that a parse fails only on what is added
 REQUIRED = {
     "p-eval": ["--f", "1+x3"],
-    "p-hierarchy": ["--f", "1+x3", "--indices", "2,3,4,5"],
     "coeffs-prop3": ["--a", "1", "--b", "1"],
     "coeffs-prop4": ["--a", "1"],
     "verify-affine": [],
@@ -78,12 +75,13 @@ def test_each_subcommand_offers_the_options_it_reads():
         assert {"-h", "--help", "--out"} <= offered, command
         assert offered - {"-h", "--help", "--out"} == FLAGS[command], command
         sp.parse_args(REQUIRED[command])
-    assert sum(map(len, FLAGS.values())) == 45
+    assert len(FLAGS) == 8
+    assert sum(map(len, FLAGS.values())) == 39
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    *[(c, "--seed", "1") for c in ("p-eval", "p-hierarchy", "coeffs-prop3", "coeffs-prop4",
-                                   "evolve", "cross-check", "dump-chart")],
+    *[(c, "--seed", "1") for c in ("p-eval", "coeffs-prop3", "coeffs-prop4", "evolve",
+                                   "cross-check", "dump-chart")],
     *[(c, "--frame", "rotated") for c in ("coeffs-prop3", "coeffs-prop4", "verify-affine",
                                           "conformal-check", "cross-check")],
     *[(c, "--mode", "rational") for c in ("verify-affine", "conformal-check", "evolve",
@@ -91,8 +89,7 @@ def test_each_subcommand_offers_the_options_it_reads():
     ("conformal-check", "--t-order", "4"),
     ("conformal-check", "--xi-order", "4"),
     # the obstruction path works out its own orders
-    *[(c, flag, "4") for c in ("p-eval", "p-hierarchy", "coeffs-prop3", "coeffs-prop4",
-                               "cross-check")
+    *[(c, flag, "4") for c in ("p-eval", "coeffs-prop3", "coeffs-prop4", "cross-check")
       for flag in ("--t-order", "--xi-order")],
     # option values come from flags only
     *[(c, "--config", "x.cfg") for c in FLAGS],
@@ -127,15 +124,24 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-def test_p_hierarchy(capsys):
+def test_p_eval_hierarchy_member(capsys):
     code, out, _ = run_cli(
-        capsys, "p-hierarchy", "--f", "1+a*x1+x3", "--param", "a=1",
+        capsys, "p-eval", "--f", "1+a*x1+x3", "--param", "a=1",
         "--point", "0,0,0", "--indices", "2,3,4,6", "--degree", "3",
     )
     assert code == 0
     data = json.loads(out)
     assert data["indices"] == [2, 3, 4, 6]
+    assert data["orders"]["t"] == 5  # the recursion to T_6 reads t-degrees up to 5
     assert all(abs(float(e["c"])) < 1e-10 for e in data["coeffs"])
+
+
+def test_p_eval_default_indices_are_P(capsys):
+    argv = ["p-eval", "--f", "1+a*x1+b*x1^3+x3", "--param", "a=3/2", "--param", "b=-2",
+            "--degree", "3", "--mode", "rational"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--indices", "2,3,4,5") == (0, default, "")
 
 
 def test_coeffs_prop3_defaults_rational(capsys):
@@ -293,7 +299,7 @@ BEYOND_DOUBLE = [
     ["p-eval", "--f", "1+x3", "--point", "nan,0,0"],
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0", "--init", "psi:x1"],
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "inf", "--init", "psi:x1"],
-    ["p-hierarchy", "--f", "1+x3", "--indices", "2,3,x,6"],
+    ["p-eval", "--f", "1+x3", "--indices", "2,3,x,6"],
     ["conformal-check", "--samples", "0"],
     ["verify-affine", "--seed", "-1"],
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1",
@@ -351,6 +357,7 @@ def test_oversized_orders_fail_before_allocating(capsys, monkeypatch):
         ["dump-chart", "--f", "1+x1^2+x3", "--t-order", "40", "--xi-order", "40"],
         # built at (4, 41): the flow at (5, 42) needs 3,426,885 pairs per product
         ["p-eval", "--f", "1+x1^2+x3", "--degree", "40"],
+        ["p-eval", "--f", "1+x1^2+x3", "--degree", "0", "--indices", "2,3,4,200"],
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -398,8 +405,7 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
-SUBCOMMANDS = ("p-eval", "p-hierarchy", "coeffs-prop3", "coeffs-prop4", "verify-affine",
-               "conformal-check", "evolve", "cross-check", "dump-chart")
+SUBCOMMANDS = tuple(FLAGS)
 FRAGMENTS = (
     [["--f", v] for v in ("1+x3", "1+x1^2+a*x2^2+x3", "1+sin(x1)+x3", "1+", "x1/0",
                           "log(x1)+x3", "exp(1000)+x3", "1+x1^2+x2^2+x3^2")]

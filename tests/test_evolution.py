@@ -135,8 +135,8 @@ def test_initial_drift_refines_at_second_order():
 
 
 def test_t_evaluator_matches_series_eval():
-    # Horner over the sampled t-coefficients against each entry of T evaluated
-    # at (t, xi) as a whole series; only the order of the sums differs
+    # the power-row sum over the sampled t-coefficients against each entry of T
+    # evaluated at (t, xi) as a whole series; only the order of the sums differs
     ch = build_chart(ex.parse("1+x1+x1^3+x2*x3+x3"), None, (0, 0, 0), t_order=5, xi_order=4)
     grid = GridField.centered(7, 5, 0.03, 0.04)
     tev = TEvaluator(ch, grid)

@@ -15,7 +15,6 @@ from beltrami.obstruction import (
     hierarchy_vectors,
     minimum_orders,
     obstruction_P,
-    obstruction_Pijkl,
     script_Tn,
     tensor_T,
     tensor_Tn,
@@ -169,7 +168,7 @@ def test_affine_vanishing_all_indices():
     for a in (0.0, 1.0, 3.0):
         P = obstruction_P(f, {"a": a}, ORIGIN, degree=4, frame="graph")
         assert P.max_abs() < 1e-12
-        H = obstruction_Pijkl(f, {"a": a}, ORIGIN, (2, 3, 4, 6), degree=4, frame="graph")
+        H = obstruction_P(f, {"a": a}, ORIGIN, degree=4, frame="graph", indices=(2, 3, 4, 6))
         assert H.max_abs() < 1e-12
 
 
@@ -209,7 +208,7 @@ def test_general_affine_family_vanishes():
 def test_pijkl_default_indices_coincide_with_P():
     f = ex.parse("1+x1^2+a*x2^2+x3")
     P = obstruction_P(f, {"a": 2.0}, ORIGIN, degree=2, frame="graph")
-    H = obstruction_Pijkl(f, {"a": 2.0}, ORIGIN, (2, 3, 4, 5), degree=2, frame="graph")
+    H = obstruction_P(f, {"a": 2.0}, ORIGIN, degree=2, frame="graph", indices=(2, 3, 4, 5))
     for m in set(P.coeffs) | set(H.coeffs):
         assert P.coeff(m) == H.coeff(m)
 
@@ -217,9 +216,9 @@ def test_pijkl_default_indices_coincide_with_P():
 def test_pijkl_index_validation():
     f = ex.parse("1+x1^2+x3")
     with pytest.raises(DomainError):
-        obstruction_Pijkl(f, None, ORIGIN, (1, 2, 3, 4))
+        obstruction_P(f, None, ORIGIN, indices=(1, 2, 3, 4))
     with pytest.raises(DomainError):
-        obstruction_Pijkl(f, None, ORIGIN, (2, 2, 3, 4))
+        obstruction_P(f, None, ORIGIN, indices=(2, 2, 3, 4))
 
 
 def test_hierarchy_vectors_are_t0_slices():
@@ -296,10 +295,14 @@ def test_budget_rule_runs_before_the_chart(monkeypatch):
     assert "t_order >= 4 and xi_order >= 5" in str(err.value)
     for t_order, xi_order in ((3, 7), (5, 4)):
         with pytest.raises(BudgetError):
-            obstruction_Pijkl(f, None, ORIGIN, (2, 3, 4, 5), degree=4,
-                              t_order=t_order, xi_order=xi_order)
+            obstruction_P(f, None, ORIGIN, degree=4, t_order=t_order, xi_order=xi_order,
+                          indices=(2, 3, 4, 5))
     with pytest.raises(DomainError):
         obstruction_P(f, None, ORIGIN, degree=-1)
+    # so does the bound on the recursion index, which admits l = 24
+    with pytest.raises(BudgetError):
+        obstruction_P(f, None, ORIGIN, degree=0, indices=(2, 3, 4, 25))
+    assert _validate_request(0, (2, 3, 4, 24)) == ((2, 3, 4, 24), 23, 1)
 
 
 def test_order_stability():
@@ -556,7 +559,8 @@ def test_orders_accepted_before_stay_accepted():
     # the rule once also required t_order + xi_order >= degree + max(indices) + 1
     for t_order, xi_order, degree in itertools.product(range(9), range(9), range(6)):
         if t_order >= 4 and xi_order >= degree + 1 and t_order + xi_order >= degree + 6:
-            assert _validate_request(degree, (2, 3, 4, 5), t_order, xi_order) == (2, 3, 4, 5)
+            assert _validate_request(degree, (2, 3, 4, 5), t_order, xi_order) == (
+                (2, 3, 4, 5), t_order, xi_order)
 
 
 def test_bigraded_series_sizes():
