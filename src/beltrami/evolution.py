@@ -9,6 +9,8 @@ patch around the origin.  Its t-coefficients are sampled on a grid's nodes
 once; T(t) is then the power row (1, t, ..., t^K) times that sample matrix.
 A classical RK4 step evaluates T three times, its two midpoint stages
 sharing one, and multiplies each node's 2x2 matrix into beta entry by entry.
+Consecutive steps of a run share T at their common endpoint, so S steps make
+2S + 1 evaluations of T.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ PATCH_RADIUS = 0.2  # grids and times stay within this distance of the base poin
 # each over the grid; a 501x501 run peaks at about 165 MB resident, of which
 # the interpreter and numpy hold about 32 MB before it starts.
 MAX_GRID_NODES = 251_001
+# drift divides by one spacing per axis, so the steps of an axis may differ by
+# this much relative to its first; GridField.centered rounds them apart by at
+# most 4.2e-12 relative on a 50,200-node axis, the longest the budget admits
+SPACING_RTOL = 1e-9
 
 
 def _check_extent(r: float):
@@ -47,7 +53,8 @@ def _check_nodes(n1: int, n2: int):
 
 @dataclass
 class GridField:
-    """Rectangular xi-grid centered at the origin with per-node (beta1, beta2)."""
+    """Rectangular, evenly spaced xi-grid centered at the origin with per-node
+    (beta1, beta2)."""
 
     xi1: np.ndarray
     xi2: np.ndarray
@@ -57,8 +64,12 @@ class GridField:
     def __post_init__(self):
         if self.xi1.size < 5 or self.xi2.size < 5:
             raise DomainError("grids need at least 5 nodes per axis for central stencils")
-        if np.any(np.diff(self.xi1) <= 0) or np.any(np.diff(self.xi2) <= 0):
-            raise DomainError("grid coordinates must be strictly increasing")
+        for xi in (self.xi1, self.xi2):
+            d = np.diff(xi)
+            if np.any(d <= 0):
+                raise DomainError("grid coordinates must be strictly increasing")
+            if np.any(np.abs(d - d[0]) > SPACING_RTOL * d[0]):
+                raise DomainError("grid coordinates must be evenly spaced")
 
     @classmethod
     def centered(cls, n1: int, n2: int, h1: float, h2: float):
@@ -110,34 +121,43 @@ class TEvaluator:
         return flat.reshape(2, 2, -1).transpose(2, 0, 1)
 
 
-def step(grid: GridField, tev: TEvaluator, dt: float) -> GridField:
-    """One classical 4th-order step of the pointwise linear evolution.
+def _apply(T, u):
+    """T u on every node: column j of T, (T0j, T1j), times the row u[j]."""
+    T = T.transpose(1, 2, 0)
+    return T[:, 0] * u[0] + T[:, 1] * u[1]
+
+
+def _rk4(tev: TEvaluator, v: np.ndarray, t: float, dt: float, T_t: np.ndarray):
+    """One classical 4th-order step of v (rows: beta1 and beta2 on every node)
+    from time t, given T_t = T(t); returns v and T at t + dt.
 
     Both midpoint stages share one evaluation of T(t + dt/2), and each 2x2
     product is four elementwise products on the columns of entries.
     """
+    h = dt / 2.0
+    k1 = _apply(T_t, v)
+    mid = tev(t + h)
+    k2 = _apply(mid, v + h * k1)
+    k3 = _apply(mid, v + h * k2)
+    T_end = tev(t + dt)
+    k4 = _apply(T_end, v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), T_end
+
+
+def _beta(v: np.ndarray, shape) -> np.ndarray:
+    """The (n1, n2, 2) beta array of the rows v."""
+    return np.ascontiguousarray(v.T).reshape(shape)
+
+
+def step(grid: GridField, tev: TEvaluator, dt: float) -> GridField:
+    """One classical 4th-order step of the pointwise linear evolution; it
+    evaluates T at t, t + dt/2 and t + dt."""
     if not (np.array_equal(grid.xi1, tev.xi1) and np.array_equal(grid.xi2, tev.xi2)):
         raise DomainError("the evaluator was sampled on the nodes of another grid")
-    v = grid.beta.reshape(-1, 2).T.copy()  # rows: beta1 and beta2 on every node
-    t, h = grid.time, dt / 2.0
-
-    def apply(T, u):
-        """T u on every node: column j of T, (T0j, T1j), times the row u[j]."""
-        T = T.transpose(1, 2, 0)
-        return T[:, 0] * u[0] + T[:, 1] * u[1]
-
-    k1 = apply(tev(t), v)
-    mid = tev(t + h)
-    k2 = apply(mid, v + h * k1)
-    k3 = apply(mid, v + h * k2)
-    k4 = apply(tev(t + dt), v + dt * k3)
-    nb = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return GridField(
-        xi1=grid.xi1,
-        xi2=grid.xi2,
-        beta=np.ascontiguousarray(nb.T).reshape(grid.beta.shape),
-        time=t + dt,
-    )
+    v = grid.beta.reshape(-1, 2).T.copy()
+    nv, _ = _rk4(tev, v, grid.time, dt, tev(grid.time))
+    return GridField(xi1=grid.xi1, xi2=grid.xi2, beta=_beta(nv, grid.beta.shape),
+                     time=grid.time + dt)
 
 
 def drift(grid: GridField):
@@ -241,7 +261,11 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
     tev = TEvaluator(chart, grid)
     report = DriftReport()
     report.record(grid)
+    # the run owns this grid: each step writes its beta and time in place,
+    # and hands T at its end on as the next step's T(t)
+    v, T = grid.beta.reshape(-1, 2).T.copy(), tev(grid.time)
     for _ in range(steps):
-        grid = step(grid, tev, dt)
+        v, T = _rk4(tev, v, grid.time, dt, T)
+        grid.beta, grid.time = _beta(v, grid.beta.shape), grid.time + dt
         report.record(grid)
     return report

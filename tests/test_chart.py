@@ -13,7 +13,7 @@ from beltrami.chart import (
     build_chart,
 )
 from beltrami.errors import CriticalPointError, DomainError, FrameError
-from beltrami.series import TruncatedSeries
+from beltrami.series import CONSTANT_CHECK_PAIRS, TruncatedSeries, _Space
 
 
 def chart_residuals(ch):
@@ -329,6 +329,34 @@ def test_affine_flow_runs_one_full_order_sweep(monkeypatch, mode):
     assert orders[7, 7] == 3 + 2 * 2 + 3
     t = ch.x[2].coeff((1, 0, 0))
     assert t == (Fraction(1, 6) if mode == "rational" else 1 / 6)
+
+
+@pytest.mark.parametrize("f, mode, products, tables", [
+    ("1+x3", "rational", 71, 0), ("1+x3", "double", 71, 27),
+    ("1+x3+x3^2", "rational", 105, 25), ("1+x3+x3^2", "double", 105, 56),
+])
+def test_constant_factors_skip_the_pair_table(monkeypatch, f, mode, products, tables):
+    # f = g(x3) makes mostly constant series (grad f = (0, 0, g'), ...); every
+    # product fetched the pair table before a constant factor became a
+    # scaling.  Double mode looks for one only above CONSTANT_CHECK_PAIRS pairs,
+    # and every product of 1 + x3 it still takes to the table is below that
+    mul, pairs, made, fetched = TruncatedSeries.__mul__, _Space.pairs, [], []
+
+    def counting_mul(a, b):
+        if isinstance(b, TruncatedSeries):
+            made.append(b)
+        return mul(a, b)
+
+    def counting_pairs(space):
+        fetched.append(space.npairs)
+        return pairs(space)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(_Space, "pairs", counting_pairs)
+    build_chart(ex.parse(f), None, (0, 0, 0), 6, 6, mode=mode)
+    assert (len(made), len(fetched)) == (products, tables)
+    if f == "1+x3":
+        assert max(fetched, default=0) <= CONSTANT_CHECK_PAIRS
 
 
 def _linear_substitution(f, M):

@@ -121,6 +121,20 @@ def test_grid_validation():
         TEvaluator(flat_chart(), big)
 
 
+def test_grid_rejects_uneven_spacing():
+    # drift divides by xi[1] - xi[0]: on this xi1 axis it reported a max drift
+    # of 0.0725 for the closed grad(x1^2*x2), where the uniform grid gives 7e-18
+    xi1 = np.array([-0.02, -0.015, -0.005, 0.0, 0.01, 0.02, 0.035])
+    xi2 = GridField.centered(7, 7, 0.01, 0.01).xi2
+    with pytest.raises(DomainError, match="evenly spaced"):
+        GridField(xi1, xi2, np.zeros((7, 7, 2)), 0.0)
+    with pytest.raises(DomainError, match="evenly spaced"):
+        GridField(xi2, xi1, np.zeros((7, 7, 2)), 0.0)
+    # the rounding of centered passes, on the longest axis the node budget admits
+    n = evolution.MAX_GRID_NODES // 5
+    GridField.centered(n, 5, 2 * evolution.PATCH_RADIUS / (n - 1), 0.01)
+
+
 def test_initial_drift_refines_at_second_order():
     # smooth closed data with unequal third derivatives: the stencil defect
     # scales like h^2
@@ -229,6 +243,31 @@ def test_run_matches_horner_einsum_reference():
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got.beta - ref)) <= 1e-13 * scale
         assert abs(rep.max_beta[n + 1] - scale) <= 1e-13 * scale
+
+
+def test_run_carries_T_from_step_to_step(monkeypatch):
+    # consecutive steps share T at their common endpoint: 2S + 1 evaluations
+    # for S steps (3S = 60 when each step evaluated T at its start), and the
+    # report is bit for bit that of a chain of step calls
+    times, real = [], TEvaluator.__call__
+
+    def counting(self, t):
+        times.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(TEvaluator, "__call__", counting)
+    f, psi = ex.parse("1+x1^2+x3"), ex.parse("x1+x2^2-x1*x2")
+    rep = run(f, None, (0, 0, 0), ("psi", psi), t_max=0.1, dt=0.005,
+              n1=11, n2=9, h1=0.01, h2=0.01)
+    assert len(times) == 41
+    ch = build_chart(f, None, (0, 0, 0), t_order=6, xi_order=6, frame="auto")
+    grid = init_from_potential(GridField.centered(11, 9, 0.01, 0.01), psi)
+    tev, ref = TEvaluator(ch, grid), DriftReport()
+    ref.record(grid)
+    for _ in range(20):
+        grid = step(grid, tev, 0.005)
+        ref.record(grid)
+    assert rep.to_csv() == ref.to_csv()
 
 
 def test_nodes_evolve_independently():

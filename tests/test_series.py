@@ -184,7 +184,7 @@ def test_compose3_coordinate_projection():
 def test_compose3_square():
     t = TruncatedSeries.variable(VARS, 2, "t")
     zero = TruncatedSeries.zeros(VARS, 2)
-    out = ex.compose(ex.parse("x1^2"), None, (t + 1.0, zero, zero.copy()))
+    out = ex.compose(ex.parse("x1^2"), None, (t + 1.0, zero, TruncatedSeries.zeros(VARS, 2)))
     assert np.allclose([out.coeff((k, 0, 0)) for k in range(3)], [1.0, 2.0, 1.0])
 
 
@@ -194,7 +194,8 @@ def test_compose3_matches_pointwise_eval(inner, t):
     # composed series evaluated at a small argument matches direct evaluation
     # up to the truncation error O(|argument|^(K+1))
     zero = TruncatedSeries.constant(inner.vars, inner.order, 0.0)
-    comp = ex.compose(ex.parse("x1^2 + x1"), None, (inner, zero, zero.copy()))
+    comp = ex.compose(ex.parse("x1^2 + x1"), None,
+                      (inner, zero, TruncatedSeries.zeros(inner.vars, inner.order)))
     pt = (t, 0.01)
     x = inner.eval(pt)
     direct = x * x + x
@@ -314,6 +315,7 @@ def test_index_tables_match_a_monomial_by_monomial_build(names, order, targets):
     sp = TruncatedSeries.zeros(names, order).space
     monos, pairs = _monomial_tables(sp)
     assert sp.monos == monos
+    assert sp.npairs == len(pairs[0])
     for a, b in zip(sp.pairs(), pairs, strict=True):
         assert a.dtype == np.int64 and np.array_equal(a, b)
     for (kind, pos), ref in _monomial_maps(sp).items():
@@ -410,6 +412,47 @@ def test_exact_product_with_mixed_denominators():
         for got, want in checks:
             _canonical(got)
             assert dict(got.nonzero_terms()) == {m: c for m, c in want.items() if c != 0}
+
+
+def _table_product(a, b):
+    """a * b summed over the whole pair table, the way every product was made
+    before a constant factor became a scaling."""
+    I, J, K = a.space.pairs()
+    out = np.zeros(a.num.size, dtype=a.num.dtype)
+    np.add.at(out, K, a.num[I] * b.num[J])
+    return TruncatedSeries(a.vars, a.order, out, None if a.den is None else a.den * b.den)
+
+
+@pytest.mark.parametrize("order", [(7, 7), (4, 5), 6, (0, 6)])
+@pytest.mark.parametrize("exact", [False, True])
+def test_constant_factor_product_equals_the_pair_table(order, exact):
+    # a constant or zero factor scales the other operand; on doubles the
+    # result must be the table's bit for bit: -0.0 summed onto +0.0, and an
+    # inf or nan spreading nan through the table's products with zeros
+    rng = np.random.default_rng(7)
+    size = _space(VARS, order).size
+    others = [rng.integers(-3, 4, size).astype(float)]  # about one in seven is 0
+    if not exact:
+        for bad in (np.inf, -np.inf, np.nan):
+            spoilt = others[0].copy()
+            spoilt[min(3, size - 1)] = bad
+            others.append(spoilt)
+    for value in (Fraction(5, 2), -3, 0):
+        const = TruncatedSeries.constant(VARS, order, value, exact=exact)
+        for values in others:
+            other = (TruncatedSeries(VARS, order, values) if not exact else
+                     TruncatedSeries(VARS, order, values.astype(int).astype(object), 1))
+            for a, b in ((const, other), (other, const)):
+                with np.errstate(invalid="ignore"):  # 0 * inf
+                    got, want = a * b, _table_product(a, b)
+                if exact:
+                    _canonical(got)
+                    assert got.equals(want)
+                    continue
+                nan = np.isnan(want.num)
+                assert np.array_equal(np.isnan(got.num), nan)
+                assert np.array_equal(got.num[~nan], want.num[~nan])
+                assert np.array_equal(np.signbit(got.num[~nan]), np.signbit(want.num[~nan]))
 
 
 def test_exact_ring_operations_build_no_fractions(monkeypatch):
