@@ -107,20 +107,25 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
     if frame == "auto":
         frame = "graph" if abs(as_double(grad[2])) >= AUTO_GRAPH_RATIO * gnorm else "rotated"
 
+    # exact rotations exist only when the gradient is already axis aligned;
+    # the rotation is then eye(3) or diag(1, -1, -1), whose entries are ints.
+    # An error names a remedy that works at this point: double mode builds
+    # the rotated frame wherever grad f clears the floor.
+    graph_ok = abs(as_double(grad[2])) >= floor
+    rotated_ok = not exact or (grad[0] == 0 and grad[1] == 0)
     if frame == "graph":
-        if abs(as_double(grad[2])) < floor:
+        if not graph_ok:
             raise FrameError(
-                "graph frame needs the third gradient component above the floor; "
-                "use frame='rotated'"
+                "graph frame needs the third gradient component above the floor; use "
+                + ("frame='rotated'" if rotated_ok else "mode='double' with frame='rotated'")
             )
         R = np.eye(3, dtype=int)
     elif frame == "rotated":
-        # exact rotations exist only when the gradient is already axis aligned;
-        # the rotation is then eye(3) or diag(1, -1, -1), whose entries are ints
-        if exact and (grad[0] != 0 or grad[1] != 0):
+        if not rotated_ok:
             raise FrameError(
                 "rational mode supports the rotated frame only when grad f "
-                "is parallel to the third axis; use frame='graph'"
+                "is parallel to the third axis; use "
+                + ("frame='graph'" if graph_ok else "mode='double'")
             )
         R = _minimal_rotation(tuple(map(as_double, grad)))
         if exact:

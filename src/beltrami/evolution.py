@@ -5,8 +5,11 @@ so every grid node integrates an independent 2x2 linear ODE; the closedness
 constraint d1 beta_2 - d2 beta_1 = 0 is monitored by central differences and
 its drift is the signal of interest.  T comes from the chart series built
 once at the central base point, which confines grids and times to a validity
-patch around the origin.  Its t-coefficients are sampled on a grid's nodes
-once; T(t) is then the power row (1, t, ..., t^K) times that sample matrix.
+patch around the origin.  A series in xi is sampled on the tensor grid one
+axis at a time, as V1 C V2^T with V1 and V2 the power tables of the two axes
+and C[p, q] the coefficient of xi1^p xi2^q; no node-by-monomial matrix is
+built.  T's t-coefficients are sampled this way once per grid, and T(t) is
+then the power row (1, t, ..., t^K) times that sample matrix.
 A classical RK4 step evaluates T three times, its two midpoint stages
 sharing one, and multiplies each node's 2x2 matrix into beta entry by entry.
 Consecutive steps of a run share T at their common endpoint, so S steps make
@@ -25,13 +28,14 @@ from .beltrami_ops import chart_pullback
 from .chart import ChartData, build_chart
 from .errors import BudgetError, DomainError
 from .obstruction import tensor_T
-from .series import _design_matrix, _space
+from .series import _powers
 
 PATCH_RADIUS = 0.2  # grids and times stay within this distance of the base point
 # Largest grid a run may allocate: 501x501.  At the default orders (6, 6) a
-# node holds its 28 xi-monomial values and 28 sampled T coefficients, 56 MB
-# each over the grid; a 501x501 run peaks at about 165 MB resident, of which
-# the interpreter and numpy hold about 32 MB before it starts.
+# node holds 28 sampled T coefficients, 56 MB over the grid, and the RK4
+# stages about as much again; a 20-step 501x501 run peaks at about 140 MB
+# resident with either init, of which the interpreter and numpy hold about
+# 30 MB before it starts.
 MAX_GRID_NODES = 251_001
 # drift divides by one spacing per axis, so the steps of an axis may differ by
 # this much relative to its first; GridField.centered rounds them apart by at
@@ -88,30 +92,36 @@ class GridField:
         return np.column_stack([X1.ravel(), X2.ravel()])
 
 
+def _on_axes(C: np.ndarray, grid: GridField) -> np.ndarray:
+    """The polynomials sum_pq C[..., p, q] xi1^p xi2^q on the grid's nodes,
+    one axis at a time: V1 C V2^T, with V1 and V2 the power tables of the two
+    axes.  Returns (..., n1, n2), the nodes in the order of ``grid.nodes()``."""
+    V1 = _powers(grid.xi1, C.shape[-2] - 1)
+    V2 = _powers(grid.xi2, C.shape[-1] - 1)
+    return V1 @ C @ V2.T
+
+
 class TEvaluator:
     """The 2x2 evolution tensor T of a chart on the nodes of one grid.
 
-    Its t-coefficients are sampled on the nodes once, into ``coeffs`` of
-    shape (t_order + 1, 4N): row k holds the t^k coefficients of T00 on every
-    node, then those of T01, T10 and T11.  A call multiplies the power row
+    Its t-coefficients are sampled on the nodes once, axis by axis (every
+    t-degree and all four entries in one batched V1 C V2^T), into ``coeffs``
+    of shape (t_order + 1, 4N): row k holds the t^k coefficients of T00 on
+    every node, then those of T01, T10 and T11.  A call multiplies the power row
     (1, t, ..., t^K) into that matrix, one matrix-vector product, and returns
     T(t) as an (N, 2, 2) view whose entries T[:, i, j] are contiguous.
     """
 
     def __init__(self, chart: ChartData, grid: GridField):
-        nodes = grid.nodes()
-        _check_extent(float(np.max(np.abs(nodes))))
+        _check_extent(float(max(np.max(np.abs(grid.xi1)), np.max(np.abs(grid.xi2)))))
         self.xi1, self.xi2 = grid.xi1, grid.xi2
         entries = [e for row in tensor_T(chart).m for e in row]
-        space = entries[0].space
-        xi_space = _space(space.names[1:], chart.xi_order)
-        # by_degree[k, m]: the four coefficients of t^k times xi-monomial m
-        by_degree = np.zeros((chart.t_order + 1, xi_space.size, 4))
-        xi_cols = [xi_space.index[m[1:]] for m in space.monos]
-        by_degree[space.expo[:, 0], xi_cols] = np.stack([e.coeffs for e in entries], axis=1)
-        sampled = _design_matrix(xi_space, nodes) @ by_degree  # (t_order + 1, N, 4)
-        self.coeffs = np.ascontiguousarray(sampled.transpose(0, 2, 1)).reshape(len(sampled), -1)
-        self._degrees = np.arange(len(sampled))
+        t, p, q = entries[0].space.expo.T
+        # C[k, e, p, q]: the coefficient of t^k xi1^p xi2^q in entry e
+        C = np.zeros((chart.t_order + 1, 4, chart.xi_order + 1, chart.xi_order + 1))
+        C[t, :, p, q] = np.stack([e.coeffs for e in entries], axis=1)
+        self.coeffs = _on_axes(C, grid).reshape(len(C), -1)
+        self._degrees = np.arange(len(C))
 
     def __call__(self, t: float) -> np.ndarray:
         """T at time t on every node of the grid; returns (N, 2, 2)."""
@@ -144,11 +154,6 @@ def _rk4(tev: TEvaluator, v: np.ndarray, t: float, dt: float, T_t: np.ndarray):
     return v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), T_end
 
 
-def _beta(v: np.ndarray, shape) -> np.ndarray:
-    """The (n1, n2, 2) beta array of the rows v."""
-    return np.ascontiguousarray(v.T).reshape(shape)
-
-
 def step(grid: GridField, tev: TEvaluator, dt: float) -> GridField:
     """One classical 4th-order step of the pointwise linear evolution; it
     evaluates T at t, t + dt/2 and t + dt."""
@@ -156,7 +161,7 @@ def step(grid: GridField, tev: TEvaluator, dt: float) -> GridField:
         raise DomainError("the evaluator was sampled on the nodes of another grid")
     v = grid.beta.reshape(-1, 2).T.copy()
     nv, _ = _rk4(tev, v, grid.time, dt, tev(grid.time))
-    return GridField(xi1=grid.xi1, xi2=grid.xi2, beta=_beta(nv, grid.beta.shape),
+    return GridField(xi1=grid.xi1, xi2=grid.xi2, beta=nv.T.reshape(grid.beta.shape),
                      time=grid.time + dt)
 
 
@@ -223,10 +228,14 @@ def init_from_potential(grid: GridField, psi, bindings=None) -> GridField:
 
 def init_from_field(grid: GridField, u, chart: ChartData, bindings=None) -> GridField:
     """beta from the pullback of a vector field to the chart's level surface
-    t = 0, evaluated on the grid's nodes."""
+    t = 0, both components sampled on the grid's nodes axis by axis."""
     x0 = tuple(s.slice_at_zero("t") for s in chart.x_world())
-    beta = np.column_stack([b.eval(grid.nodes()) for b in chart_pullback(u, x0, bindings)])
-    return GridField(grid.xi1, grid.xi2, beta.reshape(grid.beta.shape), 0.0)
+    beta = chart_pullback(u, x0, bindings)
+    C = np.zeros((2,) + (beta[0].space.top + 1,) * 2)
+    for c, b in zip(C, beta):
+        p, q = b.space.expo.T
+        c[p, q] = b.coeffs
+    return GridField(grid.xi1, grid.xi2, np.moveaxis(_on_axes(C, grid), 0, -1), 0.0)
 
 
 def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
@@ -261,11 +270,12 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
     tev = TEvaluator(chart, grid)
     report = DriftReport()
     report.record(grid)
-    # the run owns this grid: each step writes its beta and time in place,
-    # and hands T at its end on as the next step's T(t)
+    # the run owns this grid: each step sets its beta to a view of the new
+    # RK4 rows and advances its time, and hands T at its end on as the next
+    # step's T(t)
     v, T = grid.beta.reshape(-1, 2).T.copy(), tev(grid.time)
     for _ in range(steps):
         v, T = _rk4(tev, v, grid.time, dt, T)
-        grid.beta, grid.time = _beta(v, grid.beta.shape), grid.time + dt
+        grid.beta, grid.time = v.T.reshape(grid.beta.shape), grid.time + dt
         report.record(grid)
     return report

@@ -132,11 +132,31 @@ def _tokenize(text: str):
     return out
 
 
+_LEAF_VALUES = (int, str, Fraction)  # the argument types of a node that are not nodes
+
+
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the tokens of one text.  Nodes are built through
+    :meth:`node`, which interns them in ``table``: equal subtrees become one
+    object, so :func:`compose`, which memoises by node identity, evaluates
+    each once, and :func:`evaluate` compiles each once."""
+
+    def __init__(self, text: str, table: dict):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.table = table
+
+    def node(self, cls, *args):
+        """The one node ``cls(*args)`` of the table.  Its children are interned
+        already, so their identities stand for their structure; the leaves'
+        values (indices, names, and literals, every one a Fraction) key
+        themselves."""
+        key = (cls, *[a if type(a) in _LEAF_VALUES else id(a) for a in args])
+        hit = self.table.get(key)
+        if hit is None:
+            hit = self.table[key] = cls(*args)
+        return hit
 
     def peek(self):
         return self.tokens[self.pos]
@@ -166,7 +186,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                node = self.node(Add if val == "+" else Sub, node, rhs)
             else:
                 return node
 
@@ -178,7 +198,7 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if val == "*":
-                    node = Mul(node, rhs)
+                    node = self.node(Mul, node, rhs)
                 else:
                     node = self._fold_div(node, rhs, off)
             else:
@@ -190,8 +210,8 @@ class _Parser:
         # numeric/numeric quotients become exact rational literals
         if isinstance(lhs, Num) and isinstance(rhs, Num):
             if isinstance(lhs.value, Fraction) and isinstance(rhs.value, Fraction):
-                return Num(lhs.value / rhs.value)
-        return Div(lhs, rhs)
+                return self.node(Num, lhs.value / rhs.value)
+        return self.node(Div, lhs, rhs)
 
     def factor(self):
         node = self.base()
@@ -202,16 +222,16 @@ class _Parser:
             if kind != "num" or not val.isdigit():
                 raise ParseError("exponent must be a non-negative integer", off)
             self.advance()
-            return Pow(node, int(val))
+            return self.node(Pow, node, int(val))
         return node
 
     def base(self):
         kind, val, off = self.advance()
         if kind == "num":
-            return Num(Fraction(val))
+            return self.node(Num, Fraction(val))
         if kind == "ident":
             if val in VAR_NAMES:
-                return Var(VAR_NAMES.index(val))
+                return self.node(Var, VAR_NAMES.index(val))
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if val not in FUNCS:
@@ -219,8 +239,8 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
-                return Func(val, arg)
-            return Param(val)
+                return self.node(Func, val, arg)
+            return self.node(Param, val)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
@@ -228,21 +248,26 @@ class _Parser:
         if kind == "op" and val == "-":
             arg = self.base()
             if isinstance(arg, Num):
-                return Num(-arg.value)
-            return Neg(arg)
+                return self.node(Num, -arg.value)
+            return self.node(Neg, arg)
         raise ParseError(f"unexpected token {val!r}", off)
 
 
 def parse(text: str):
-    """Parse an expression string into an AST."""
-    return _Parser(text).parse()
+    """Parse an expression string into an AST, in which equal subtrees are
+    one node."""
+    return _Parser(text, {}).parse()
 
 
 def parse_vector(texts) -> VectorExpr:
+    """Parse three component strings into a vector field.  The components
+    share subtrees: a subexpression that occurs in several of them, such as
+    ``cos(x3)``, is one node, so ``compose`` evaluates it once for all three."""
     texts = list(texts)
     if len(texts) != 3:
         raise ValueError("a vector field needs exactly 3 component expressions")
-    return VectorExpr(tuple(parse(t) for t in texts))
+    table = {}
+    return VectorExpr(tuple(_Parser(t, table).parse() for t in texts))
 
 
 # -- printing ---------------------------------------------------------------

@@ -608,15 +608,21 @@ def json_number(value, exact: bool):
             f"in its numerator or denominator, too many to write") from None
 
 
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """The table (x^0, ..., x^top) of each value of x, built by cumulative
+    products; shape (len(x), top + 1)."""
+    pw = np.ones((x.shape[0], top + 1), dtype=np.float64)
+    for k in range(1, top + 1):
+        pw[:, k] = pw[:, k - 1] * x
+    return pw
+
+
 def _design_matrix(space: _Space, pts: np.ndarray) -> np.ndarray:
-    """Monomial values at each point; powers built by cumulative products."""
+    """Monomial values at each point, the products of power tables."""
     design = np.ones((pts.shape[0], space.size), dtype=np.float64)
     for v in range(space.nvars):
         maxe = int(space.expo[:, v].max()) if space.size else 0
-        pw = np.ones((pts.shape[0], maxe + 1), dtype=np.float64)
-        for k in range(1, maxe + 1):
-            pw[:, k] = pw[:, k - 1] * pts[:, v]
-        design *= pw[:, space.expo[:, v]]
+        design *= _powers(pts[:, v], maxe)[:, space.expo[:, v]]
     return design
 
 

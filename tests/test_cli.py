@@ -40,6 +40,25 @@ def test_p_eval_critical_point_exit_code(capsys):
     assert payload["error"] == "CriticalPointError"
 
 
+@pytest.mark.parametrize("point, frame, named, remedy", [
+    # grad f = (6/5, 8/5, 0): neither rational frame exists here, and each
+    # error used to name the other one
+    ("3/5,4/5,0", "rotated", "mode='double'", ["--mode", "double", "--frame", "rotated"]),
+    ("3/5,4/5,0", "graph", "mode='double' with frame='rotated'",
+     ["--mode", "double", "--frame", "rotated"]),
+    # grad f = (6/5, 0, 8/5): the rational graph frame exists
+    ("3/5,0,4/5", "rotated", "frame='graph'", ["--mode", "rational", "--frame", "graph"]),
+])
+def test_p_eval_frame_error_names_a_remedy_that_works(capsys, point, frame, named, remedy):
+    base = ["p-eval", "--f", "x1^2+x2^2+x3^2", "--point", point, "--degree", "2"]
+    code, out, err = run_cli(capsys, *base, "--mode", "rational", "--frame", frame)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "FrameError"
+    assert payload["message"].endswith(f"; use {named}")
+    assert run_cli(capsys, *base, *remedy)[0] == 0
+
+
 # the flags each subcommand offers besides -h and --out: exactly the options its
 # body reads
 FLAGS = {

@@ -162,9 +162,9 @@ def test_t_evaluator_matches_series_eval():
         assert err <= 1e-14 * np.max(np.abs(expect))
 
 
-def horner_T(chart, grid):
-    """T(t) on the grid's nodes by Horner in t: the t^k part of each entry of
-    tensor_T, as a series in xi, evaluated on the nodes."""
+def t_parts(chart, grid):
+    """The t^k part of each entry of tensor_T, as a series in xi, evaluated
+    on the grid's nodes; shape (t_order + 1, N, 2, 2)."""
     nodes = grid.nodes()
     coeffs = np.zeros((chart.t_order + 1, len(nodes), 2, 2))
     for i, row in enumerate(tensor_T(chart).m):
@@ -173,6 +173,12 @@ def horner_T(chart, grid):
                 part = {m[1:]: c for m, c in entry.nonzero_terms() if m[0] == k}
                 coeffs[k, :, i, j] = series.TruncatedSeries.from_terms(
                     entry.vars[1:], chart.xi_order, part).eval(nodes)
+    return coeffs
+
+
+def horner_T(chart, grid):
+    """T(t) on the grid's nodes by Horner in t over :func:`t_parts`."""
+    coeffs = t_parts(chart, grid)
 
     def T(t):
         out = coeffs[-1]
@@ -403,23 +409,74 @@ def test_run_rejects_a_grid_above_the_node_budget_before_allocating(monkeypatch)
 
 
 def test_run_samples_T_on_the_grid_once(monkeypatch):
-    # a design matrix per RK4 stage would make the count grow with the steps
-    real, calls = series._design_matrix, []
+    # sampling per RK4 stage would make the count grow with the steps: T is
+    # sampled once per run, the field init once more, and no node-by-monomial
+    # design matrix is built
+    real, calls = evolution._on_axes, []
 
-    def counting(space, pts):
-        calls.append(len(pts))
-        return real(space, pts)
+    def counting(C, grid):
+        calls.append(C.shape)
+        return real(C, grid)
 
-    for module in (series, evolution):
-        monkeypatch.setattr(module, "_design_matrix", counting)
+    def no_design_matrix(space, pts):
+        raise AssertionError("a run built a node-by-monomial design matrix")
+
+    monkeypatch.setattr(evolution, "_on_axes", counting)
+    monkeypatch.setattr(series, "_design_matrix", no_design_matrix)
+    u = ex.parse_vector(["x2", "sin(x1)", "x1*x3"])
     counts = []
-    for steps in (2, 8):
-        calls.clear()
-        run(ex.parse("1+x1^2+x3"), None, (0, 0, 0), ("psi", ex.parse("x1+x2")),
-            t_max=steps * 0.005, dt=0.005, n1=9, n2=9, h1=0.01, h2=0.01,
-            t_order=4, xi_order=4)
-        counts.append(list(calls))
-    assert counts == [[81], [81]]
+    for init in (("psi", ex.parse("x1+x2")), ("field", u)):
+        for steps in (2, 8):
+            calls.clear()
+            run(ex.parse("1+x1^2+x3"), None, (0, 0, 0), init, t_max=steps * 0.005,
+                dt=0.005, n1=9, n2=9, h1=0.01, h2=0.01, t_order=4, xi_order=3)
+            counts.append(list(calls))
+    T = (5, 4, 4, 4)  # t-degrees, entries, xi1-degrees, xi2-degrees
+    assert counts == [[T], [T], [(2, 4, 4), T], [(2, 4, 4), T]]
+
+
+@pytest.mark.parametrize("orders", [(5, 3), (2, 6)])
+def test_axis_sampling_matches_series_eval(orders):
+    # a grid with different node counts and spacings on its axes, and orders
+    # with t_order != xi_order: V1 C V2^T against the design-matrix eval of
+    # each series, which differ only in the order of the sums
+    ch = build_chart(ex.parse("1+x1+x1^2*x2+x2^3+x3"), None, (0, 0, 0),
+                     t_order=orders[0], xi_order=orders[1])
+    grid = GridField.centered(9, 13, 0.01, 0.007)
+    got = TEvaluator(ch, grid).coeffs.reshape(orders[0] + 1, 2, 2, -1)
+    want = t_parts(ch, grid).transpose(0, 2, 3, 1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    u = ex.parse_vector(["x2 + x1*x2^2", "sin(x1) + x3*x2", "x1*x3"])
+    got = init_from_field(grid, u, ch).beta.reshape(-1, 2)
+    x0 = tuple(s.slice_at_zero("t") for s in ch.x_world())
+    want = np.column_stack([b.eval(grid.nodes()) for b in chart_pullback(u, x0)])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_field_pullback_composes_shared_subtrees_once(monkeypatch):
+    # the workload's field: each component reads cos(theta), sin(theta) and
+    # both partials of psi, which the parser makes one node each; 94 series
+    # products and 4 univariate compositions when each component built its own
+    th = "(-(x3+x3^2/2))"
+    r1, r2 = "(5*x1^4-30*x1^2*x2^2+5*x2^4)", "(20*x1*x2^3-20*x1^3*x2)"
+    p1, p2 = f"(0.8*{r1}+(0.6)*{r2})", f"(0.8*{r2}-(0.6)*{r1})"
+    u = ex.parse_vector([f"cos{th}*{p1}-sin{th}*{p2}", f"sin{th}*{p1}+cos{th}*{p2}", "0"])
+    ch = build_chart(ex.parse("1+x3"), None, (0, 0, 0), frame="auto")
+    x0 = tuple(s.slice_at_zero("t") for s in ch.x_world())
+    mul, uni, counts = series.TruncatedSeries.__mul__, ex.apply_univariate, [0, 0]
+
+    def counting_mul(a, b):
+        counts[0] += isinstance(b, series.TruncatedSeries)
+        return mul(a, b)
+
+    def counting_uni(s, taylor):
+        counts[1] += 1
+        return uni(s, taylor)
+
+    monkeypatch.setattr(series.TruncatedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(ex, "apply_univariate", counting_uni)
+    chart_pullback(u, x0)
+    assert counts == [38, 2]
 
 
 def test_csv_format():

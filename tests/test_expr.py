@@ -284,6 +284,24 @@ def test_vector_expr_needs_three_components():
     assert len(v.components) == 3
 
 
+def test_parse_shares_equal_subtrees():
+    # equal subtrees are one node, within a text and across the components of
+    # a vector, so identity-keyed walks visit each once
+    c = "cos(-(x3+x3^2/2))"
+    v = ex.parse_vector([f"{c}*(x1+x2)", f"sin(x1)*(x1+x2)-{c}", f"{c}"])
+    a, b, third = v.components
+    assert a.lhs is b.rhs is third
+    assert a.rhs is b.lhs.rhs
+    assert b.lhs.lhs.arg is a.rhs.lhs  # x1
+    tree = ex.parse("(x1+2*x2)^2 - 3*(x1+2*x2) + 1.5 - 3/2")
+    assert tree.lhs.lhs.lhs.base is tree.lhs.lhs.rhs.rhs
+    assert tree.lhs.rhs is tree.rhs  # the literals 1.5 and 3/2 are one Fraction
+    for e in (*v.components, tree):
+        assert ex.parse(ex.to_string(e)) == e
+    # separate calls share nothing
+    assert ex.parse(c) == third and ex.parse(c) is not third
+
+
 def test_poly_degree():
     assert ex.poly_degree(ex.parse("1+a*x1+b*x1^3+x3")) == 3
     assert ex.poly_degree(ex.parse("sin(x1)")) is None

@@ -24,7 +24,7 @@ from beltrami.reference import (
     cubic_family_coeffs,
     quadratic_family_form,
 )
-from beltrami.series import TruncatedSeries
+from beltrami.series import TruncatedSeries, _Space
 
 ORIGIN = (0, 0, 0)
 
@@ -491,25 +491,30 @@ def test_rational_quadratic_product_budget(monkeypatch):
 def test_rational_quadratic_default_order_budget(monkeypatch):
     # the default call builds at minimum_orders(2, 5) = (4, 3): fewer products
     # than at (6, 6), and each over a much smaller pair table
-    products = pairs = 0
-    mul = TruncatedSeries.__mul__
+    products, tables = 0, []
+    mul, fetch = TruncatedSeries.__mul__, _Space.pairs
 
     def counting(a, b):
-        nonlocal products, pairs
-        if isinstance(b, TruncatedSeries):
-            products += 1
-            pairs += len(a.space.pairs()[0])
+        nonlocal products
+        products += isinstance(b, TruncatedSeries)
         return mul(a, b)
 
+    def fetching(space):
+        tables.append(space.npairs)
+        return fetch(space)
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(_Space, "pairs", fetching)
     f = ex.parse("1+x1^2+a*x2^2+x3")
     P = obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, frame="graph", mode="rational")
     assert (P.t_order, P.xi_order) == (4, 3)
-    # 243 and 153,849 when every Picard sweep ran at the flow's full order;
-    # 203 and 50,249 when each constraint vector inverted the pivot again and
-    # tensor_T formed T01 twice
+    # 243 products when every Picard sweep ran at the flow's full order, and
+    # 203 when each constraint vector inverted the pivot again and tensor_T
+    # formed T01 twice.  The products with a constant factor are scalings;
+    # only the others fetch a pair table
     assert products <= 190
-    assert pairs <= 49_544
+    assert len(tables) <= 158
+    assert sum(tables) <= 42_359
 
 
 def test_rational_quadratic_fraction_budget(monkeypatch):
