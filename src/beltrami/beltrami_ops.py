@@ -50,9 +50,7 @@ def _component_jets(u: VectorExpr, bindings, p, order, mode="double"):
 def gradient(f, bindings, p, mode="double"):
     j = ex.jet(f, bindings, p, 1, mode=mode)
     return np.array(
-        [j.coeff((1, 0, 0)), j.coeff((0, 1, 0)), j.coeff((0, 0, 1))],
-        dtype=object if mode == "rational" else np.float64,
-    )
+        [j.coeff((1, 0, 0)), j.coeff((0, 1, 0)), j.coeff((0, 0, 1))], dtype=j.kind.dtype)
 
 
 def curl_div(u: VectorExpr, bindings, p, mode="double"):
@@ -61,9 +59,7 @@ def curl_div(u: VectorExpr, bindings, p, mode="double"):
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     d = [[jets[i].coeff(e[j]) for j in range(3)] for i in range(3)]  # d[i][j] = dj u_i
     curl = np.array(
-        [d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]],
-        dtype=object if mode == "rational" else np.float64,
-    )
+        [d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]], dtype=jets[0].kind.dtype)
     div = d[0][0] + d[1][1] + d[2][2]
     return curl, div
 

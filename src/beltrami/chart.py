@@ -29,9 +29,11 @@ into f and into the frame-x3 row of R grad f, and the flow puts p + R^T x
 into R grad f, where grad f is taken symbolically once (``expr.diff``) and
 every evaluation is ``expr.compose``.  No Taylor jet of f is formed.
 
-Exact (rational) coefficients are available for polynomial f when the frame
-rotation is trivial; the combination chi * sqrt(det g) is computed as the
-Jacobian determinant of the flow map, which keeps the whole tensor pipeline
+The chart's coefficient kind is that of the jet of f at the base point
+(``series.kind``).  Rational coefficients take f built from ``+ - * / ^``
+with every divisor nonzero at the point, and a frame whose rotation is
+trivial; the combination chi * sqrt(det g) is computed as the Jacobian
+determinant of the flow map, which keeps the whole tensor pipeline
 square-root free.
 """
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import TruncatedSeries, _coerce, as_double, json_number
+from .series import RATIONAL, TruncatedSeries, as_double
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -54,7 +56,7 @@ AUTO_GRAPH_RATIO = 1e-2  # |d3 f| / |grad f| needed before "auto" picks the grap
 
 @dataclass(frozen=True)
 class BasePoint:
-    """Base point data: location, level value, frame rotation.
+    """Base point data: location, level value, frame rotation, coefficient kind.
 
     ``rotation`` maps world displacements into frame displacements
     (y = R (x - p)); its rows are the frame axes in world coordinates.
@@ -64,11 +66,7 @@ class BasePoint:
     level: object
     rotation: tuple
     frame: str
-    mode: str
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == "rational"
+    kind: object  # series.DOUBLE or series.RATIONAL
 
 
 def _minimal_rotation(direction):
@@ -94,8 +92,8 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
     Raises CriticalPointError when |grad f(p)| is below the floor (relative to
     max(1, |f(p)|)), and FrameError when the requested frame cannot be built.
     """
-    exact = mode == "rational"
     j1 = ex.jet(f, bindings, p, 1, mode=mode)
+    kind = j1.kind
     c0 = j1.constant_term()
     grad = (j1.coeff((1, 0, 0)), j1.coeff((0, 1, 0)), j1.coeff((0, 0, 1)))
     # magnitudes are compared, never squared, so huge values cannot overflow
@@ -112,7 +110,7 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
     # An error names a remedy that works at this point: double mode builds
     # the rotated frame wherever grad f clears the floor.
     graph_ok = abs(as_double(grad[2])) >= floor
-    rotated_ok = not exact or (grad[0] == 0 and grad[1] == 0)
+    rotated_ok = kind is not RATIONAL or (grad[0] == 0 and grad[1] == 0)
     if frame == "graph":
         if not graph_ok:
             raise FrameError(
@@ -128,14 +126,13 @@ def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> 
                 + ("frame='graph'" if graph_ok else "mode='double'")
             )
         R = _minimal_rotation(tuple(map(as_double, grad)))
-        if exact:
+        if kind is RATIONAL:
             R = R.astype(int)
     else:
         raise FrameError(f"unknown frame {frame!r}")
 
-    pt = tuple(_coerce(c, exact) for c in p)
-    return BasePoint(point=pt, level=c0, rotation=tuple(map(tuple, R.tolist())), frame=frame,
-                     mode=mode)
+    return BasePoint(point=tuple(map(kind.coerce, p)), level=c0,
+                     rotation=tuple(map(tuple, R.tolist())), frame=frame, kind=kind)
 
 
 def _combine(weights, series):
@@ -158,7 +155,7 @@ def _check_residual(residual: TruncatedSeries, scale: float, what: str) -> float
     """The largest coefficient of a residual series, which must be 0 in
     rational mode and within 1e-9 * scale in double mode."""
     size = as_double(residual.max_abs())
-    if size > (0.0 if residual.exact else 1e-9 * scale):
+    if size > (0.0 if residual.kind is RATIONAL else 1e-9 * scale):
         raise DomainError(f"{what}: residual {size:.3e} (coefficient scale {scale:.3e})")
     return size
 
@@ -166,14 +163,13 @@ def _check_residual(residual: TruncatedSeries, scale: float, what: str) -> float
 def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
     """Solve f(p + R^T (xi1, xi2, h(xi))) = c0 for the graph function h by
     series Newton; the slope is the frame-x3 row of R grad f."""
-    exact = bp.exact
     c0 = bp.level
     normal = bp.rotation[2]
     rows = [f] + [g for g, w in zip(grad, normal) if w != 0]
     weights = [w for w in normal if w != 0]
-    xi1 = TruncatedSeries.variable(XI_VARS, order, "xi1", exact=exact)
-    xi2 = TruncatedSeries.variable(XI_VARS, order, "xi2", exact=exact)
-    h = TruncatedSeries.zeros(XI_VARS, order, exact=exact)
+    xi1 = TruncatedSeries.variable(XI_VARS, order, "xi1", bp.kind)
+    xi2 = TruncatedSeries.variable(XI_VARS, order, "xi2", bp.kind)
+    h = TruncatedSeries.zeros(XI_VARS, order, bp.kind)
     steps = max(3, order.bit_length() + 2)
     for _ in range(steps):
         value, *partials = ex.compose(rows, bindings, _world(bp, (xi1, xi2, h)))
@@ -284,20 +280,16 @@ class ChartData:
     def level(self):
         return self.bp.level
 
-    @property
-    def exact(self) -> bool:
-        return self.bp.exact
-
     def x_world(self):
         """Flow map in world coordinates: p + R^T x_frame."""
         return _world(self.bp, self.x)
 
     def to_json(self) -> dict:
         return {
-            "point": [json_number(c, self.exact) for c in self.bp.point],
-            "level": json_number(self.level, self.exact),
+            "point": [self.bp.kind.json(c) for c in self.bp.point],
+            "level": self.bp.kind.json(self.level),
             "frame": self.bp.frame,
-            "mode": self.bp.mode,
+            "mode": self.bp.kind.name,
             "orders": {"t": self.t_order, "xi": self.xi_order},
             "rotation": [[as_double(e) for e in row] for row in self.bp.rotation],
             "h": self.h.to_json(),
@@ -322,7 +314,6 @@ class ChartData:
 def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> ChartData:
     """Assemble chi^2, g_ij, their inverses, and the volume factor from the flow."""
     order = (t_order, xi_order)
-    exact = bp.exact
 
     dxt = [s.derive("t").truncate(order) for s in x]
     dx1 = [s.derive("xi1").truncate(order) for s in x]
@@ -354,7 +345,7 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
     chi_sqrt_detg = jac if jac.constant_term() > 0 else -jac
 
     composed = ex.compose(f, bindings, _world(bp, x))
-    tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", exact=exact)
+    tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", bp.kind)
     # scale by the series magnitude: high orders legitimately carry large
     # coefficients (finite convergence radius), and rounding grows with them
     scale = max(1.0, abs(as_double(bp.level)), as_double(x[2].max_abs()))
@@ -386,7 +377,7 @@ def build_chart(f, bindings, p, t_order: int = 6, xi_order: int = 6,
     bp = base_point(f, bindings, p, frame=frame, mode=mode)
     # the flow's coordinates come first: their space refuses an order whose
     # pair table is too large before the graph solve runs
-    xi = [TruncatedSeries.variable(CHART_VARS, (t_order + 1, xi_order + 1), v, exact=bp.exact)
+    xi = [TruncatedSeries.variable(CHART_VARS, (t_order + 1, xi_order + 1), v, bp.kind)
           for v in XI_VARS]
     grad = [ex.diff(f, i) for i in range(3)]
     h = _graph_solve_from_jet(f, grad, bindings, bp, xi_order + 1)

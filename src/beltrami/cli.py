@@ -38,16 +38,16 @@ from .evolution import run as evolution_run
 from .expr import Mul, Pow, VectorExpr
 from .fd_oracle import P_point_fd
 from .obstruction import DEFAULT_INDICES, obstruction_P, tensor_T
-from .series import as_double, json_number
+from .series import RATIONAL, as_double
 
 FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
 _NON_FINITE_FIELDS = frozenset({"nan", "inf", "-inf"})  # a float's CSV field when not finite
 
 
-def _number(text: str, what: str, kind: str = "double"):
+def _number(text: str, what: str, form: str = "double"):
     """A finite number from a flag.
 
-    Accepts integers, decimals and ``p/q`` rationals.  ``kind`` is
+    Accepts integers, decimals and ``p/q`` rationals.  ``form`` is
     ``"rational"`` (a Fraction), ``"double"`` (a float) or ``"int"``; anything
     else, including nan, inf and a number beyond the double range (a rational
     run converts to doubles for its checks), is a BeltramiError.
@@ -55,15 +55,15 @@ def _number(text: str, what: str, kind: str = "double"):
     try:
         value = Fraction(text)
         approx = float(value)
-        if kind == "double":
+        if form == "double":
             return approx
-        if kind == "int":
+        if form == "int":
             if value.denominator != 1:
                 raise ValueError(text)
             return int(value)
         return value
     except (ValueError, ZeroDivisionError, OverflowError):
-        noun = "an integer" if kind == "int" else "a finite number"
+        noun = "an integer" if form == "int" else "a finite number"
         raise BeltramiError(f"{what} needs {noun}, got {text!r}") from None
 
 
@@ -130,25 +130,27 @@ def _cmd_obstruction(args):
     return 0
 
 
-def _family_report(poly, refs, mode, **fields):
+def _family_report(poly, refs, **fields):
     """Report of a closed-form family check at the origin in the graph frame.
 
-    ``refs`` maps a coefficient name to its monomial and reference value.
+    ``refs`` maps a coefficient name to its monomial and reference value;
+    ``fields`` are the family parameters, written in the kind of ``poly``.
     Rational mode compares exactly; double mode within FAMILY_TOL, relative
     to the reference where it exceeds 1 in size.
     """
-    exact = mode == "rational"
+    kind = poly.kind
     computed, reference, match = {}, {}, {}
     for name, (mono, ref) in refs.items():
         c = poly.coeff(mono)
-        computed[name] = json_number(c, exact)
-        reference[name] = json_number(ref, exact)
-        if exact:
+        computed[name] = kind.json(c)
+        reference[name] = kind.json(ref)
+        if kind is RATIONAL:
             match[name] = c == ref
         else:
             scale = max(1.0, abs(as_double(ref)))
             match[name] = abs(as_double(c) - as_double(ref)) <= FAMILY_TOL * scale
-    report = dict(fields, mode=mode, frame="graph", computed=computed, reference=reference,
+    report = {name: kind.json(v) for name, v in fields.items()}
+    report.update(mode=kind.name, frame="graph", computed=computed, reference=reference,
                   match=match)
     report["pass"] = all(match.values())
     return report
@@ -166,9 +168,7 @@ def _cmd_coeffs_prop3(args):
     refs = {f"c{j}": ((j, 0), r) for j, r in enumerate(reference.cubic_family_coeffs(a, b))}
     if a == 0:
         refs["c4"] = ((4, 0), reference.cubic_family_c4_pure(b))
-    exact = args.mode == "rational"
-    _write_report(args, _family_report(poly, refs, args.mode, a=json_number(a, exact),
-                                       b=json_number(b, exact)))
+    _write_report(args, _family_report(poly, refs, a=a, b=b))
     return 0
 
 
@@ -177,7 +177,7 @@ def _cmd_coeffs_prop4(args):
     poly = _family_poly(args.mode, "1+x1^2+a*x2^2+x3", {"a": a}, 2)
     monos = ((2, 0), (1, 1), (0, 2))
     refs = dict(zip(("q20", "q11", "q02"), zip(monos, reference.quadratic_family_form(a))))
-    report = _family_report(poly, refs, args.mode, a=json_number(a, args.mode == "rational"))
+    report = _family_report(poly, refs, a=a)
     sub = max(
         (abs(as_double(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
     )

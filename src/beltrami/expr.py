@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .series import TruncatedSeries, _coerce, apply_univariate, as_double
+from .series import RATIONAL, TruncatedSeries, apply_univariate, as_double, kind
 
 VAR_NAMES = ("x1", "x2", "x3")
 FUNCS = ("sin", "cos", "exp", "log", "sqrt")
@@ -499,7 +499,7 @@ def compose(nodes, bindings: dict | None, inner):
     ev = _Composition(inner, bindings or {})
     out = [ev(n) for n in (nodes if isinstance(nodes, (list, tuple)) else [nodes])]
     out = [v if isinstance(v, TruncatedSeries)
-           else TruncatedSeries.constant(a.vars, a.order, v, exact=a.exact) for v in out]
+           else TruncatedSeries.constant(a.vars, a.order, v, a.kind) for v in out]
     return out if isinstance(nodes, (list, tuple)) else out[0]
 
 
@@ -521,15 +521,15 @@ class _Composition:
 
     def value(self, n):
         ev, inner, bindings = self, self.inner, self.bindings
-        a, exact = inner[0], inner[0].exact
+        a, k = inner[0], inner[0].kind
         if isinstance(n, Var):
             return inner[n.index]
         if isinstance(n, Num):
-            return _coerce(n.value, exact)
+            return k.coerce(n.value)
         if isinstance(n, Param):
             if n.name not in bindings:
                 raise DomainError(f"unbound parameter {n.name!r}")
-            return _coerce(_as_number(bindings[n.name]), exact)
+            return k.coerce(_as_number(bindings[n.name]))
         if isinstance(n, Neg):
             return -ev(n.arg)
         if isinstance(n, Add):
@@ -541,18 +541,14 @@ class _Composition:
         if isinstance(n, Div):
             den = ev(n.rhs)
             if isinstance(den, TruncatedSeries):
-                if not exact:
-                    return ev(n.lhs) * den.reciprocal()
-                if any(den.num[1:]):
-                    raise DomainError("rational mode supports division by constants only")
-                den = den.constant_term()
+                return ev(n.lhs) * den.reciprocal()
             if den == 0:
                 raise DomainError("division by zero")
-            return ev(n.lhs) * (_coerce(1, exact) / den)
+            return ev(n.lhs) * (1 / den)
         if isinstance(n, Pow):
-            return _power(ev(n.base), n.exp, _coerce(1, exact))
+            return _power(ev(n.base), n.exp, k.coerce(1))
         if isinstance(n, Func):
-            if exact:
+            if k is RATIONAL:
                 raise DomainError(
                     f"rational mode requires a polynomial expression (found {n.name})"
                 )
@@ -571,17 +567,15 @@ def jet(node, bindings: dict | None, point, order: int, mode: str = "double") ->
     """Taylor expansion of the expression at `point` through total degree `order`:
     the expression composed with the coordinate series ``p_i + x_i``.
 
-    Exact mode requires a polynomial expression, rational bindings, and a
-    rational point.
+    ``mode`` names the coefficient kind (``series.kind``).  Rational mode
+    takes ``+ - * / ^``, with every divisor nonzero at the point, and no
+    transcendental function; its bindings and point must be rational.
     """
     if order < 0:
         raise DomainError("jet order must be >= 0")
-    if mode not in ("double", "rational"):
-        raise DomainError(f"unknown mode {mode!r}")
-    exact = mode == "rational"
-    shift = [TruncatedSeries.variable(VAR_NAMES, order, v, exact=exact) for v in VAR_NAMES]
-    return compose(node, bindings, tuple(
-        s + _coerce(c, exact) for s, c in zip(shift, point)))
+    k = kind(mode)
+    shift = [TruncatedSeries.variable(VAR_NAMES, order, v, k) for v in VAR_NAMES]
+    return compose(node, bindings, tuple(s + c for s, c in zip(shift, point)))
 
 
 _ZERO, _ONE = Num(Fraction(0)), Num(Fraction(1))

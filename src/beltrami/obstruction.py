@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .chart import ChartData, build_chart
 from .errors import BudgetError, DomainError
-from .series import SeriesMatrix2, TruncatedSeries, as_double, json_number
+from .series import SeriesMatrix2, TruncatedSeries, as_double
 
 DEFAULT_INDICES = (2, 3, 4, 5)
 
@@ -59,38 +59,34 @@ class ObstructionPoly:
     t_order: int
     xi_order: int
     frame: str
-    mode: str
-
-    def _zero(self):
-        return Fraction(0) if self.mode == "rational" else 0.0
+    kind: object  # series.DOUBLE or series.RATIONAL
 
     def coeff(self, mono):
-        return self.coeffs.get(tuple(mono), self._zero())
+        return self.coeffs.get(tuple(mono), self.kind.zero)
 
     def max_abs(self) -> float | Fraction:
         """The largest coefficient magnitude: a float, or a Fraction in rational mode."""
-        return max(map(abs, self.coeffs.values()), default=self._zero())
+        return max(map(abs, self.coeffs.values()), default=self.kind.zero)
 
     def to_json(self) -> dict:
-        exact = self.mode == "rational"
+        json = self.kind.json
         monos = sorted(self.coeffs, key=lambda m: (sum(m), m))
         return {
-            "base_point": [json_number(c, exact) for c in self.base_point],
-            "level": json_number(self.level, exact),
+            "base_point": [json(c) for c in self.base_point],
+            "level": json(self.level),
             "indices": list(self.indices),
             "degree": self.degree,
-            "coeffs": [{"mi": list(m), "c": json_number(self.coeffs[m], exact)} for m in monos],
+            "coeffs": [{"mi": list(m), "c": json(self.coeffs[m])} for m in monos],
             "orders": {"t": self.t_order, "xi": self.xi_order},
             "frame": self.frame,
-            "mode": self.mode,
+            "mode": self.kind.name,
         }
 
 
 def tensor_T(chart: ChartData) -> SeriesMatrix2:
     """The evolution tensor of the chart, at the metric truncation order."""
-    exact = chart.exact
     order = chart.chi_sqrt_detg.order
-    tvar = TruncatedSeries.variable(chart.x[0].vars, order, "t", exact=exact)
+    tvar = TruncatedSeries.variable(chart.x[0].vars, order, "t", chart.bp.kind)
     prefactor = (tvar + chart.level) * chart.chi_sqrt_detg
     t01 = prefactor * chart.ginv12
     T = SeriesMatrix2(t01, prefactor * chart.ginv22, -(prefactor * chart.ginv11), -t01)
@@ -253,7 +249,7 @@ def obstruction_from_chart(chart: ChartData, degree: int,
         t_order=chart.t_order,
         xi_order=chart.xi_order,
         frame=chart.bp.frame,
-        mode=chart.bp.mode,
+        kind=chart.bp.kind,
     )
 
 
@@ -333,5 +329,5 @@ def divergence_form_rhs(chart: ChartData, psi: TruncatedSeries) -> TruncatedSeri
     G1 = chart.ginv11.truncate(top) * b1 + chart.ginv12.truncate(top) * b2
     G2 = chart.ginv12.truncate(top) * b1 + chart.ginv22.truncate(top) * b2
     div = (csg * G1).derive("xi1") + (csg * G2).derive("xi2")
-    tvar = TruncatedSeries.variable(div.vars, div.order, "t", exact=chart.exact)
+    tvar = TruncatedSeries.variable(div.vars, div.order, "t", chart.bp.kind)
     return -((tvar + chart.level) * div)

@@ -10,7 +10,13 @@ obstruction reads t-degrees and xi-degrees against separate bounds.  Both
 kinds of truncation are quotients by an ideal, so every ring operation is
 exact through the order.
 
-Coefficients are IEEE doubles by default.  An exact series holds an object
+The coefficient kind is decided here alone: ``DOUBLE`` (IEEE doubles, the
+default) or ``RATIONAL``, named by the mode strings ``"double"`` and
+``"rational"`` (:func:`kind`).  Each kind owns the scalar rules that differ
+between them: how a scalar enters a series (``coerce``), how a coefficient is
+written to JSON, the zero, the array dtype, the smallest constant term with a
+reciprocal (``tiny``) and the square root of a constant term (``root``).  A
+series tells its kind by its denominator.  A rational series holds an object
 array of Python ``int`` numerators over one ``int`` denominator, in canonical
 form: ``den >= 1``, ``gcd(den, *num) == 1``, and the zero series has
 ``den == 1``.  A ring operation is integer arithmetic on the numerators
@@ -220,21 +226,65 @@ def as_double(value, den=None):
         raise DomainError("an exact value lies beyond the double range") from None
 
 
-def _coerce(value, exact: bool):
-    """A scalar in the coefficient mode: a Fraction or a float."""
-    if not exact:
-        return as_double(value)
-    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+class _Double:
+    """IEEE double coefficients: ``den`` is None and ``num`` holds floats."""
+
+    name, zero, dtype = "double", 0.0, np.float64
+    tiny = 1e-300  # a constant term below this in size has no reciprocal
+    coerce = staticmethod(as_double)  # a scalar as a coefficient of the kind
+    json = staticmethod(float)  # a coefficient as a JSON value
+    root = staticmethod(math.sqrt)  # the square root of a positive constant term
+
+
+class _Rational:
+    """Exact coefficients: ``num`` holds Python ints over the int ``den``."""
+
+    name, zero, dtype = "rational", Fraction(0), object
+    tiny = 0
+
+    @staticmethod
+    def coerce(value) -> Fraction:
+        return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+    @staticmethod
+    def json(value) -> str:
+        """The ``p/q`` string, so nothing is rounded; a value with more digits
+        than the interpreter converts to text is a :class:`BudgetError`."""
+        try:
+            return str(value)
+        except ValueError:  # the int-to-str digit limit (sys.set_int_max_str_digits)
+            raise BudgetError(
+                f"an exact coefficient has more than {sys.get_int_max_str_digits()} digits "
+                f"in its numerator or denominator, too many to write") from None
+
+    @staticmethod
+    def root(c) -> Fraction:
+        p, q = math.isqrt(c.numerator), math.isqrt(c.denominator)
+        if p * p != c.numerator or q * q != c.denominator:
+            raise DomainError(f"exact sqrt needs a perfect-square constant term, got {c}")
+        return Fraction(p, q)
+
+
+DOUBLE, RATIONAL = _Double(), _Rational()
+
+
+def kind(mode: str):
+    """The coefficient kind that a mode string names: DOUBLE or RATIONAL."""
+    for k in (DOUBLE, RATIONAL):
+        if k.name == mode:
+            return k
+    raise DomainError(f"unknown mode {mode!r}")
 
 
 class TruncatedSeries:
     """A polynomial in named variables truncated at a fixed order: a total
     degree, or a pair (degree in the first variable, total degree in the rest).
 
-    ``num`` holds one entry per monomial, in graded order.  In double mode
-    ``den`` is None and ``num`` is the float array of coefficients; in exact
-    mode ``num`` is an object array of ints, the coefficient is
-    ``num[i] / den``, and the constructor brings the pair to canonical form.
+    ``num`` holds one entry per monomial, in graded order.  For DOUBLE
+    coefficients ``den`` is None and ``num`` is the float array of
+    coefficients; for RATIONAL ones ``num`` is an object array of ints, the
+    coefficient is ``num[i] / den``, and the constructor brings the pair to
+    canonical form.  :attr:`kind` is read off ``den``.
     """
 
     __slots__ = ("vars", "order", "num", "den")
@@ -252,47 +302,47 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, vars, order, exact=False):
-        return cls.from_terms(vars, order, {}, exact=exact)
+    def zeros(cls, vars, order, kind=DOUBLE):
+        return cls.from_terms(vars, order, {}, kind)
 
     @classmethod
-    def constant(cls, vars, order, value, exact=False):
-        return cls.from_terms(vars, order, {(0,) * len(vars): value}, exact=exact)
+    def constant(cls, vars, order, value, kind=DOUBLE):
+        return cls.from_terms(vars, order, {(0,) * len(vars): value}, kind)
 
     @classmethod
-    def variable(cls, vars, order, name, exact=False):
+    def variable(cls, vars, order, name, kind=DOUBLE):
         """The series of the coordinate function `name` (no constant part); it is
         0 in a space that holds no degree of `name`, as it is in the quotient."""
         mono = tuple(1 if v == name else 0 for v in vars)
         if sum(mono) != 1:
             raise SeriesMismatchError(f"{name!r} is not one of {vars}")
         held = mono in _space(tuple(vars), order).index
-        return cls.from_terms(vars, order, {mono: 1} if held else {}, exact=exact)
+        return cls.from_terms(vars, order, {mono: 1} if held else {}, kind)
 
     @classmethod
-    def from_terms(cls, vars, order, terms: dict, exact=False):
+    def from_terms(cls, vars, order, terms: dict, kind=DOUBLE):
         sp = _space(tuple(vars), order)
         values = {}
         for mono, value in terms.items():
             mono = tuple(mono)
             if mono not in sp.index:
                 raise SeriesMismatchError(f"monomial {mono} exceeds order {order}")
-            values[sp.index[mono]] = _ratio(value) if exact else as_double(value)
-        if not exact:
-            num = np.zeros(sp.size)
-            for i, v in values.items():
-                num[i] = v
-            return cls(vars, order, num)
-        den = math.lcm(*(q for _, q in values.values()))
-        num = np.zeros(sp.size, dtype=object)
-        for i, (p, q) in values.items():
-            num[i] = p * (den // q)
+            values[sp.index[mono]] = as_double(value) if kind is DOUBLE else _ratio(value)
+        den = None if kind is DOUBLE else math.lcm(*(q for _, q in values.values()))
+        num = np.zeros(sp.size, kind.dtype)
+        for i, v in values.items():
+            num[i] = v if den is None else v[0] * (den // v[1])
         return cls(vars, order, num, den)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def kind(self):
+        return DOUBLE if self.den is None else RATIONAL
+
+    @property
     def exact(self) -> bool:
+        # kept for the benchmark's tracer, which reads it to tell the kinds apart
         return self.den is not None
 
     @property
@@ -316,7 +366,7 @@ class TruncatedSeries:
         sp = self.space
         mono = tuple(mono)
         if mono not in sp.index:
-            return Fraction(0) if self.exact else 0.0
+            return self.kind.zero
         return self._value(sp.index[mono])
 
     def nonzero_terms(self):
@@ -486,12 +536,11 @@ class TruncatedSeries:
 
     def reciprocal(self):
         """Series inverse by Newton iteration; constant term must be nonzero."""
-        c = self.constant_term()
-        if c == 0 or (not self.exact and abs(c) < 1e-300):
+        c, kind = self.constant_term(), self.kind
+        if c == 0 or abs(c) < kind.tiny:
             raise DomainError("reciprocal of a series with zero constant term")
-        inv0 = Fraction(1) / c if self.exact else 1.0 / c
-        r = TruncatedSeries.constant(self.vars, self.order, inv0, exact=self.exact)
-        two = TruncatedSeries.constant(self.vars, self.order, 2, exact=self.exact)
+        r = TruncatedSeries.constant(self.vars, self.order, 1 / c, kind)
+        two = TruncatedSeries.constant(self.vars, self.order, 2, kind)
         correct = 1
         while correct <= self.space.top:
             r = r * (two - self * r)
@@ -501,24 +550,14 @@ class TruncatedSeries:
     def sqrt(self):
         """Series square root; constant term must be a positive (exact: perfect
         square) number.  Uses the inverse-square-root Newton iteration."""
-        c = self.constant_term()
-        if self.exact:
-            root = _fraction_sqrt(c)
-            if root is None:
-                raise DomainError(
-                    f"exact sqrt needs a perfect-square constant term, got {c}"
-                )
-            inv0 = Fraction(1) / root
-        else:
-            if c <= 0:
-                raise DomainError("sqrt of a series with non-positive constant term")
-            inv0 = 1.0 / math.sqrt(c)
-        y = TruncatedSeries.constant(self.vars, self.order, inv0, exact=self.exact)
-        three = TruncatedSeries.constant(self.vars, self.order, 3, exact=self.exact)
-        half = Fraction(1, 2) if self.exact else 0.5
+        c, kind = self.constant_term(), self.kind
+        if c <= 0:
+            raise DomainError("sqrt of a series with non-positive constant term")
+        y = TruncatedSeries.constant(self.vars, self.order, 1 / kind.root(c), kind)
+        three = TruncatedSeries.constant(self.vars, self.order, 3, kind)
         correct = 1
         while correct <= self.space.top:
-            y = (y * (three - self * (y * y))) * half
+            y = (y * (three - self * (y * y))) * Fraction(1, 2)
             correct *= 2
         return self * y
 
@@ -568,7 +607,7 @@ class TruncatedSeries:
         return {
             "vars": list(self.vars),
             "order": self.order if isinstance(self.order, int) else list(self.order),
-            "coeffs": [{"mi": list(m), "c": json_number(c, self.exact)}
+            "coeffs": [{"mi": list(m), "c": self.kind.json(c)}
                        for m, c in self.nonzero_terms()],
         }
 
@@ -594,20 +633,6 @@ def _constant_factor_product(a: np.ndarray, b: np.ndarray):
     return out if np.isfinite(out).all() else None
 
 
-def json_number(value, exact: bool):
-    """A number as a JSON value: exact values as their ``p/q`` string, so
-    nothing is rounded, and doubles as floats.  An exact value with more
-    digits than the interpreter converts to text is a :class:`BudgetError`."""
-    if not exact:
-        return float(value)
-    try:
-        return str(value)
-    except ValueError:  # the int-to-str digit limit (sys.set_int_max_str_digits)
-        raise BudgetError(
-            f"an exact coefficient has more than {sys.get_int_max_str_digits()} digits "
-            f"in its numerator or denominator, too many to write") from None
-
-
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
     """The table (x^0, ..., x^top) of each value of x, built by cumulative
     products; shape (len(x), top + 1)."""
@@ -626,17 +651,6 @@ def _design_matrix(space: _Space, pts: np.ndarray) -> np.ndarray:
     return design
 
 
-def _fraction_sqrt(value: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
-
-
 def apply_univariate(s: TruncatedSeries, taylor: list):
     """Compose a univariate function with a series.
 
@@ -649,7 +663,7 @@ def apply_univariate(s: TruncatedSeries, taylor: list):
     num = s.num.copy()
     num[0] = 0
     u = TruncatedSeries(s.vars, s.order, num, s.den)
-    out = TruncatedSeries.constant(s.vars, s.order, taylor[-1], exact=s.exact)
+    out = TruncatedSeries.constant(s.vars, s.order, taylor[-1], s.kind)
     for k in range(len(taylor) - 2, -1, -1):
         out = out * u + taylor[k]
     return out

@@ -13,7 +13,7 @@ from beltrami.chart import (
     build_chart,
 )
 from beltrami.errors import CriticalPointError, DomainError, FrameError
-from beltrami.series import CONSTANT_CHECK_PAIRS, TruncatedSeries, _Space
+from beltrami.series import CONSTANT_CHECK_PAIRS, RATIONAL, TruncatedSeries, _Space
 
 
 def chart_residuals(ch):
@@ -24,7 +24,7 @@ def chart_residuals(ch):
     for var in ("xi1", "xi2"):
         dxi = [s.derive(var).truncate(order) for s in ch.x]
         cross.append(sum((dxt[k] * dxi[k] for k in range(3)),
-                         TruncatedSeries.zeros(CHART_VARS, order, exact=ch.exact)))
+                         TruncatedSeries.zeros(CHART_VARS, order, kind=ch.bp.kind)))
     gg = [
         ch.g11 * ch.ginv11 + ch.g12 * ch.ginv12 - 1,
         ch.g11 * ch.ginv12 + ch.g12 * ch.ginv22,
@@ -124,7 +124,7 @@ def test_flow_affine_closed_form():
     scale = Fraction(1, 10)  # 1/(1+a^2)
     assert x[0].coeff((1, 0, 0)) == a * scale
     assert x[0].coeff((0, 1, 0)) == 1
-    assert x[1].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi2", exact=True))
+    assert x[1].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi2", kind=RATIONAL))
     assert x[2].coeff((1, 0, 0)) == scale
     assert x[2].coeff((0, 1, 0)) == -a
     for s in x:
@@ -218,7 +218,7 @@ def test_rational_chart_holds_its_flow_exactly(monkeypatch):
 
     def off_by_t3(*args):
         x = flow(*args)
-        t = TruncatedSeries.variable(CHART_VARS, x[2].order, "t", exact=True)
+        t = TruncatedSeries.variable(CHART_VARS, x[2].order, "t", kind=RATIONAL)
         return (x[0], x[1], x[2] + t * t * t * Fraction(1, 1000))
 
     monkeypatch.setattr(chart, "_flow_from_jet", off_by_t3)

@@ -4,6 +4,7 @@ import json
 import shlex
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,31 @@ def test_p_eval_rational_spot_value(capsys):
     deg0 = [e for e in data["coeffs"] if e["mi"] == [0, 0]]
     assert deg0[0]["c"] == "-81/4"
     assert data["frame"] == "graph"
+
+
+def test_p_eval_divides_by_a_series_in_both_modes(capsys):
+    # a series divisor is inverted by the same reciprocal in either mode
+    want = {(0, 0): Fraction(-5, 8), (0, 1): Fraction(3, 4), (1, 0): Fraction(-17, 16)}
+    argv = ("p-eval", "--f", "1+x3+x1/(1+x2)", "--point", "0,0,0", "--degree", "1")
+    got = {}
+    for mode in ("rational", "double"):
+        code, out, _ = run_cli(capsys, *argv, "--mode", mode)
+        assert code == 0
+        got[mode] = {tuple(e["mi"]): e["c"] for e in json.loads(out)["coeffs"]}
+    assert {m: Fraction(c) for m, c in got["rational"].items()} == want
+    assert got["double"].keys() == want.keys()
+    for m, c in want.items():
+        assert abs(got["double"][m] - float(c)) <= 1e-13 * abs(c)
+
+
+@pytest.mark.parametrize("mode", ["rational", "double"])
+@pytest.mark.parametrize("f", ["1+x3+x1/x2", "x3/(x1-x1)"])
+def test_p_eval_divisor_vanishing_at_the_point_is_a_domain_error(capsys, f, mode):
+    code, out, err = run_cli(capsys, "p-eval", "--f", f, "--point", "0,0,0", "--degree", "1",
+                             "--mode", mode)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "reciprocal of a series with zero constant term"}
 
 
 def test_p_eval_critical_point_exit_code(capsys):

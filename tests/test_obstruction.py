@@ -24,7 +24,7 @@ from beltrami.reference import (
     cubic_family_coeffs,
     quadratic_family_form,
 )
-from beltrami.series import TruncatedSeries, _Space
+from beltrami.series import DOUBLE, RATIONAL, TruncatedSeries, _Space
 
 ORIGIN = (0, 0, 0)
 
@@ -341,7 +341,7 @@ def _psi_series(order=(9, 9), exact=False, seed=None):
             c = int(rng.integers(-2, 3))
             if c:
                 terms[m] = c
-    return TruncatedSeries.from_terms(CHART_VARS, order, terms, exact=exact)
+    return TruncatedSeries.from_terms(CHART_VARS, order, terms, kind=RATIONAL if exact else DOUBLE)
 
 
 def test_dT_beta_flat_laplacian():
@@ -371,7 +371,7 @@ def _gamma_dot(cv, psi, order):
         beta1.derive("xi1").truncate(order),
         beta1.derive("xi2").truncate(order),
     ]
-    total = TruncatedSeries.zeros(CHART_VARS, order, exact=psi.exact)
+    total = TruncatedSeries.zeros(CHART_VARS, order, kind=psi.kind)
     for comp, gamma in zip(cv.components, parts):
         total = total + comp.truncate(order) * gamma
     return total
@@ -577,3 +577,8 @@ def test_bigraded_series_sizes():
     assert [s.coeffs.size for s in ch.x] == [288] * 3
     assert [e.coeffs.size for row in tensor_T(ch).m for e in row] == [196] * 4
     assert ch.h.coeffs.size == 36
+
+
+def test_unknown_mode_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown mode 'exact'"):
+        obstruction_P(ex.parse("1+x3"), None, ORIGIN, degree=0, mode="exact")

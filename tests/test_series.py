@@ -1,7 +1,9 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 from beltrami import expr as ex
 from beltrami.errors import BudgetError, DomainError, SeriesMismatchError
 from beltrami.series import (
+    DOUBLE,
     MAX_PAIRS,
+    RATIONAL,
     SeriesMatrix2,
     TruncatedSeries,
     _lowered,
     _space,
     apply_univariate,
+    kind,
 )
 
 VARS = ("t", "xi1", "xi2")
@@ -25,7 +30,7 @@ def _series_from_list(values, vars=("t", "xi1"), order=4, exact=False):
     # values[i] is the coefficient of the i-th monomial in graded order
     monos = TruncatedSeries.zeros(vars, order).space.monos
     terms = {m: Fraction(v) if exact else float(v) for m, v in zip(monos, values)}
-    return TruncatedSeries.from_terms(vars, order, terms, exact=exact)
+    return TruncatedSeries.from_terms(vars, order, terms, kind=RATIONAL if exact else DOUBLE)
 
 
 small_coeffs = st.lists(
@@ -126,7 +131,7 @@ def test_sqrt_examples():
 
 
 def test_exact_sqrt_and_reciprocal():
-    t = TruncatedSeries.variable(("t",), 4, "t", exact=True)
+    t = TruncatedSeries.variable(("t",), 4, "t", kind=RATIONAL)
     s = t * Fraction(2) + 1
     r = s.reciprocal()
     assert r.coeff((3,)) == Fraction(-8)
@@ -134,6 +139,37 @@ def test_exact_sqrt_and_reciprocal():
     assert sq.equals(s)
     with pytest.raises(DomainError):
         (t + 2).sqrt()  # 2 is not a perfect square of a rational
+
+
+def test_sqrt_needs_a_positive_constant_term_in_both_kinds():
+    for k in (DOUBLE, RATIONAL):
+        t = TruncatedSeries.variable(("t",), 3, "t", kind=k)
+        for c in (0, -4):
+            with pytest.raises(DomainError, match="non-positive constant term"):
+                (t + c).sqrt()
+        assert (t + Fraction(9, 4)).sqrt().constant_term() == Fraction(3, 2)
+
+
+def test_each_kind_is_read_off_the_denominator():
+    # the benchmark's tracer tells the kinds apart by TruncatedSeries.exact
+    for k in (DOUBLE, RATIONAL):
+        s = TruncatedSeries.constant(VARS, 2, 1, k)
+        assert s.kind is k and kind(k.name) is k
+        assert s.exact == (k is RATIONAL)
+    with pytest.raises(DomainError, match="unknown mode 'exact'"):
+        kind("exact")
+
+
+def test_only_series_names_the_coefficient_kind():
+    # every other module reads the kind of a series, a base point or a
+    # polynomial; none re-decides it from a mode string or a flag
+    pattern = re.compile(r'exact=|\.exact\b|exact = |if exact|if not exact|== "rational"'
+                         r"|json_number\(|_coerce\(")
+    src = Path(ex.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "series.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert hits == []
 
 
 def test_derive_examples():
@@ -379,7 +415,7 @@ def test_exact_product_with_mixed_denominators():
             return sum(m) <= order if order == 4 else m[0] <= order[0] and sum(m[1:]) <= order[1]
 
         a, b = (TruncatedSeries.from_terms(
-            VARS, order, {m: c for m, c in terms.items() if fits(m)}, exact=True)
+            VARS, order, {m: c for m, c in terms.items() if fits(m)}, kind=RATIONAL)
             for terms in (a_terms, b_terms))
         expected = {}
         for ma, ca in a.nonzero_terms():
@@ -438,7 +474,7 @@ def test_constant_factor_product_equals_the_pair_table(order, exact):
             spoilt[min(3, size - 1)] = bad
             others.append(spoilt)
     for value in (Fraction(5, 2), -3, 0):
-        const = TruncatedSeries.constant(VARS, order, value, exact=exact)
+        const = TruncatedSeries.constant(VARS, order, value, kind=RATIONAL if exact else DOUBLE)
         for values in others:
             other = (TruncatedSeries(VARS, order, values) if not exact else
                      TruncatedSeries(VARS, order, values.astype(int).astype(object), 1))
@@ -458,7 +494,7 @@ def test_constant_factor_product_equals_the_pair_table(order, exact):
 def test_exact_ring_operations_build_no_fractions(monkeypatch):
     # exact series compute on integer numerators: a Fraction is made only where
     # a coefficient enters or leaves a series, never inside these operations
-    a, b = (TruncatedSeries.from_terms(VARS, (2, 3), terms, exact=True) for terms in (
+    a, b = (TruncatedSeries.from_terms(VARS, (2, 3), terms, kind=RATIONAL) for terms in (
         {(0, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(-2, 3), (0, 1, 2): Fraction(5, 6)},
         {(0, 0, 0): Fraction(-3, 2), (0, 0, 1): Fraction(1, 3), (2, 0, 1): Fraction(7)}))
     q = Fraction(-9, 4)
