@@ -8,7 +8,6 @@ and the pullback of a field to the adapted chart coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,30 +16,6 @@ from . import expr as ex
 from .chart import ChartData
 from .errors import DomainError
 from .expr import Add, Div, Func, Mul, Num, Pow, Var, VectorExpr
-
-
-@dataclass(frozen=True)
-class PointSample:
-    """Residuals of a candidate solution pair (u, f) at one point."""
-
-    point: tuple
-    value: tuple
-    beltrami: float  # |curl u - f u| + |div u|, scale-normalized
-    elliptic: float
-
-    def __post_init__(self):
-        if self.beltrami < 0 or self.elliptic < 0:
-            raise DomainError("residuals must be non-negative")
-
-
-def sample_point(u: VectorExpr, f, bindings, p) -> PointSample:
-    value = tuple(float(ex.evaluate(c, bindings, p)) for c in u.components)
-    return PointSample(
-        point=tuple(float(c) for c in p),
-        value=value,
-        beltrami=beltrami_residual(u, f, bindings, p),
-        elliptic=elliptic_residual(u, f, bindings, p),
-    )
 
 
 def _component_jets(u: VectorExpr, bindings, p, order, mode="double"):

@@ -37,6 +37,11 @@ PATCH_RADIUS = 0.2  # grids and times stay within this distance of the base poin
 # resident with either init, of which the interpreter and numpy hold about
 # 30 MB before it starts.
 MAX_GRID_NODES = 251_001
+# Most RK4 steps a run may take.  With the drift recorded after each, a step
+# costs about 80 us on 21x21 nodes, 2.2 ms on 201x201 and 25 ms on 501x501
+# (2 CPUs, Python 3.11), so the longest run the grid budget admits ends in
+# about 100 s.  It crosses the whole patch at dt = 5e-5.
+MAX_STEPS = 4_000
 # drift divides by one spacing per axis, so the steps of an axis may differ by
 # this much relative to its first; GridField.centered rounds them apart by at
 # most 4.2e-12 relative on a 50,200-node axis, the longest the budget admits
@@ -245,11 +250,15 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
 
     ``init`` is either ``("psi", expr)`` for beta = d psi, or
     ``("field", vector_expr)`` for the pullback of an explicit field.  The
-    step, the final time, the grid's extent and its node count are checked
-    before the grid is allocated or the chart built.
+    step, the final time, the step count, the grid's extent and its node count
+    are checked before the grid is allocated or the chart built.
     """
     if dt <= 0 or t_max < 0:
         raise DomainError(f"need dt > 0 and t_max >= 0, got dt = {dt}, t_max = {t_max}")
+    # checked before rounding, as the quotient may overflow to inf
+    if t_max / dt > MAX_STEPS + 0.5:
+        raise BudgetError(f"t_max / dt asks for {t_max / dt:.6g} steps, above the limit "
+                          f"{MAX_STEPS}")
     steps = int(round(t_max / dt))
     if abs(steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise DomainError("t_max must be an integer multiple of dt")

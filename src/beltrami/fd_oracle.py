@@ -1,10 +1,12 @@
 """Independent numerical pipeline used to cross-validate the series pipeline.
 
-Nothing here touches jet arithmetic: Taylor coefficients come from central
-finite differences, the flow map from Runge-Kutta integration, and the
-obstruction determinant from stencil derivatives of pointwise-assembled
-tensors.  Each stencil derivative is one batched evaluation or slice and
-one contraction with the weights of :func:`deriv_weights`.
+Nothing here touches jet arithmetic: derivatives come from central finite
+differences, the flow map from Runge-Kutta integration, and the obstruction
+determinant from stencil derivatives of pointwise-assembled tensors.  Each
+stencil derivative is one batched evaluation or slice and one contraction
+with the weights of :func:`deriv_weights`.  The numerics are fixed: every
+stencil has the step ``STEP`` and the radius ``RADIUS``, and the flow's RK4
+step is at most ``FLOW_DT``.
 
 Its agreement with the series pipeline is measured, not guaranteed.  The
 ``cross-check`` battery holds 2e-5 relative and its zeros 1e-10 absolute;
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,35 +31,19 @@ import numpy as np
 from . import expr as ex
 from .chart import _minimal_rotation
 from .errors import DomainError
-from .series import TruncatedSeries, as_double
+from .series import as_double
 
 _E3 = np.eye(3)
 
-
-@dataclass(frozen=True)
-class StencilSpec:
-    """Step size and stencil geometry for the oracle.
-
-    ``step_space`` is the step of every stencil, in t and in each space
-    direction.  ``radius`` is the half-width of 1-D stencils (2*radius + 1
-    nodes); the jet stencil auto-widens so every requested derivative order
-    fits.  The 8e-3 default sits at the measured optimum between stencil
-    truncation and noise amplified through the recursion's repeated time
-    derivatives.  ``flow_dt`` bounds the RK4 step in t: the oracle's flow
-    splits each step between t nodes into ``ceil(step_space / flow_dt)``
-    equal steps.
-    """
-
-    step_space: float = 8e-3
-    radius: int = 2
-    richardson: int = 1
-    flow_dt: float = 2e-3
-
-    def __post_init__(self):
-        if self.step_space <= 0:
-            raise DomainError("stencil step must be positive")
-        if self.radius < 1:
-            raise DomainError("stencil radius must be >= 1")
+# The step of every stencil, in t, along the xi cross, and for the metric and
+# every gradient.  It sits at the measured optimum between stencil truncation
+# and noise amplified through the recursion's repeated time derivatives.
+STEP = 8e-3
+# The half-width of every 1-D stencil, which has 2 * RADIUS + 1 nodes.
+RADIUS = 2
+# The largest RK4 step in t: the flow splits the interval between two records
+# (two t nodes, in P_point_fd) into ceil(interval / FLOW_DT) equal steps.
+FLOW_DT = 2e-3
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,51 +74,6 @@ def deriv_weights(k: int, radius: int, step: float) -> np.ndarray:
     return np.array(_unit_weights(k, radius)) / step**k
 
 
-def _jet_once(f, bindings, p, order, radius, step):
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64) * step
-    grid = np.stack(
-        np.meshgrid(offsets, offsets, offsets, indexing="ij"), axis=-1
-    ).reshape(-1, 3) + np.asarray(p, dtype=np.float64)
-    vals = ex.evaluate(f, bindings, grid).reshape(
-        2 * radius + 1, 2 * radius + 1, 2 * radius + 1
-    )
-    W = np.stack([deriv_weights(k, radius, step) for k in range(order + 1)])
-    return np.einsum("ai,bj,ck,ijk->abc", W, W, W, vals)
-
-
-def fd_jet(f, bindings, p, order: int, spec: StencilSpec | None = None):
-    """Taylor coefficients of f at p through total degree `order`, by central
-    differences on a tensor grid (optionally Richardson-extrapolated)."""
-    spec = spec or StencilSpec()
-    if order < 0:
-        raise DomainError("jet order must be >= 0")
-    if spec.step_space < 1e-3 and order >= 4:
-        raise DomainError(
-            "step below 1e-3 with order >= 4 would be dominated by cancellation"
-        )
-    radius = max(spec.radius, order // 2 + 2)
-    tables = [
-        _jet_once(f, bindings, p, order, radius, spec.step_space / 2**lvl)
-        for lvl in range(spec.richardson)
-    ]
-    # Neville ladder assuming even error orders starting at h^2 (conservative)
-    for col in range(1, len(tables)):
-        factor = 4.0**col
-        tables = [
-            (factor * tables[i + 1] - tables[i]) / (factor - 1.0)
-            for i in range(len(tables) - 1)
-        ]
-    D = tables[0]
-    terms = {}
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            for c in range(order + 1 - a - b):
-                terms[(a, b, c)] = D[a, b, c] / (
-                    math.factorial(a) * math.factorial(b) * math.factorial(c)
-                )
-    return TruncatedSeries.from_terms(ex.VAR_NAMES, order, terms)
-
-
 @functools.lru_cache(maxsize=64)
 def _first_stencil(step: float, radius: int, axes: tuple):
     """The central first-derivative stencil along `axes` without its zero
@@ -156,23 +96,24 @@ def _partials(F, pts, step, radius, axes=(0, 1, 2)):
     return np.einsum("j,ajn->na", w, vals.reshape(len(axes), w.size, -1))
 
 
-def _flow_batch(F, starts, times, spec: StencilSpec, records: int = 1):
+def _flow_batch(F, starts, times, flow_dt: float, records: int = 1):
     """Integrate dx/dt = grad F / |grad F|^2 from each start to its own time,
     recording every trajectory at s = j / records, j = 1..records.
 
     Reparametrized to s in [0, 1] with per-row speed, advanced by the
     classical 4th-order scheme in ``records * per`` equal steps, where
-    ``per = ceil(tmax / records / flow_dt)`` steps lie between records.
+    ``per = ceil(tmax / records / flow_dt)`` steps lie between records.  The
+    gradient is the first-derivative stencil of ``STEP`` and ``RADIUS``.
     Returns the recorded positions, shape (records, N, 3).
     """
     pts = np.array(starts, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64).reshape(-1, 1)
     tmax = float(np.max(np.abs(times)))
-    per = max(1, int(math.ceil(tmax / records / spec.flow_dt)))
+    per = max(1, int(math.ceil(tmax / records / flow_dt)))
     ds = 1.0 / (per * records)
 
     def rhs(x):
-        g = _partials(F, x, spec.step_space, spec.radius)
+        g = _partials(F, x, STEP, RADIUS)
         nsq = (g * g).sum(axis=1, keepdims=True)
         if (nsq < 1e-8**2).any():
             raise DomainError("gradient collapsed along a flow trajectory")
@@ -212,21 +153,22 @@ def numeric_flow(f, bindings, x0, t, dt: float = 1e-2):
     single = x0.ndim == 1
     starts = x0[None, :] if single else x0
     times = np.full(starts.shape[0], float(t))
-    out = _flow_batch(F, starts, times, StencilSpec(flow_dt=dt))[0]
+    out = _flow_batch(F, starts, times, dt)[0]
     return out[0] if single else out
 
 
-def _newton_graph(F, xi, c0, step, radius, tol=1e-13, max_iter=60):
-    """Solve F(xi1, xi2, z) = c0 for z on an (N, 2) batch of xi values."""
+def _newton_graph(F, xi, c0, step, radius):
+    """Solve F(xi1, xi2, z) = c0 for z on an (N, 2) batch of xi values, to
+    1e-13 relative to max(1, |c0|) in at most 60 Newton steps."""
     z = np.zeros(xi.shape[0])
-    for _ in range(max_iter):
+    for _ in range(60):
         pts = np.column_stack([xi, z])
         val = F(pts) - c0
         slope = _partials(F, pts, step, radius, axes=(2,))[:, 0]
         if np.any(np.abs(slope) < 1e-10):
             raise DomainError("graph Newton: vertical derivative collapsed")
         z = z - val / slope
-        if np.max(np.abs(val)) < tol * max(1.0, abs(c0)):
+        if np.max(np.abs(val)) < 1e-13 * max(1.0, abs(c0)):
             break
     return z
 
@@ -251,8 +193,7 @@ def _cross_derivs(w, vals):
     return d1, d2
 
 
-def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
-               frame: str = "graph", indices=(2, 3, 4, 5)) -> float:
+def P_point_fd(f, bindings, p, frame: str = "graph", indices=(2, 3, 4, 5)) -> float:
     """Degree-0 obstruction coefficient at p, entirely by numerics.
 
     Builds the evolution tensor on a (t, xi) sample lattice via Newton graph
@@ -262,7 +203,6 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     constraint vectors with stencil xi-derivatives, and takes the 4x4
     determinant at the origin.
     """
-    spec = spec or StencilSpec()
     indices = tuple(indices)
     max_n = max(indices)
     p = np.asarray(p, dtype=np.float64)
@@ -273,7 +213,7 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
     if frame == "graph":
         R = np.eye(3)
     elif frame == "rotated":
-        R = _minimal_rotation(_partials(F_world, p[None, :], spec.step_space, spec.radius)[0])
+        R = _minimal_rotation(_partials(F_world, p[None, :], STEP, RADIUS)[0])
     else:
         raise DomainError(f"oracle supports frames 'graph' and 'rotated', not {frame!r}")
 
@@ -282,8 +222,7 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
 
     c0 = float(F(np.zeros((1, 3)))[0])
 
-    rt = spec.radius
-    step = spec.step_space  # one step for every stencil: t, the cross and the metric
+    rt, step = RADIUS, STEP
     levels = max_n - 1
     t_half = rt * levels
     t_nodes = np.arange(-t_half, t_half + 1, dtype=np.float64) * step
@@ -303,7 +242,7 @@ def P_point_fd(f, bindings, p, spec: StencilSpec | None = None,
 
     # one trajectory per start and direction, recorded at every t node
     ends = np.repeat([t_nodes[-1], t_nodes[0]], len(starts_u))
-    marched = _flow_batch(F, np.tile(starts_u, (2, 1)), ends, spec, records=t_half)
+    marched = _flow_batch(F, np.tile(starts_u, (2, 1)), ends, FLOW_DT, records=t_half)
     forward, backward = np.split(marched, 2, axis=1)
     flowed = np.concatenate([backward[::-1], starts_u[None], forward]).swapaxes(0, 1)
 

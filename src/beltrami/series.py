@@ -691,24 +691,12 @@ class SeriesMatrix2:
     def order(self):
         return self.m[0][0].order
 
-    @property
-    def vars(self):
-        return self.m[0][0].vars
-
     def __add__(self, other):
         return SeriesMatrix2(
             self.m[0][0] + other.m[0][0],
             self.m[0][1] + other.m[0][1],
             self.m[1][0] + other.m[1][0],
             self.m[1][1] + other.m[1][1],
-        )
-
-    def __sub__(self, other):
-        return SeriesMatrix2(
-            self.m[0][0] - other.m[0][0],
-            self.m[0][1] - other.m[0][1],
-            self.m[1][0] - other.m[1][0],
-            self.m[1][1] - other.m[1][1],
         )
 
     def __mul__(self, other):

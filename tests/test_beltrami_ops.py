@@ -245,14 +245,3 @@ def test_chart_pullback_zero_field():
 def test_gradient_helper():
     g = gradient(ex.parse("1+a*x1+b*x1^3+x3"), {"a": 2.0, "b": 1.0}, (1.0, 0, 0))
     assert np.allclose(g.astype(float), [5.0, 0.0, 1.0])
-
-
-def test_point_sample():
-    from beltrami.beltrami_ops import PointSample, sample_point
-
-    u = affine_field(1.0, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
-    s = sample_point(u, ex.parse("1+x3"), None, (0.1, 0.2, 0.3))
-    assert s.beltrami < 1e-9 and s.elliptic < 1e-8
-    assert len(s.value) == 3
-    with pytest.raises(DomainError):
-        PointSample(point=(0, 0, 0), value=(0, 0, 0), beltrami=-1.0, elliptic=0.0)

@@ -403,6 +403,11 @@ def test_oversized_orders_fail_before_allocating(capsys, monkeypatch):
         # built at (4, 41): the flow at (5, 42) needs 3,426,885 pairs per product
         ["p-eval", "--f", "1+x1^2+x3", "--degree", "40"],
         ["p-eval", "--f", "1+x1^2+x3", "--degree", "0", "--indices", "2,3,4,200"],
+        # 10^298 RK4 steps, and a step count t_max / dt that overflows to inf
+        ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "1e-300", "--init", "psi:x1",
+         "--grid", "5x5"],
+        ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "1e-320", "--init", "psi:x1",
+         "--grid", "5x5"],
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)

@@ -408,6 +408,26 @@ def test_run_rejects_a_grid_above_the_node_budget_before_allocating(monkeypatch)
             t_max=0.01, dt=0.005, n1=n, n2=n, h1=1e-5, h2=1e-5)
 
 
+def test_run_rejects_a_step_count_above_the_budget_before_allocating(monkeypatch):
+    # dt = 1e-300 plans 10^298 steps, and at dt = 1e-320 the quotient
+    # t_max / dt overflows to inf; the run refuses both, and one step above
+    # the limit, before anything is built
+    def no_call(*args, **kwargs):
+        raise AssertionError("the run went past its step-count check")
+
+    monkeypatch.setattr(GridField, "centered", no_call)
+    monkeypatch.setattr(evolution, "build_chart", no_call)
+    limit = evolution.MAX_STEPS
+    for t_max, dt in ((0.01, 1e-300), (0.01, 1e-320), (0.2, 0.2 / (limit + 1))):
+        with pytest.raises(BudgetError, match=f"above the limit {limit}"):
+            run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+                t_max=t_max, dt=dt, n1=5, n2=5, h1=0.01, h2=0.01)
+    # at the limit the check passes and the grid is built
+    with pytest.raises(AssertionError, match="step-count"):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=0.2, dt=0.2 / limit, n1=5, n2=5, h1=0.01, h2=0.01)
+
+
 def test_run_samples_T_on_the_grid_once(monkeypatch):
     # sampling per RK4 stage would make the count grow with the steps: T is
     # sampled once per run, the field init once more, and no node-by-monomial

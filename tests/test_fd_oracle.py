@@ -9,11 +9,9 @@ from beltrami import expr as ex
 from beltrami.errors import DomainError
 from beltrami.fd_oracle import (
     P_point_fd,
-    StencilSpec,
     _first_stencil,
     _flow_batch,
     deriv_weights,
-    fd_jet,
     numeric_flow,
 )
 from beltrami.reference import cubic_family_coeffs
@@ -30,49 +28,6 @@ def test_deriv_weights_polynomial_exactness():
             assert got == pytest.approx(2.0, abs=1e-9)
         else:
             assert abs(got) < 1e-8 * max(1.0, np.max(np.abs(xs**deg)))
-
-
-def test_fd_jet_cubic():
-    j = fd_jet(ex.parse("x1^3"), None, (0, 0, 0), 3)
-    assert abs(j.coeff((3, 0, 0)) - 1.0) < 1e-10
-    assert abs(j.coeff((0, 0, 0))) < 1e-12
-
-
-def test_fd_jet_order_zero():
-    j = fd_jet(ex.parse("1+x1^2+x3"), None, (0.5, 0.0, 1.0), 0)
-    assert j.coeff((0, 0, 0)) == pytest.approx(2.25)
-
-
-def test_fd_jet_of_a_constant():
-    # a tree without a variable evaluates to one value per stencil node
-    j = fd_jet(ex.parse("2"), None, (0, 0, 0), 2)
-    assert j.coeff((0, 0, 0)) == 2.0
-    assert max(abs(c) for m, c in j.nonzero_terms() if sum(m)) < 1e-10
-
-
-def test_fd_jet_matches_series_jet():
-    f = ex.parse("1+a*x1+b*x1^3+x3")
-    bindings = {"a": 1.0, "b": 1.0}
-    p = (0.2, -0.1, 0.3)
-    fd = fd_jet(f, bindings, p, 4)
-    sj = ex.jet(f, bindings, p, 4)
-    worst = max(
-        abs(fd.coeff(m) - c) for m, c in sj.nonzero_terms()
-    )
-    assert worst < 1e-9
-
-
-def test_fd_jet_richardson_on_transcendental():
-    f = ex.parse("exp(x1)*cos(x2)")
-    fd = fd_jet(f, None, (0.1, 0.2, 0.0), 3, StencilSpec(richardson=3))
-    sj = ex.jet(f, None, (0.1, 0.2, 0.0), 3)
-    worst = max(abs(fd.coeff(m) - c) for m, c in sj.nonzero_terms())
-    assert worst < 1e-7
-
-
-def test_fd_jet_cancellation_guard():
-    with pytest.raises(DomainError):
-        fd_jet(ex.parse("x1^4"), None, (0, 0, 0), 4, StencilSpec(step_space=1e-4))
 
 
 def test_numeric_flow_flat():
@@ -121,7 +76,7 @@ def test_marched_flow_records_affine_trajectory():
     x0 = np.random.default_rng(3).uniform(-0.5, 0.5, (4, 3))
     starts, times = np.tile(x0, (2, 1)), np.repeat([0.3, -0.3], 4)
     records = 6
-    out = _flow_batch(F, starts, times, StencilSpec(flow_dt=0.02), records=records)
+    out = _flow_batch(F, starts, times, 0.02, records=records)
     s = np.arange(1, records + 1)[:, None, None] / records
     expect = starts + s * times[:, None] * w / (w @ w)
     assert out.shape == (records, 8, 3)
@@ -133,7 +88,7 @@ def test_marched_flow_gradient_collapse():
     F = functools.partial(ex.evaluate, ex.parse("1+x3^2"), None)
     with pytest.raises(DomainError):
         # the trajectory reaches the critical plane x3 = 0 before its last record
-        _flow_batch(F, [(0.0, 0.0, 0.05)], [-0.25], StencilSpec(flow_dt=1e-3), records=5)
+        _flow_batch(F, [(0.0, 0.0, 0.05)], [-0.25], 1e-3, records=5)
 
 
 def test_P_point_fd_affine_zero():
@@ -277,3 +232,20 @@ def test_P_point_fd_builds_each_stencil_once(frame):
     info = _first_stencil.cache_info()
     assert info.misses == info.currsize == 2
     assert info.hits == {"graph": 129, "rotated": 131}[frame]
+
+
+@pytest.mark.parametrize("indices, series", [
+    ((2, 3, 4, 6), -78.46875), ((2, 3, 5, 6), -856.828125), ((3, 4, 5, 6), -6075.0)])
+def test_P_point_fd_other_hierarchy_members(indices, series):
+    # the oracle is the one independent check of the members that
+    # p-eval --indices reports; at a = b = 1 it misses the series (exact in
+    # rational mode) by 3.1e-5, 1.4e-5 and 2.8e-5, held to cross-check's 1e-3
+    from beltrami.obstruction import obstruction_P
+
+    f = ex.parse("1+a*x1+b*x1^3+x3")
+    bindings = {"a": 1.0, "b": 1.0}
+    got = obstruction_P(f, bindings, (0, 0, 0), degree=0, frame="graph",
+                        indices=indices).coeff((0, 0))
+    assert got == pytest.approx(series, rel=1e-12)
+    fd = P_point_fd(f, bindings, (0, 0, 0), frame="graph", indices=indices)
+    assert abs(fd - got) / abs(got) < 1e-3
