@@ -153,9 +153,9 @@ def _world(bp: BasePoint, y):
 
 def _check_residual(residual: TruncatedSeries, scale: float, what: str) -> float:
     """The largest coefficient of a residual series, which must be 0 in
-    rational mode and within 1e-9 * scale in double mode."""
+    rational mode and within 1e-9 * scale in double mode; a NaN fails."""
     size = as_double(residual.max_abs())
-    if size > (0.0 if residual.kind is RATIONAL else 1e-9 * scale):
+    if not size <= (0.0 if residual.kind is RATIONAL else 1e-9 * scale):
         raise DomainError(f"{what}: residual {size:.3e} (coefficient scale {scale:.3e})")
     return size
 

@@ -250,11 +250,13 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
 
     ``init`` is either ``("psi", expr)`` for beta = d psi, or
     ``("field", vector_expr)`` for the pullback of an explicit field.  The
-    step, the final time, the step count, the grid's extent and its node count
-    are checked before the grid is allocated or the chart built.
+    step, the final time (each finite), the step count, the grid's extent and
+    its node count are checked before the grid is allocated or the chart built.
     """
-    if dt <= 0 or t_max < 0:
-        raise DomainError(f"need dt > 0 and t_max >= 0, got dt = {dt}, t_max = {t_max}")
+    # a NaN fails both comparisons; an inf dt would make 0 * inf = nan below
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
+        raise DomainError(f"need a finite dt > 0 and a finite t_max >= 0, got dt = {dt}, "
+                          f"t_max = {t_max}")
     # checked before rounding, as the quotient may overflow to inf
     if t_max / dt > MAX_STEPS + 0.5:
         raise BudgetError(f"t_max / dt asks for {t_max / dt:.6g} steps, above the limit "

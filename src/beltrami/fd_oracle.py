@@ -144,7 +144,10 @@ def _flow_batch(F, starts, times, flow_dt: float, records: int = 1):
 
 
 def numeric_flow(f, bindings, x0, t, dt: float = 1e-2):
-    """Flow x0 along grad f / |grad f|^2 for time t (4th-order, fixed step)."""
+    """Flow x0 along grad f / |grad f|^2 for time t (4th-order, fixed step);
+    ``dt`` must be finite and positive, and ``t`` finite."""
+    if not (0 < dt < math.inf and math.isfinite(t)):
+        raise DomainError(f"need a finite dt > 0 and a finite t, got dt = {dt}, t = {t}")
 
     def F(pts):
         return ex.evaluate(f, bindings, pts)

@@ -12,16 +12,19 @@ exact through the order.
 
 The coefficient kind is decided here alone: ``DOUBLE`` (IEEE doubles, the
 default) or ``RATIONAL``, named by the mode strings ``"double"`` and
-``"rational"`` (:func:`kind`).  Each kind owns the scalar rules that differ
-between them: how a scalar enters a series (``coerce``), how a coefficient is
-written to JSON, the zero, the array dtype, the smallest constant term with a
-reciprocal (``tiny``) and the square root of a constant term (``root``).  A
-series tells its kind by its denominator.  A rational series holds an object
-array of Python ``int`` numerators over one ``int`` denominator, in canonical
-form: ``den >= 1``, ``gcd(den, *num) == 1``, and the zero series has
-``den == 1``.  A ring operation is integer arithmetic on the numerators
-followed by one gcd that reduces the denominator.  ``fractions.Fraction``
-values appear only where a coefficient enters or leaves a series:
+``"rational"`` (:func:`kind`).  A series holds its kind and an array ``num`` of
+numerators over one ``int`` denominator ``den``.  Doubles sit over ``den = 1``,
+so sums, constants, negation, derivatives and re-placements run one path for
+both kinds.  Rational numerators are Python ``int``s in canonical form:
+``den >= 1``, ``gcd(den, *num) == 1``, and the zero series has ``den == 1``; a
+ring operation is integer arithmetic followed by one gcd.  Each kind owns the
+rules that differ: a scalar as a coefficient (``coerce``) or as a pair
+``(p, q)`` (``ratio``), the scaling by one (``scale``), the product kernel
+(``product``), the antiderivative's division (``divide``), how a coefficient
+leaves a series (``value``, ``values``, ``floats``, ``max_abs``, ``json``), the
+zero, the dtype, the smallest constant term with a reciprocal (``tiny``) and
+the square root of a constant term (``root``).  ``fractions.Fraction`` values
+appear only where a coefficient enters or leaves a series:
 :meth:`~TruncatedSeries.from_terms`, :meth:`~TruncatedSeries.constant`,
 :meth:`~TruncatedSeries.coeff`, :meth:`~TruncatedSeries.constant_term`,
 :meth:`~TruncatedSeries.max_abs`, :meth:`~TruncatedSeries.nonzero_terms`, the
@@ -44,7 +47,7 @@ Both coefficient modes run through the same index arrays, built once per
   denominators multiply.  A product with a constant factor (a series whose
   only nonzero coefficient, if any, is the constant one) skips the table: it
   is the other factor's numerators times that constant, one scaling, and on
-  doubles it is bit for bit what the table would sum;
+  doubles it is bit for bit what the table would sum (``_Double.product``);
 * per variable, the derivative and antiderivative maps ``(src, dst, k)``;
 * per target space, the map that places there each monomial that space
   holds, shared by :meth:`TruncatedSeries.truncate`,
@@ -55,9 +58,7 @@ found from its additive key, the exponents read as digits in base
 ``top + 1``, by a search in the space's sorted keys.
 
 Scalar products, derivatives, antiderivatives and re-placements are then one
-indexed numpy operation on the doubles or the numerators.  An exact
-antiderivative puts its divisors over their least common multiple, which
-joins the denominator.
+indexed numpy operation on the numerators.
 """
 
 from __future__ import annotations
@@ -204,15 +205,6 @@ class _Space:
         return self._cached(("onto", names, order), build)
 
 
-def _ratio(value) -> tuple:
-    """An exact scalar as (numerator, denominator), without building a Fraction."""
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    if isinstance(value, int):
-        return value, 1
-    raise DomainError(f"exact mode requires rational coefficients, got {value!r}")
-
-
 def as_double(value, den=None):
     """The IEEE double nearest an exact scalar (an int or a Fraction; a float
     passes through), or, given ``den``, the doubles nearest ``value / den``
@@ -226,14 +218,54 @@ def as_double(value, den=None):
         raise DomainError("an exact value lies beyond the double range") from None
 
 
+def _pair_sum(a: np.ndarray, b: np.ndarray, I, J, K) -> np.ndarray:
+    """The numerators of a product, summed over the pair-table entries (I, J, K)."""
+    out = np.zeros(a.size, dtype=a.dtype)
+    np.add.at(out, K, a[I] * b[J])
+    return out
+
+
 class _Double:
-    """IEEE double coefficients: ``den`` is None and ``num`` holds floats."""
+    """IEEE double coefficients: ``num`` holds floats over ``den = 1``."""
 
     name, zero, dtype = "double", 0.0, np.float64
     tiny = 1e-300  # a constant term below this in size has no reciprocal
     coerce = staticmethod(as_double)  # a scalar as a coefficient of the kind
     json = staticmethod(float)  # a coefficient as a JSON value
     root = staticmethod(math.sqrt)  # the square root of a positive constant term
+    # a coefficient, the coeffs view and the doubles eval reads: as stored
+    value = values = floats = staticmethod(lambda num, den: num)
+    ratio = staticmethod(lambda value: (as_double(value), 1))  # a scalar over 1
+    divide = staticmethod(lambda num, div: (num / div, 1))  # antiderivative division
+    max_abs = staticmethod(lambda num, den: float(np.max(np.abs(num))))
+
+    @staticmethod
+    def scale(num: np.ndarray, p) -> np.ndarray:
+        """The numerators times ``p``, where 0 stays 0 even if ``p`` is inf."""
+        out = num.copy()
+        nz = np.flatnonzero(out)
+        out[nz] = out[nz] * p
+        return out
+
+    @staticmethod
+    def product(sp: "_Space", a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product's numerators, with no zero mask: it would cost more than
+        it saves.  Past ``CONSTANT_CHECK_PAIRS`` a constant factor scales the
+        other one as the table sums it, onto +0.0 (a -0.0 becomes +0.0); a
+        non-finite result is left to the table, which spreads 0 * inf = nan."""
+        if sp.npairs > CONSTANT_CHECK_PAIRS:
+            # a constant has no nonzero coefficient past the first one
+            if np.count_nonzero(b) <= (b[0] != 0):
+                out = a * b[0]
+            elif np.count_nonzero(a) <= (a[0] != 0):
+                out = b * a[0]
+            else:
+                out = None
+            if out is not None:
+                out += 0.0
+                if np.isfinite(out).all():
+                    return out
+        return _pair_sum(a, b, *sp.pairs())
 
 
 class _Rational:
@@ -241,10 +273,21 @@ class _Rational:
 
     name, zero, dtype = "rational", Fraction(0), object
     tiny = 0
+    value, floats, scale = Fraction, staticmethod(as_double), staticmethod(np.multiply)
+    max_abs = staticmethod(lambda num, den: Fraction(max(map(abs, num)), den))
+
+    @staticmethod
+    def ratio(value) -> tuple:
+        """An exact scalar as (numerator, denominator), without building a Fraction."""
+        if isinstance(value, Fraction):
+            return value.numerator, value.denominator
+        if isinstance(value, int):
+            return value, 1
+        raise DomainError(f"exact mode requires rational coefficients, got {value!r}")
 
     @staticmethod
     def coerce(value) -> Fraction:
-        return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+        return value if isinstance(value, Fraction) else Fraction(*_Rational.ratio(value))
 
     @staticmethod
     def json(value) -> str:
@@ -264,6 +307,33 @@ class _Rational:
             raise DomainError(f"exact sqrt needs a perfect-square constant term, got {c}")
         return Fraction(p, q)
 
+    @staticmethod
+    def product(sp: "_Space", a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product's numerators.  Each pair costs a Python int product, so
+        pairs with a zero factor are dropped; the same masks show a constant
+        factor, which leaves one pair per output: a scaling."""
+        nza, nzb = a != 0, b != 0
+        if np.count_nonzero(nzb) <= nzb[0]:
+            return a * b[0]
+        if np.count_nonzero(nza) <= nza[0]:
+            return b * a[0]
+        I, J, K = sp.pairs()
+        keep = nza[I] & nzb[J]
+        return _pair_sum(a, b, I[keep], J[keep], K[keep])
+
+    @staticmethod
+    def divide(num: np.ndarray, div: np.ndarray) -> tuple:
+        """``num / div`` over the least common multiple of ``div``, and that multiple."""
+        div = div.astype(object)  # the lcm can pass the int64 range
+        lcm = math.lcm(*div)
+        return num * (lcm // div), lcm
+
+    @staticmethod
+    def values(num, den) -> np.ndarray:
+        out = np.array([Fraction(n, den) for n in num], dtype=object)
+        out.flags.writeable = False  # a write here would not reach the series
+        return out
+
 
 DOUBLE, RATIONAL = _Double(), _Rational()
 
@@ -280,24 +350,25 @@ class TruncatedSeries:
     """A polynomial in named variables truncated at a fixed order: a total
     degree, or a pair (degree in the first variable, total degree in the rest).
 
-    ``num`` holds one entry per monomial, in graded order.  For DOUBLE
-    coefficients ``den`` is None and ``num`` is the float array of
-    coefficients; for RATIONAL ones ``num`` is an object array of ints, the
-    coefficient is ``num[i] / den``, and the constructor brings the pair to
-    canonical form.  :attr:`kind` is read off ``den``.
+    ``num`` holds one entry per monomial, in graded order, over the int
+    ``den``: the coefficient of monomial i is ``num[i] / den``.  Doubles sit
+    over ``den = 1``; the constructor brings a rational pair to canonical
+    form.  ``kind`` is the coefficient kind, which owns every rule that
+    differs between kinds.
     """
 
-    __slots__ = ("vars", "order", "num", "den")
+    __slots__ = ("vars", "order", "num", "den", "kind")
 
-    def __init__(self, vars: tuple, order, num: np.ndarray, den: int | None = None):
+    def __init__(self, vars: tuple, order, num: np.ndarray, den: int, kind):
         self.vars = tuple(vars)
         self.order = order
-        if den is not None and den != 1:
+        if den != 1:
             g = math.gcd(den, *num)  # past a running gcd of 1 the rest costs no division
             if g != 1:
                 num, den = num // g, den // g
         self.num = num
         self.den = den
+        self.kind = kind
 
     # -- constructors ------------------------------------------------------
 
@@ -322,28 +393,24 @@ class TruncatedSeries:
     @classmethod
     def from_terms(cls, vars, order, terms: dict, kind=DOUBLE):
         sp = _space(tuple(vars), order)
-        values = {}
+        values, den = {}, 1
         for mono, value in terms.items():
             mono = tuple(mono)
             if mono not in sp.index:
                 raise SeriesMismatchError(f"monomial {mono} exceeds order {order}")
-            values[sp.index[mono]] = as_double(value) if kind is DOUBLE else _ratio(value)
-        den = None if kind is DOUBLE else math.lcm(*(q for _, q in values.values()))
+            values[sp.index[mono]] = p, q = kind.ratio(value)
+            den = math.lcm(den, q)
         num = np.zeros(sp.size, kind.dtype)
-        for i, v in values.items():
-            num[i] = v if den is None else v[0] * (den // v[1])
-        return cls(vars, order, num, den)
+        for i, (p, q) in values.items():
+            num[i] = p * (den // q)
+        return cls(vars, order, num, den, kind)
 
     # -- basic queries -----------------------------------------------------
 
     @property
-    def kind(self):
-        return DOUBLE if self.den is None else RATIONAL
-
-    @property
     def exact(self) -> bool:
         # kept for the benchmark's tracer, which reads it to tell the kinds apart
-        return self.den is not None
+        return self.kind is RATIONAL
 
     @property
     def space(self) -> _Space:
@@ -353,14 +420,10 @@ class TruncatedSeries:
     def coeffs(self) -> np.ndarray:
         """The coefficients in graded monomial order: in double mode the stored
         array itself, in exact mode a read-only array of Fractions."""
-        if self.den is None:
-            return self.num
-        out = np.array([Fraction(n, self.den) for n in self.num], dtype=object)
-        out.flags.writeable = False  # a write here would not reach the series
-        return out
+        return self.kind.values(self.num, self.den)
 
     def _value(self, i):
-        return self.num[i] if self.den is None else Fraction(self.num[i], self.den)
+        return self.kind.value(self.num[i], self.den)
 
     def coeff(self, mono):
         sp = self.space
@@ -375,9 +438,7 @@ class TruncatedSeries:
 
     def max_abs(self) -> float | Fraction:
         """The largest coefficient magnitude: a float, or a Fraction in exact mode."""
-        if self.den is None:
-            return float(np.max(np.abs(self.num)))
-        return Fraction(max(map(abs, self.num)), self.den)
+        return self.kind.max_abs(self.num, self.den)
 
     def constant_term(self):
         return self._value(0)
@@ -387,6 +448,7 @@ class TruncatedSeries:
         return (
             self.vars == other.vars
             and self.order == other.order
+            and self.kind is other.kind
             and self.den == other.den
             and np.array_equal(self.num, other.num)
         )
@@ -408,31 +470,26 @@ class TruncatedSeries:
             raise SeriesMismatchError(
                 f"order mismatch: {self.order} vs {other.order}; truncate explicitly"
             )
-        if self.exact != other.exact:
-            raise SeriesMismatchError("cannot mix exact and double coefficient modes")
+        if self.kind is not other.kind:
+            raise SeriesMismatchError(
+                f"cannot mix {self.kind.name} and {other.kind.name} coefficients")
 
     def _sum(self, other, op):
-        """``op`` (np.add or np.subtract) of two series of one space; exact
+        """``op`` (np.add or np.subtract) of two series of one space; the
         operands meet over the least common multiple of their denominators."""
         self._check(other)
-        if self.den is None:
-            return TruncatedSeries(self.vars, self.order, op(self.num, other.num))
         g = math.gcd(self.den, other.den)
         ka, kb = other.den // g, self.den // g
         a = self.num if ka == 1 else self.num * ka
         b = other.num if kb == 1 else other.num * kb
-        return TruncatedSeries(self.vars, self.order, op(a, b), self.den * ka)
+        return TruncatedSeries(self.vars, self.order, op(a, b), self.den * ka, self.kind)
 
     def _plus_constant(self, value, sign: int):
         """The series plus ``sign * value`` in the constant term."""
-        if self.den is None:
-            num = self.num.copy()
-            num[0] = num[0] + sign * as_double(value)
-            return TruncatedSeries(self.vars, self.order, num)
-        p, q = _ratio(value)
+        p, q = self.kind.ratio(value)
         num = self.num * q if q != 1 else self.num.copy()
         num[0] += sign * p * self.den
-        return TruncatedSeries(self.vars, self.order, num, self.den * q)
+        return TruncatedSeries(self.vars, self.order, num, self.den * q, self.kind)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -451,47 +508,22 @@ class TruncatedSeries:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return TruncatedSeries(self.vars, self.order, -self.num, self.den)
+        return TruncatedSeries(self.vars, self.order, -self.num, self.den, self.kind)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self._scale(other)
         self._check(other)
-        sp, a, b = self.space, self.num, other.num
-        if self.den is None:
-            # no zero mask on doubles: it would cost more than it saves
-            out = _constant_factor_product(a, b) if sp.npairs > CONSTANT_CHECK_PAIRS else None
-        else:
-            # each exact pair costs a Python int product, so pairs with a zero
-            # factor are dropped; the same masks show a constant factor, which
-            # leaves one pair per output: a scaling
-            nza, nzb = a != 0, b != 0
-            out = None
-            if np.count_nonzero(nzb) <= nzb[0]:
-                out = a * b[0]
-            elif np.count_nonzero(nza) <= nza[0]:
-                out = b * a[0]
-        if out is None:
-            I, J, K = sp.pairs()
-            if self.den is not None:
-                keep = nza[I] & nzb[J]
-                I, J, K = I[keep], J[keep], K[keep]
-            out = np.zeros(a.size, dtype=a.dtype)
-            np.add.at(out, K, a[I] * b[J])
-        return TruncatedSeries(self.vars, self.order, out,
-                               None if self.den is None else self.den * other.den)
+        out = self.kind.product(self.space, self.num, other.num)
+        return TruncatedSeries(self.vars, self.order, out, self.den * other.den, self.kind)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def _scale(self, value):
-        if self.den is None:
-            out = self.num.copy()
-            nz = np.flatnonzero(out)
-            out[nz] = out[nz] * as_double(value)
-            return TruncatedSeries(self.vars, self.order, out)
-        p, q = _ratio(value)
-        return TruncatedSeries(self.vars, self.order, self.num * p, self.den * q)
+        p, q = self.kind.ratio(value)
+        return TruncatedSeries(self.vars, self.order, self.kind.scale(self.num, p),
+                               self.den * q, self.kind)
 
     # -- calculus ----------------------------------------------------------
 
@@ -514,7 +546,7 @@ class TruncatedSeries:
         src, dst, fac = sp.diff_map(pos)
         num = np.zeros(_space(self.vars, order).size, dtype=self.num.dtype)
         num[dst] = self.num[src] * fac
-        return TruncatedSeries(self.vars, order, num, self.den)
+        return TruncatedSeries(self.vars, order, num, self.den, self.kind)
 
     def integrate(self, name: str):
         """Antiderivative in `name` vanishing at 0; kept at the same order.
@@ -526,13 +558,8 @@ class TruncatedSeries:
         sp = self.space
         src, dst, div = sp.integ_map(sp.var_pos(name))
         num = np.zeros_like(self.num)
-        if self.den is None:
-            num[dst] = self.num[src] / div
-            return TruncatedSeries(self.vars, self.order, num)
-        div = div.astype(object)  # the lcm can pass the int64 range
-        lcm = math.lcm(*div)
-        num[dst] = self.num[src] * (lcm // div)
-        return TruncatedSeries(self.vars, self.order, num, self.den * lcm)
+        num[dst], q = self.kind.divide(self.num[src], div)
+        return TruncatedSeries(self.vars, self.order, num, self.den * q, self.kind)
 
     def reciprocal(self):
         """Series inverse by Newton iteration; constant term must be nonzero."""
@@ -585,7 +612,7 @@ class TruncatedSeries:
         src, dst = self.space.onto_map(names, order)
         num = np.zeros(_space(names, order).size, dtype=self.num.dtype)
         num[dst] = self.num[src]
-        return TruncatedSeries(names, order, num, self.den)
+        return TruncatedSeries(names, order, num, self.den, self.kind)
 
     # -- evaluation / serialization -----------------------------------------
 
@@ -599,8 +626,7 @@ class TruncatedSeries:
             raise SeriesMismatchError(
                 f"points have {pts.shape[1]} coordinates, series has {len(self.vars)}"
             )
-        coeffs = self.num if self.den is None else as_double(self.num, self.den)
-        vals = _design_matrix(self.space, pts) @ coeffs
+        vals = _design_matrix(self.space, pts) @ self.kind.floats(self.num, self.den)
         return float(vals[0]) if single else vals
 
     def to_json(self) -> dict:
@@ -610,27 +636,6 @@ class TruncatedSeries:
             "coeffs": [{"mi": list(m), "c": self.kind.json(c)}
                        for m, c in self.nonzero_terms()],
         }
-
-
-def _constant_factor_product(a: np.ndarray, b: np.ndarray):
-    """The double product of two coefficient arrays, one of them a constant
-    series, as the pair table sums it; None when neither is constant or when
-    the result is not finite.
-
-    The table sums onto +0.0, so a -0.0 becomes +0.0 here too.  It also
-    multiplies every coefficient by the constant's zeros, which spreads an
-    inf or a nan (0 * inf = nan) to the monomials above it; a non-finite
-    result is left to the table.
-    """
-    # a constant has no nonzero coefficient past the first one
-    if np.count_nonzero(b) <= (b[0] != 0):
-        out = a * b[0]
-    elif np.count_nonzero(a) <= (a[0] != 0):
-        out = b * a[0]
-    else:
-        return None
-    out += 0.0
-    return out if np.isfinite(out).all() else None
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
@@ -662,7 +667,7 @@ def apply_univariate(s: TruncatedSeries, taylor: list):
     """
     num = s.num.copy()
     num[0] = 0
-    u = TruncatedSeries(s.vars, s.order, num, s.den)
+    u = TruncatedSeries(s.vars, s.order, num, s.den, s.kind)
     out = TruncatedSeries.constant(s.vars, s.order, taylor[-1], s.kind)
     for k in range(len(taylor) - 2, -1, -1):
         out = out * u + taylor[k]
@@ -692,12 +697,7 @@ class SeriesMatrix2:
         return self.m[0][0].order
 
     def __add__(self, other):
-        return SeriesMatrix2(
-            self.m[0][0] + other.m[0][0],
-            self.m[0][1] + other.m[0][1],
-            self.m[1][0] + other.m[1][0],
-            self.m[1][1] + other.m[1][1],
-        )
+        return SeriesMatrix2(*(a + b for ra, rb in zip(self.m, other.m) for a, b in zip(ra, rb)))
 
     def __mul__(self, other):
         """Matrix product (both operands SeriesMatrix2) or scalar/series scaling."""

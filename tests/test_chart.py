@@ -419,3 +419,12 @@ def test_chart_json_dump():
     assert data["h"]["order"] == 4
     assert data["frame"] in ("graph", "rotated")
     assert "coeffs" in data["h"]
+
+
+def test_a_nan_residual_fails_closed():
+    # 1e200 * x1^2 squared in the flow overflows, and inf - inf leaves NaN in
+    # the flow residual; a NaN is no evidence the residual is small
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+        build_chart(ex.parse("1+x3+1e200*x1^2"), None, (0, 0, 0), 4, 4, frame="graph")
+    assert str(err.value) == ("flow series inconsistent: f(x) != c0 + t: residual nan "
+                              "(coefficient scale 1.000e+00)")

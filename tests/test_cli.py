@@ -335,6 +335,13 @@ BEYOND_DOUBLE = [
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:1e400*x1"],
     ["coeffs-prop4", "--a", "1e300", "--mode", "rational"],
 ]
+# a double chart whose series overflow to NaN: the flow residual check fails
+# closed on the NaN, before any report is written
+NAN_RESIDUAL = [
+    ["p-eval", "--f", "1+x1^2+x3+1e200*x2^3", "--point", "1,1,0"],
+    ["p-eval", "--f", "1+x3+1e300*x1^3*x2^2"],
+    ["dump-chart", "--f", "1+x3+1e300*x1^3*x2^2"],
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,7 +356,6 @@ BEYOND_DOUBLE = [
     ["verify-affine", "--seed", "-1"],
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1",
      "--grid", "5x5", "--out", "/nonexistent/dir/x.csv"],
-    ["p-eval", "--f", "1+x1^2+x3+1e200*x2^3", "--point", "1,1,0"],  # overflows to NaN
     # non-finite results: CSV rows of nan and inf, a square past the double
     # range (inf, not OverflowError), and f^3 overflowing in conformal-check
     ["evolve", "--f", "1+x3", "--tmax", "0.01", "--dt", "0.005", "--init", "psi:x1*10^200*10^200"],
@@ -358,6 +364,7 @@ BEYOND_DOUBLE = [
      "--format", "json"],
     ["conformal-check", "--f", "1+10^150*x1", "--samples", "1"],
     *BEYOND_DOUBLE,
+    *NAN_RESIDUAL,
 ])
 def test_bad_numbers_are_json_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -367,8 +374,22 @@ def test_bad_numbers_are_json_errors(capsys, argv):
     assert err.count("\n") == 1
     # evolution.run checks the step itself, before it allocates anything
     zero_step = argv[0] == "evolve" and argv[argv.index("--dt") + 1] == "0"
-    domain = zero_step or argv in BEYOND_DOUBLE
+    domain = zero_step or argv in BEYOND_DOUBLE or argv in NAN_RESIDUAL
     assert json.loads(err)["error"] == ("DomainError" if domain else "BeltramiError")
+    if argv in NAN_RESIDUAL:
+        assert json.loads(err)["message"].startswith(
+            "flow series inconsistent: f(x) != c0 + t: residual nan (coefficient scale ")
+
+
+def test_a_term_beyond_the_orders_read_leaves_the_double_chart_finite(capsys):
+    # at degree 2 the chart reads xi-degrees up to 3, so 1e300 * x1^3 x2^2
+    # never meets another large coefficient: every series stays finite and
+    # the double report equals the exact one
+    argv = ["p-eval", "--f", "1+x3+1e300*x1^3*x2^2", "--degree", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    exact_code, exact_out, _ = run_cli(capsys, *argv, "--mode", "rational")
+    assert code == exact_code == 0 and err == ""
+    assert json.loads(out)["coeffs"] == json.loads(exact_out)["coeffs"] == []
 
 
 def test_function_overflow_is_a_json_error(capsys):

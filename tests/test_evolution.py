@@ -371,6 +371,23 @@ def test_run_rejects_time_inputs_before_building_a_chart(monkeypatch, t_max, dt)
             t_max=t_max, dt=dt, n1=9, n2=9, h1=0.01, h2=0.01)
 
 
+@pytest.mark.parametrize("t_max, dt", [
+    (0.01, 0.0), (0.01, math.inf), (0.01, math.nan), (math.nan, 0.005), (math.inf, 0.005),
+])
+def test_run_rejects_non_finite_steps_and_times(monkeypatch, t_max, dt):
+    # an inf dt plans 0 steps, as 0 * inf = nan slips past the multiple-of-dt
+    # check; a NaN would reach int(round(nan))
+    def no_chart(*args, **kwargs):
+        raise AssertionError("a chart was built before the time inputs were checked")
+
+    monkeypatch.setattr(evolution, "build_chart", no_chart)
+    with pytest.raises(DomainError) as err:
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1")),
+            t_max=t_max, dt=dt, n1=9, n2=9, h1=0.01, h2=0.01)
+    assert str(err.value) == (f"need a finite dt > 0 and a finite t_max >= 0, got dt = {dt}, "
+                              f"t_max = {t_max}")
+
+
 def test_run_rejects_a_grid_beyond_the_patch_before_allocating(monkeypatch):
     # 41 nodes at spacing 0.1 reach 2.0 from the base point; the grid is not
     # built, nor the chart, nor the initial data evaluated

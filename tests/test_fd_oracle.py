@@ -54,6 +54,18 @@ def test_numeric_flow_level_increment():
         assert abs(lhs - rhs) < 1e-8
 
 
+@pytest.mark.parametrize("t, dt", [
+    (0.1, 0.0), (0.1, float("nan")), (0.1, -0.01), (0.1, float("inf")),
+    (float("nan"), 0.01), (float("inf"), 0.01),
+])
+def test_numeric_flow_rejects_bad_steps_and_times(t, dt):
+    # a zero, negative or non-finite step, or a non-finite time, is refused
+    # before the flow starts: a negative or infinite dt would take one RK4 step
+    with pytest.raises(DomainError) as err:
+        numeric_flow(ex.parse("1+x3"), None, (0, 0, 0), t, dt=dt)
+    assert str(err.value) == f"need a finite dt > 0 and a finite t, got dt = {dt}, t = {t}"
+
+
 def test_numeric_flow_gradient_collapse():
     f = ex.parse("1+x3^2")
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -150,12 +151,23 @@ def test_sqrt_needs_a_positive_constant_term_in_both_kinds():
         assert (t + Fraction(9, 4)).sqrt().constant_term() == Fraction(3, 2)
 
 
-def test_each_kind_is_read_off_the_denominator():
-    # the benchmark's tracer tells the kinds apart by TruncatedSeries.exact
-    for k in (DOUBLE, RATIONAL):
+def test_each_series_holds_its_kind():
+    # a series stores its kind and every operation passes it on, so a kind
+    # that shares a dtype with another (a ball kind on float64) stays itself.
+    # The benchmark's tracer tells the kinds apart by TruncatedSeries.exact
+    ball = type("_Ball", (type(DOUBLE),), {"name": "ball"})()
+    for k in (DOUBLE, RATIONAL, ball):
         s = TruncatedSeries.constant(VARS, 2, 1, k)
-        assert s.kind is k and kind(k.name) is k
+        assert s.kind is k and s.den == 1
         assert s.exact == (k is RATIONAL)
+        results = [s + s, s - s, s + 1, 2 - s, -s, s * s, s * 3, s.derive("t"),
+                   s.integrate("t"), s.truncate(1), s.slice_at_zero("t"),
+                   s.embed(EMBED_VARS, 2), apply_univariate(s, [1, 1]), s.reciprocal()]
+        assert all(r.kind is k for r in results)
+    for k in (DOUBLE, RATIONAL):
+        assert kind(k.name) is k
+        with pytest.raises(SeriesMismatchError, match="cannot mix"):
+            TruncatedSeries.constant(VARS, 2, 1, k) + TruncatedSeries.constant(VARS, 2, 1, ball)
     with pytest.raises(DomainError, match="unknown mode 'exact'"):
         kind("exact")
 
@@ -170,6 +182,15 @@ def test_only_series_names_the_coefficient_kind():
             for path in sorted(src.glob("*.py")) if path.name != "series.py"
             for n, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert hits == []
+
+
+def test_truncated_series_does_not_branch_on_its_kind():
+    # every rule that differs between kinds sits on the kind object; the class
+    # names a kind once, in the exact property that the benchmark's tracer reads
+    pattern = re.compile(r"den is (not )?None|kind is (not )?(DOUBLE|RATIONAL)|\.exact\b")
+    hits = [line.strip() for line in inspect.getsource(TruncatedSeries).splitlines()
+            if pattern.search(line)]
+    assert hits in ([], ["return self.kind is RATIONAL"])
 
 
 def test_derive_examples():
@@ -393,6 +414,14 @@ def test_exact_and_double_modes_agree(order, av, bv, k):
     _same_coefficients(a - b, ad - bd)
     _same_coefficients(a * k, ad * k)
     _same_coefficients(a * Fraction(k, 2), ad * (k / 2))
+    _same_coefficients(a + k, ad + k)
+    _same_coefficients(k - a, k - ad)
+    _same_coefficients(a - Fraction(k, 2), ad - k / 2)
+    monos = a.space.monos
+    _same_coefficients(
+        TruncatedSeries.from_terms(VARS, order, {m: Fraction(v, 2) for m, v in zip(monos, av)},
+                                   kind=RATIONAL),
+        TruncatedSeries.from_terms(VARS, order, {m: v / 2 for m, v in zip(monos, av)}))
     for name in VARS:
         _same_coefficients(a.derive(name), ad.derive(name))
         _same_coefficients(a.integrate(name), ad.integrate(name))
@@ -456,7 +485,7 @@ def _table_product(a, b):
     I, J, K = a.space.pairs()
     out = np.zeros(a.num.size, dtype=a.num.dtype)
     np.add.at(out, K, a.num[I] * b.num[J])
-    return TruncatedSeries(a.vars, a.order, out, None if a.den is None else a.den * b.den)
+    return TruncatedSeries(a.vars, a.order, out, a.den * b.den, a.kind)
 
 
 @pytest.mark.parametrize("order", [(7, 7), (4, 5), 6, (0, 6)])
@@ -476,8 +505,8 @@ def test_constant_factor_product_equals_the_pair_table(order, exact):
     for value in (Fraction(5, 2), -3, 0):
         const = TruncatedSeries.constant(VARS, order, value, kind=RATIONAL if exact else DOUBLE)
         for values in others:
-            other = (TruncatedSeries(VARS, order, values) if not exact else
-                     TruncatedSeries(VARS, order, values.astype(int).astype(object), 1))
+            other = (TruncatedSeries(VARS, order, values, 1, DOUBLE) if not exact else
+                     TruncatedSeries(VARS, order, values.astype(int).astype(object), 1, RATIONAL))
             for a, b in ((const, other), (other, const)):
                 with np.errstate(invalid="ignore"):  # 0 * inf
                     got, want = a * b, _table_product(a, b)
