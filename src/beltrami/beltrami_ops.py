@@ -22,10 +22,9 @@ def _component_jets(u: VectorExpr, bindings, p, order, mode="double"):
     return [ex.jet(c, bindings, p, order, mode=mode) for c in u.components]
 
 
-def gradient(f, bindings, p, mode="double"):
-    j = ex.jet(f, bindings, p, 1, mode=mode)
-    return np.array(
-        [j.coeff((1, 0, 0)), j.coeff((0, 1, 0)), j.coeff((0, 0, 1))], dtype=j.kind.dtype)
+def gradient(f, bindings, p):
+    j = ex.jet(f, bindings, p, 1)
+    return np.array([j.coeff((1, 0, 0)), j.coeff((0, 1, 0)), j.coeff((0, 0, 1))])
 
 
 def curl_div(u: VectorExpr, bindings, p, mode="double"):

@@ -20,9 +20,9 @@ Two frames are supported at the base point:
   component clears the floor.  This is the frame in which the benchmark
   coefficient families are quoted.
 
-Obstruction evaluation defaults to ``auto``, which picks ``graph`` when
-|d3 f| >= 1e-2 |grad f| at the base point (``AUTO_GRAPH_RATIO``) and
-``rotated`` otherwise.
+Every entry point defaults to ``auto``, which picks ``graph`` where it exists
+and either |d3 f| >= 1e-2 |grad f| at the base point (``AUTO_GRAPH_RATIO``) or
+``rotated`` does not exist, and ``rotated`` otherwise (:func:`base_point`).
 
 f enters through its expression: the graph solve puts p + R^T (xi1, xi2, h)
 into f and into the frame-x3 row of R grad f, and the flow puts p + R^T x
@@ -52,6 +52,11 @@ CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
 GRAD_FLOOR = 1e-8
 AUTO_GRAPH_RATIO = 1e-2  # |d3 f| / |grad f| needed before "auto" picks the graph frame
+_FRAME_NEEDS = {
+    "graph": "graph frame needs the third gradient component above the floor",
+    "rotated": "rational mode supports the rotated frame only when grad f "
+               "is parallel to the third axis",
+}
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,8 @@ class BasePoint:
 
 
 def _minimal_rotation(direction):
-    """Rotation matrix (rows = new axes) mapping `direction` to +e3."""
+    """Rotation matrix (rows = new axes) mapping `direction` to +e3; for an
+    axis-aligned direction, eye(3) or diag(1, -1, -1) in exact ints."""
     r = np.asarray(direction, dtype=np.float64)
     # scaled by a power of two first, which is exact: the norm of a huge
     # vector would overflow to inf and turn the direction into 0
@@ -78,61 +84,57 @@ def _minimal_rotation(direction):
     r = r / np.linalg.norm(r)
     c = r[2]
     if c > 1.0 - 1e-14:
-        return np.eye(3)
+        return np.eye(3, dtype=int)
     if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
+        return np.diag([1, -1, -1])
     v = np.cross(r, [0.0, 0.0, 1.0])
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def base_point(f, bindings, p, frame: str = "rotated", mode: str = "double") -> BasePoint:
+def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> BasePoint:
     """Validate the base point and fix the chart frame.
 
-    Raises CriticalPointError when |grad f(p)| is below the floor (relative to
-    max(1, |f(p)|)), and FrameError when the requested frame cannot be built.
+    The frames that exist at p are worked out once, by the kind's zero test
+    (``negligible``): ``graph`` where d3 f is not negligible against the floor
+    GRAD_FLOOR * max(1, |f(p)|), and ``rotated`` in double mode or where
+    grad f is parallel to the third axis, as an exact rotation must be eye(3)
+    or diag(1, -1, -1).  ``auto`` chooses between them (module docstring).
+    Raises CriticalPointError when grad f is negligible against the floor,
+    and FrameError, naming a remedy that works at p, when the frame asked for
+    does not exist there.
     """
     j1 = ex.jet(f, bindings, p, 1, mode=mode)
     kind = j1.kind
     c0 = j1.constant_term()
     grad = (j1.coeff((1, 0, 0)), j1.coeff((0, 1, 0)), j1.coeff((0, 0, 1)))
-    # magnitudes are compared, never squared, so huge values cannot overflow
+    point = tuple(map(kind.coerce, p))
+    # magnitudes are compared, never squared, so huge values cannot overflow;
+    # the components keep the test exact where the norm's doubles underflow
     floor = GRAD_FLOOR * max(1.0, abs(as_double(c0)))
     gnorm = math.hypot(*map(as_double, grad))
-    if gnorm < floor:
-        raise CriticalPointError(f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {p}")
+    if all(kind.negligible(v, floor) for v in (gnorm, *grad)):
+        where = "(" + ", ".join(str(kind.json(c)) for c in point) + ")"
+        raise CriticalPointError(f"grad f vanishes at {where}" if gnorm == 0 else
+                                 f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {where}")
 
+    exists = {"graph": not kind.negligible(grad[2], floor),
+              "rotated": kind is not RATIONAL or grad[0] == grad[1] == 0}
     if frame == "auto":
-        frame = "graph" if abs(as_double(grad[2])) >= AUTO_GRAPH_RATIO * gnorm else "rotated"
-
-    # exact rotations exist only when the gradient is already axis aligned;
-    # the rotation is then eye(3) or diag(1, -1, -1), whose entries are ints.
-    # An error names a remedy that works at this point: double mode builds
-    # the rotated frame wherever grad f clears the floor.
-    graph_ok = abs(as_double(grad[2])) >= floor
-    rotated_ok = kind is not RATIONAL or (grad[0] == 0 and grad[1] == 0)
-    if frame == "graph":
-        if not graph_ok:
-            raise FrameError(
-                "graph frame needs the third gradient component above the floor; use "
-                + ("frame='rotated'" if rotated_ok else "mode='double' with frame='rotated'")
-            )
-        R = np.eye(3, dtype=int)
-    elif frame == "rotated":
-        if not rotated_ok:
-            raise FrameError(
-                "rational mode supports the rotated frame only when grad f "
-                "is parallel to the third axis; use "
-                + ("frame='graph'" if graph_ok else "mode='double'")
-            )
-        R = _minimal_rotation(tuple(map(as_double, grad)))
-        if kind is RATIONAL:
-            R = R.astype(int)
-    else:
+        steep = not kind.negligible(grad[2], AUTO_GRAPH_RATIO * gnorm)
+        frame = "graph" if exists["graph"] and (steep or not exists["rotated"]) else "rotated"
+    if frame not in exists:
         raise FrameError(f"unknown frame {frame!r}")
-
-    return BasePoint(point=tuple(map(kind.coerce, p)), level=c0,
-                     rotation=tuple(map(tuple, R.tolist())), frame=frame, kind=kind)
+    if not exists[frame]:
+        # double mode builds the rotated frame wherever grad f clears the floor
+        other = "rotated" if frame == "graph" else "graph"
+        remedy = (f"frame={other!r}" if exists[other] else
+                  "mode='double'" + (" with frame='rotated'" if frame == "graph" else ""))
+        raise FrameError(_FRAME_NEEDS[frame] + "; use " + remedy)
+    R = (np.eye(3, dtype=int) if frame == "graph"
+         else _minimal_rotation(tuple(map(as_double, grad))))
+    return BasePoint(point=point, level=c0, rotation=tuple(map(tuple, R.tolist())),
+                     frame=frame, kind=kind)
 
 
 def _combine(weights, series):
@@ -151,13 +153,19 @@ def _world(bp: BasePoint, y):
     return tuple(_combine([R[j][i] for j in range(3)], y) + bp.point[i] for i in range(3))
 
 
-def _check_residual(residual: TruncatedSeries, scale: float, what: str) -> float:
-    """The largest coefficient of a residual series, which must be 0 in
-    rational mode and within 1e-9 * scale in double mode; a NaN fails."""
-    size = as_double(residual.max_abs())
-    if not size <= (0.0 if residual.kind is RATIONAL else 1e-9 * scale):
-        raise DomainError(f"{what}: residual {size:.3e} (coefficient scale {scale:.3e})")
-    return size
+def _check_residual(residual: TruncatedSeries, solution: TruncatedSeries, level,
+                    what: str) -> float:
+    """The largest coefficient of a residual series, as a double, which must
+    be negligible against 1e-9 times the coefficient scale
+    max(1, |level|, max |solution|); a NaN fails.  High orders legitimately
+    carry large coefficients (finite convergence radius), and rounding grows
+    with them."""
+    size = residual.max_abs()
+    scale = max(1.0, abs(as_double(level)), as_double(solution.max_abs()))
+    if not residual.kind.negligible(size, 1e-9 * scale):
+        raise DomainError(f"{what}: residual {as_double(size):.3e} "
+                          f"(coefficient scale {scale:.3e})")
+    return as_double(size)
 
 
 def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
@@ -178,7 +186,7 @@ def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> Trunc
         if residual.max_abs() == 0.0:
             break
     final = ex.compose(f, bindings, _world(bp, (xi1, xi2, h))) - c0
-    _check_residual(final, max(1.0, abs(as_double(c0))), "graph solve did not converge")
+    _check_residual(final, h, c0, "graph solve did not converge")
     return h
 
 
@@ -346,10 +354,7 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
 
     composed = ex.compose(f, bindings, _world(bp, x))
     tvar = TruncatedSeries.variable(CHART_VARS, x[0].order, "t", bp.kind)
-    # scale by the series magnitude: high orders legitimately carry large
-    # coefficients (finite convergence radius), and rounding grows with them
-    scale = max(1.0, abs(as_double(bp.level)), as_double(x[2].max_abs()))
-    flow_residual = _check_residual(composed - (tvar + bp.level), scale,
+    flow_residual = _check_residual(composed - (tvar + bp.level), x[2], bp.level,
                                     "flow series inconsistent: f(x) != c0 + t")
 
     return ChartData(
@@ -372,7 +377,7 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
 
 
 def build_chart(f, bindings, p, t_order: int = 6, xi_order: int = 6,
-                frame: str = "rotated", mode: str = "double") -> ChartData:
+                frame: str = "auto", mode: str = "double") -> ChartData:
     """End-to-end chart construction at a base point."""
     bp = base_point(f, bindings, p, frame=frame, mode=mode)
     # the flow's coordinates come first: their space refuses an order whose

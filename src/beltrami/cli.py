@@ -39,7 +39,7 @@ from .evolution import run as evolution_run
 from .expr import Mul, Pow, VectorExpr
 from .fd_oracle import P_point_fd
 from .obstruction import DEFAULT_INDICES, obstruction_P, tensor_T
-from .series import RATIONAL, as_double
+from .series import as_double
 
 FAMILY_TOL = 1e-9  # double-mode agreement with the closed-form family coefficients
 _NON_FINITE_FIELDS = frozenset({"nan", "inf", "-inf"})  # a float's CSV field when not finite
@@ -136,8 +136,9 @@ def _family_report(poly, refs, **fields):
 
     ``refs`` maps a coefficient name to its monomial and reference value;
     ``fields`` are the family parameters, written in the kind of ``poly``.
-    Rational mode compares exactly; double mode within FAMILY_TOL, relative
-    to the reference where it exceeds 1 in size.
+    A coefficient matches when its difference from the reference, relative
+    to the reference where that exceeds 1 in size, is negligible against
+    FAMILY_TOL: exactly 0 in rational mode.
     """
     kind = poly.kind
     computed, reference, match = {}, {}, {}
@@ -145,11 +146,7 @@ def _family_report(poly, refs, **fields):
         c = poly.coeff(mono)
         computed[name] = kind.json(c)
         reference[name] = kind.json(ref)
-        if kind is RATIONAL:
-            match[name] = c == ref
-        else:
-            scale = max(1.0, abs(as_double(ref)))
-            match[name] = abs(as_double(c) - as_double(ref)) <= FAMILY_TOL * scale
+        match[name] = kind.negligible((c - ref) / max(1, abs(ref)), FAMILY_TOL)
     report = {name: kind.json(v) for name, v in fields.items()}
     report.update(mode=kind.name, frame="graph", computed=computed, reference=reference,
                   match=match)
@@ -179,14 +176,12 @@ def _cmd_coeffs_prop4(args):
     monos = ((2, 0), (1, 1), (0, 2))
     refs = dict(zip(("q20", "q11", "q02"), zip(monos, reference.quadratic_family_form(a))))
     report = _family_report(poly, refs, a=a)
-    sub = max(
-        (abs(as_double(v)) for m, v in poly.coeffs.items() if sum(m) < 2), default=0.0
-    )
-    quad_max = max(abs(as_double(poly.coeff(m))) for m in monos)
-    report["subquadratic_max"] = sub
-    report["quadratic_max"] = quad_max
-    report["vanishes_at_1"] = bool(a == 1 and quad_max < 1e-10)
-    report["pass"] = report["pass"] and sub < FAMILY_TOL
+    sub = max((abs(v) for m, v in poly.coeffs.items() if sum(m) < 2), default=poly.kind.zero)
+    quad_max = max(abs(poly.coeff(m)) for m in monos)
+    report["subquadratic_max"] = as_double(sub)
+    report["quadratic_max"] = as_double(quad_max)
+    report["vanishes_at_1"] = bool(a == 1 and poly.kind.negligible(quad_max, 1e-10))
+    report["pass"] = report["pass"] and poly.kind.negligible(sub, FAMILY_TOL)
     _write_report(args, report)
     return 0
 

@@ -138,7 +138,7 @@ def _pivot_terms(T: SeriesMatrix2, order) -> tuple:
     one xi-order down, the reciprocal of T's pivot entry (0,1) there, and
     the bracket of T."""
     pivot = T.entry(0, 1)
-    if abs(as_double(pivot.constant_term())) < 1e-12:
+    if pivot.kind.negligible(pivot.constant_term(), 1e-12):
         raise DomainError("pivot entry of T has (near-)zero constant term")
     Tl = T.truncate(order)
     low = Tl.entry(0, 0).derive("xi1").order
@@ -274,13 +274,12 @@ def obstruction_P(f, bindings, p, degree: int = 4, t_order: int | None = None,
 # -- closed-form checks on potentials ----------------------------------------
 
 def dT_beta(chart: ChartData, Tn: SeriesMatrix2, psi: TruncatedSeries,
-            T: SeriesMatrix2 | None = None, eliminate: bool = False) -> TruncatedSeries:
+            T: SeriesMatrix2 | None = None) -> TruncatedSeries:
     """Coefficient of d(T_n beta) w.r.t. dxi1 ^ dxi2, for beta = d psi.
 
-    With ``eliminate=True`` the d2 beta_2 occurrence is replaced by its value
-    isolated from d(T beta) = 0, which turns the result into the dot product
-    of the constraint vector with (beta1, beta2, d1 beta1, d2 beta1); this
-    requires passing ``T``.
+    Given the base tensor ``T``, the d2 beta_2 occurrence is replaced by its
+    value isolated from d(T beta) = 0, which turns the result into the dot
+    product of the constraint vector with (beta1, beta2, d1 beta1, d2 beta1).
     """
     beta1 = psi.derive("xi1")
     beta2 = psi.derive("xi2")
@@ -288,12 +287,10 @@ def dT_beta(chart: ChartData, Tn: SeriesMatrix2, psi: TruncatedSeries,
     b1 = beta1.truncate(top)
     b2 = beta2.truncate(top)
     A = Tn.truncate(top)
-    if not eliminate:
+    if T is None:
         row2 = A.entry(1, 0) * b1 + A.entry(1, 1) * b2
         row1 = A.entry(0, 0) * b1 + A.entry(0, 1) * b2
         return row2.derive("xi1") - row1.derive("xi2")
-    if T is None:
-        raise DomainError("eliminate=True requires the base tensor T")
     B = T.truncate(top)
 
     def low(s):

@@ -22,7 +22,8 @@ rules that differ: a scalar as a coefficient (``coerce``) or as a pair
 ``(p, q)`` (``ratio``), the scaling by one (``scale``), the product kernel
 (``product``), the antiderivative's division (``divide``), how a coefficient
 leaves a series (``value``, ``values``, ``floats``, ``max_abs``, ``json``), the
-zero, the dtype, the smallest constant term with a reciprocal (``tiny``) and
+zero, the dtype, the zero test (``negligible``: below a tolerance in size for
+doubles, where a NaN is never negligible, and exactly 0 for rationals) and
 the square root of a constant term (``root``).  ``fractions.Fraction`` values
 appear only where a coefficient enters or leaves a series:
 :meth:`~TruncatedSeries.from_terms`, :meth:`~TruncatedSeries.constant`,
@@ -229,7 +230,7 @@ class _Double:
     """IEEE double coefficients: ``num`` holds floats over ``den = 1``."""
 
     name, zero, dtype = "double", 0.0, np.float64
-    tiny = 1e-300  # a constant term below this in size has no reciprocal
+    negligible = staticmethod(lambda value, tol: abs(value) < tol)  # False on a NaN
     coerce = staticmethod(as_double)  # a scalar as a coefficient of the kind
     json = staticmethod(float)  # a coefficient as a JSON value
     root = staticmethod(math.sqrt)  # the square root of a positive constant term
@@ -272,7 +273,7 @@ class _Rational:
     """Exact coefficients: ``num`` holds Python ints over the int ``den``."""
 
     name, zero, dtype = "rational", Fraction(0), object
-    tiny = 0
+    negligible = staticmethod(lambda value, tol: value == 0)  # exact: tol plays no part
     value, floats, scale = Fraction, staticmethod(as_double), staticmethod(np.multiply)
     max_abs = staticmethod(lambda num, den: Fraction(max(map(abs, num)), den))
 
@@ -564,7 +565,7 @@ class TruncatedSeries:
     def reciprocal(self):
         """Series inverse by Newton iteration; constant term must be nonzero."""
         c, kind = self.constant_term(), self.kind
-        if c == 0 or abs(c) < kind.tiny:
+        if kind.negligible(c, 1e-300):  # a double below this has no reciprocal
             raise DomainError("reciprocal of a series with zero constant term")
         r = TruncatedSeries.constant(self.vars, self.order, 1 / c, kind)
         two = TruncatedSeries.constant(self.vars, self.order, 2, kind)

@@ -59,7 +59,7 @@ def test_base_point_critical():
 
 
 def test_base_point_antiparallel_gradient():
-    bp = base_point(ex.parse("1-x3"), None, (0, 0, 0))
+    bp = base_point(ex.parse("1-x3"), None, (0, 0, 0), frame="rotated")
     R = np.array(bp.rotation)
     assert np.allclose(R @ np.array([0, 0, -1.0]), [0, 0, 1.0])
     assert np.allclose(np.linalg.det(R), 1.0)
@@ -72,6 +72,13 @@ def test_minimal_rotation_takes_the_direction_to_e3(g):
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
     u = np.array(g) / np.max(np.abs(g))  # same direction, no overflow
     assert np.allclose(R @ u, [0.0, 0.0, np.linalg.norm(u)], atol=1e-12)
+
+
+def test_every_entry_point_defaults_to_auto():
+    # the rational rotated frame does not exist here; auto builds the graph one
+    assert build_chart(ex.parse("1+x1+x3"), None, (0, 0, 0), t_order=2, xi_order=2,
+                       mode="rational").bp.frame == "graph"
+    assert base_point(ex.parse("1+x1+x3"), None, (0, 0, 0)).frame == "graph"
 
 
 def test_graph_frame_gate():

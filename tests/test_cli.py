@@ -66,6 +66,53 @@ def test_p_eval_critical_point_exit_code(capsys):
     assert payload["error"] == "CriticalPointError"
 
 
+@pytest.mark.parametrize("f, point, mode, message", [
+    ("1+x1^2+x2^2+x3^2", "0,0,0", "double", "grad f vanishes at (0.0, 0.0, 0.0)"),
+    ("(x1-1/2)^2+x3^2", "1/2,0,0", "double", "grad f vanishes at (0.5, 0.0, 0.0)"),
+    ("(x1-1/2)^2+x3^2", "1/2,0,0", "rational", "grad f vanishes at (1/2, 0, 0)"),
+    ("1/1000000000+x3/1000000000+x1^2", "0,0,0", "double",
+     "|grad f| = 1.000e-09 below floor 1.000e-08 at (0.0, 0.0, 0.0)"),
+])
+def test_critical_point_error_writes_the_point_as_the_report_does(capsys, f, point, mode,
+                                                                  message):
+    code, out, err = run_cli(capsys, "p-eval", "--f", f, "--point", point, "--mode", mode)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "CriticalPointError", "message": message}
+
+
+@pytest.mark.parametrize("argv, frame", [
+    # rational: graph exists wherever d3 f != 0, steep or not
+    (["--f", "1+x1+x3/1000", "--mode", "rational", "--degree", "1"], "graph"),
+    # double: d3 f is steep enough for auto but below the floor, so no graph
+    (["--f", "1+0.000000015*x1+0.0000000005*x3", "--degree", "0"], "rotated"),
+])
+def test_p_eval_auto_picks_a_frame_that_exists(capsys, argv, frame):
+    code, out, err = run_cli(capsys, "p-eval", *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "p-eval", *argv, "--frame", frame) == (0, out, "")
+
+
+@pytest.mark.parametrize("f, double_error", [
+    ("1/10000000000000+x3+x1^2", "DomainError"),  # the pivot is below 1e-12
+    ("1/1000000000+x3/1000000000+x1^2", "CriticalPointError"),  # |grad f| below the floor
+])
+def test_rational_mode_refuses_only_an_exact_zero(capsys, f, double_error):
+    argv = ("p-eval", "--f", f, "--degree", "2")
+    code, out, err = run_cli(capsys, *argv, "--mode", "rational")
+    assert (code, err) == (0, "")
+    assert [e["mi"] for e in json.loads(out)["coeffs"]] == [[2, 0]]
+    code, out, err = run_cli(capsys, *argv)  # double mode keeps its thresholds
+    assert (code, out, json.loads(err)["error"]) == (1, "", double_error)
+
+
+def test_graph_solve_residual_is_scaled_by_the_solution(capsys):
+    # h's coefficients reach 4.5e20 here, and the absolute residual 5.1e2
+    code, out, err = run_cli(capsys, "p-eval", "--f", "x1^2+x2^2+x3^2",
+                             "--point", "0.3,0.4,0.01")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["frame"] == "graph"
+
+
 @pytest.mark.parametrize("point, frame, named, remedy", [
     # grad f = (6/5, 8/5, 0): neither rational frame exists here, and each
     # error used to name the other one

@@ -384,7 +384,7 @@ def test_two_path_identity(n):
     T = tensor_T(ch)
     Tn = tensor_Tn(T, n)
     psi = _psi_series(seed=23 + n)
-    direct = dT_beta(ch, Tn, psi, T=T, eliminate=True)
+    direct = dT_beta(ch, Tn, psi, T=T)
     cv = script_Tn(T, Tn)
     order = tuple(map(min, direct.order, cv.order))
     dotted = _gamma_dot(cv, psi, order)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beltrami import expr as ex
+from beltrami.chart import base_point
 from beltrami.errors import BudgetError, DomainError, SeriesMismatchError
 from beltrami.series import (
     DOUBLE,
@@ -191,6 +192,32 @@ def test_truncated_series_does_not_branch_on_its_kind():
     hits = [line.strip() for line in inspect.getsource(TruncatedSeries).splitlines()
             if pattern.search(line)]
     assert hits in ([], ["return self.kind is RATIONAL"])
+
+
+def test_only_exactness_rules_outside_series_name_the_exact_kind():
+    # each kind owns its zero test (negligible), so outside series the exact
+    # kind is named only where exactness is the rule itself: base_point's
+    # exact rotations and expr's refusal of transcendental functions
+    pattern = re.compile(r"is (not )?RATIONAL\b")
+    rotation = inspect.getsource(base_point)
+    hits = []
+    for path in sorted(Path(ex.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+        hits += [(path.name, line.strip(), "\n".join(lines[n:n + 3]))
+                 for n, line in enumerate(lines) if path.name != "series.py"
+                 and pattern.search(line)]
+    assert len(hits) <= 3
+    for name, line, context in hits:
+        assert (name == "chart.py" and line in rotation) or (
+            name == "expr.py" and "rational mode requires a polynomial expression" in context)
+    assert not any(hasattr(k, "tiny") for k in (DOUBLE, RATIONAL))
+
+
+def test_negligible_is_each_kinds_zero_test():
+    assert DOUBLE.negligible(1e-13, 1e-12) and not DOUBLE.negligible(1e-12, 1e-12)
+    assert not DOUBLE.negligible(math.nan, 1.0)  # a NaN is never negligible
+    assert RATIONAL.negligible(Fraction(0), 1.0)
+    assert not RATIONAL.negligible(Fraction(1, 10**400), 1.0)  # exact: tol plays no part
 
 
 def test_derive_examples():
