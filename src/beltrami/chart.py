@@ -100,9 +100,9 @@ def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> Bas
     GRAD_FLOOR * max(1, |f(p)|), and ``rotated`` in double mode or where
     grad f is parallel to the third axis, as an exact rotation must be eye(3)
     or diag(1, -1, -1).  ``auto`` chooses between them (module docstring).
-    Raises CriticalPointError when grad f is negligible against the floor,
-    and FrameError, naming a remedy that works at p, when the frame asked for
-    does not exist there.
+    Raises DomainError when a component of grad f is NaN, CriticalPointError
+    when grad f is negligible against the floor, and FrameError, naming a
+    remedy that works at p, when the frame asked for does not exist there.
     """
     j1 = ex.jet(f, bindings, p, 1, mode=mode)
     kind = j1.kind
@@ -112,9 +112,12 @@ def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> Bas
     # magnitudes are compared, never squared, so huge values cannot overflow;
     # the components keep the test exact where the norm's doubles underflow
     floor = GRAD_FLOOR * max(1.0, abs(as_double(c0)))
-    gnorm = math.hypot(*map(as_double, grad))
+    dgrad = tuple(map(as_double, grad))
+    gnorm = math.hypot(*dgrad)
+    where = "(" + ", ".join(str(kind.json(c)) for c in point) + ")"
+    if any(map(math.isnan, dgrad)):  # no frame is decided on a NaN
+        raise DomainError(f"grad f is not a number at {where}")
     if all(kind.negligible(v, floor) for v in (gnorm, *grad)):
-        where = "(" + ", ".join(str(kind.json(c)) for c in point) + ")"
         raise CriticalPointError(f"grad f vanishes at {where}" if gnorm == 0 else
                                  f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {where}")
 
@@ -131,8 +134,7 @@ def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> Bas
         remedy = (f"frame={other!r}" if exists[other] else
                   "mode='double'" + (" with frame='rotated'" if frame == "graph" else ""))
         raise FrameError(_FRAME_NEEDS[frame] + "; use " + remedy)
-    R = (np.eye(3, dtype=int) if frame == "graph"
-         else _minimal_rotation(tuple(map(as_double, grad))))
+    R = np.eye(3, dtype=int) if frame == "graph" else _minimal_rotation(dgrad)
     return BasePoint(point=point, level=c0, rotation=tuple(map(tuple, R.tolist())),
                      frame=frame, kind=kind)
 
@@ -155,14 +157,13 @@ def _world(bp: BasePoint, y):
 
 def _check_residual(residual: TruncatedSeries, solution: TruncatedSeries, level,
                     what: str) -> float:
-    """The largest coefficient of a residual series, as a double, which must
-    be negligible against 1e-9 times the coefficient scale
-    max(1, |level|, max |solution|); a NaN fails.  High orders legitimately
-    carry large coefficients (finite convergence radius), and rounding grows
-    with them."""
+    """The largest coefficient of a residual series, as a double: at most 1e-9
+    times the scale max(1, |level|, max |solution|), exactly 0 in rational
+    mode, and not NaN.  High orders carry large coefficients (finite
+    convergence radius), and rounding grows with them."""
     size = residual.max_abs()
     scale = max(1.0, abs(as_double(level)), as_double(solution.max_abs()))
-    if not residual.kind.negligible(size, 1e-9 * scale):
+    if not residual.kind.negligible(size, math.nextafter(1e-9 * scale, math.inf)):
         raise DomainError(f"{what}: residual {as_double(size):.3e} "
                           f"(coefficient scale {scale:.3e})")
     return as_double(size)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -137,8 +138,8 @@ def _family_report(poly, refs, **fields):
     ``refs`` maps a coefficient name to its monomial and reference value;
     ``fields`` are the family parameters, written in the kind of ``poly``.
     A coefficient matches when its difference from the reference, relative
-    to the reference where that exceeds 1 in size, is negligible against
-    FAMILY_TOL: exactly 0 in rational mode.
+    to the reference where that exceeds 1 in size, is within FAMILY_TOL,
+    bound included: exactly 0 in rational mode, where the division is exact.
     """
     kind = poly.kind
     computed, reference, match = {}, {}, {}
@@ -146,7 +147,7 @@ def _family_report(poly, refs, **fields):
         c = poly.coeff(mono)
         computed[name] = kind.json(c)
         reference[name] = kind.json(ref)
-        match[name] = kind.negligible((c - ref) / max(1, abs(ref)), FAMILY_TOL)
+        match[name] = kind.negligible((c - ref) / max(1, abs(ref)), math.nextafter(FAMILY_TOL, 1))
     report = {name: kind.json(v) for name, v in fields.items()}
     report.update(mode=kind.name, frame="graph", computed=computed, reference=reference,
                   match=match)

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from beltrami import chart
 from beltrami import expr as ex
 from beltrami.chart import (
     CHART_VARS,
+    XI_VARS,
+    _check_residual,
     _minimal_rotation,
     base_point,
     build_chart,
@@ -39,13 +42,13 @@ def chart_residuals(ch):
 
 
 def test_base_point_flat():
-    bp = base_point(ex.parse("1+x3"), None, (0, 0, 0))
+    bp = base_point(ex.parse("1+x3"), None, (0, 0, 0), frame="rotated")
     assert bp.level == 1.0
     assert np.allclose(bp.rotation, np.eye(3))
 
 
 def test_base_point_axis_swap():
-    bp = base_point(ex.parse("1+x1"), None, (0, 0, 0))
+    bp = base_point(ex.parse("1+x1"), None, (0, 0, 0), frame="rotated")
     R = np.array(bp.rotation)
     assert np.allclose(R @ np.array([1.0, 0, 0]), [0, 0, 1.0], atol=1e-12)
     assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
@@ -109,13 +112,13 @@ def test_graph_solve_quadratic_family():
 
 def test_graph_solve_flat():
     f = ex.parse("1+x3")
-    h = build_chart(f, None, (0, 0, 0), t_order=2, xi_order=3).h
+    h = build_chart(f, None, (0, 0, 0), t_order=2, xi_order=3, frame="rotated").h
     assert h.max_abs() == 0.0
 
 
 def test_flow_flat():
     f = ex.parse("1+x3")
-    x = build_chart(f, None, (0, 0, 0), t_order=3, xi_order=3).x
+    x = build_chart(f, None, (0, 0, 0), t_order=3, xi_order=3, frame="rotated").x
     assert x[0].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi1"))
     assert x[1].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "xi2"))
     assert x[2].equals(TruncatedSeries.variable(CHART_VARS, (4, 4), "t"))
@@ -140,7 +143,7 @@ def test_flow_affine_closed_form():
 
 def test_initial_slice_exact():
     f = ex.parse("1+x1^2+a*x2^2+x3")
-    ch = build_chart(f, {"a": 2.0}, (0, 0, 0), t_order=3, xi_order=3)
+    ch = build_chart(f, {"a": 2.0}, (0, 0, 0), t_order=3, xi_order=3, frame="rotated")
     slice0 = [s.slice_at_zero("t") for s in ch.x]
     assert slice0[0].equals(TruncatedSeries.variable(("xi1", "xi2"), 4, "xi1"))
     assert slice0[1].equals(TruncatedSeries.variable(("xi1", "xi2"), 4, "xi2"))
@@ -148,7 +151,8 @@ def test_initial_slice_exact():
 
 
 def test_metric_flat():
-    ch = build_chart(ex.parse("1+x3"), None, (0, 0, 0), t_order=3, xi_order=3)
+    ch = build_chart(ex.parse("1+x3"), None, (0, 0, 0), t_order=3, xi_order=3,
+                     frame="rotated")
     one = TruncatedSeries.constant(CHART_VARS, ch.chi2.order, 1.0)
     for s in (ch.chi2, ch.g11, ch.g22, ch.detg, ch.chi_sqrt_detg):
         assert s.equals(one)
@@ -213,7 +217,7 @@ def test_chart_identities_exact():
 def test_nonunit_level_value():
     # f(p) != 1: the flow still increments the level linearly
     f = ex.parse("3+x1+x3^2")
-    ch = build_chart(f, None, (0.0, 0.0, 1.0), t_order=4, xi_order=4)
+    ch = build_chart(f, None, (0.0, 0.0, 1.0), t_order=4, xi_order=4, frame="rotated")
     assert abs(ch.level - 4.0) < 1e-14
     assert ch.flow_residual < 1e-9
 
@@ -418,7 +422,8 @@ def test_chart_covariance_under_base_rotation():
 
 
 def test_chart_json_dump():
-    ch = build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=3, xi_order=3)
+    ch = build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=3, xi_order=3,
+                     frame="rotated")
     data = ch.to_json()
     assert data["orders"] == {"t": 3, "xi": 3}
     assert data["chi2"]["order"] == [3, 3]
@@ -426,6 +431,25 @@ def test_chart_json_dump():
     assert data["h"]["order"] == 4
     assert data["frame"] in ("graph", "rotated")
     assert "coeffs" in data["h"]
+
+
+@pytest.mark.parametrize("frame", ["auto", "graph", "rotated"])
+def test_a_nan_gradient_decides_no_frame(frame):
+    # inf - inf leaves NaN in d3 f; no frame exists or is refused on a NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+        base_point(ex.parse("x1+(1e200*1e200-1e200*1e200)*x3"), None, (0, 0, 0), frame=frame)
+    assert str(err.value) == "grad f is not a number at (0.0, 0.0, 0.0)"
+
+
+def test_the_residual_bound_is_included():
+    # scale max(1, |level|, max |solution|) = 1: a residual of 1e-9 passes,
+    # one a double above it does not
+    zero = TruncatedSeries.zeros(XI_VARS, 2)
+    at = TruncatedSeries.constant(XI_VARS, 2, 1e-9)
+    assert _check_residual(at, zero, 0.0, "solve") == 1e-9
+    beyond = TruncatedSeries.constant(XI_VARS, 2, math.nextafter(1e-9, 1.0))
+    with pytest.raises(DomainError, match="solve: residual 1.000e-09"):
+        _check_residual(beyond, zero, 0.0, "solve")
 
 
 def test_a_nan_residual_fails_closed():

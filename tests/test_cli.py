@@ -1,16 +1,20 @@
 import contextlib
 import io
 import json
+import math
 import shlex
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beltrami import cli
 from beltrami.cli import build_parser, main
+from beltrami.series import DOUBLE
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +82,15 @@ def test_critical_point_error_writes_the_point_as_the_report_does(capsys, f, poi
     code, out, err = run_cli(capsys, "p-eval", "--f", f, "--point", point, "--mode", mode)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "CriticalPointError", "message": message}
+
+
+def test_a_family_coefficient_at_the_tolerance_matches():
+    # |computed - reference| = FAMILY_TOL is within it; a double more is not
+    def report(c):
+        poly = types.SimpleNamespace(kind=DOUBLE, coeff=lambda mono: c)
+        return cli._family_report(poly, {"c0": ((0, 0), 0.0)})["match"]
+    assert report(cli.FAMILY_TOL) == {"c0": True}
+    assert report(math.nextafter(cli.FAMILY_TOL, 1.0)) == {"c0": False}
 
 
 @pytest.mark.parametrize("argv, frame", [

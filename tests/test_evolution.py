@@ -23,7 +23,7 @@ from beltrami.obstruction import tensor_T
 
 def flat_chart(orders=(4, 4)):
     return build_chart(ex.parse("1+x3"), None, (0, 0, 0), t_order=orders[0],
-                       xi_order=orders[1])
+                       xi_order=orders[1], frame="rotated")
 
 
 class ZeroEvaluator:
@@ -53,7 +53,7 @@ def test_init_from_potential_matches_jets(text):
 def test_init_from_field_matches_full_pullback_at_t0(text, u):
     # init_from_field pulls back along the t = 0 slice of the flow; the full
     # (t, xi) pullback evaluated at t = 0 gives the same data
-    ch = build_chart(ex.parse(text), {"a": 1.0}, (0, 0, 0))
+    ch = build_chart(ex.parse(text), {"a": 1.0}, (0, 0, 0), frame="rotated")
     grid = GridField.centered(41, 41, 0.005, 0.005)
     got = init_from_field(grid, u, ch).beta.reshape(-1, 2)
     _, beta1, beta2 = chart_pullback(u, ch.x_world())
@@ -151,7 +151,8 @@ def test_initial_drift_refines_at_second_order():
 def test_t_evaluator_matches_series_eval():
     # the power-row sum over the sampled t-coefficients against each entry of T
     # evaluated at (t, xi) as a whole series; only the order of the sums differs
-    ch = build_chart(ex.parse("1+x1+x1^3+x2*x3+x3"), None, (0, 0, 0), t_order=5, xi_order=4)
+    ch = build_chart(ex.parse("1+x1+x1^3+x2*x3+x3"), None, (0, 0, 0), t_order=5, xi_order=4,
+                     frame="rotated")
     grid = GridField.centered(7, 5, 0.03, 0.04)
     tev = TEvaluator(ch, grid)
     entries = tensor_T(ch).m
@@ -225,7 +226,8 @@ def test_step_evaluates_T_once_per_distinct_time():
 
 
 def test_step_matches_einsum_reference():
-    ch = build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=5, xi_order=5)
+    ch = build_chart(ex.parse("1+x1^2+x3"), None, (0, 0, 0), t_order=5, xi_order=5,
+                     frame="rotated")
     grid = GridField.centered(9, 7, 0.01, 0.02)
     grid.beta[:] = np.random.default_rng(3).normal(size=grid.beta.shape)
     grid.time = 0.03
@@ -279,7 +281,7 @@ def test_run_carries_T_from_step_to_step(monkeypatch):
 def test_nodes_evolve_independently():
     # evolving a subgrid reproduces the matching nodes of the full grid
     f = ex.parse("1+x1^2+x3")
-    ch = build_chart(f, None, (0, 0, 0), t_order=4, xi_order=4)
+    ch = build_chart(f, None, (0, 0, 0), t_order=4, xi_order=4, frame="rotated")
     full = GridField.centered(9, 9, 0.01, 0.01)
     full = init_from_potential(full, ex.parse("x1+x2^2"))
     sub = GridField(full.xi1[2:7], full.xi2[2:7], full.beta[2:7, 2:7].copy(), 0.0)
@@ -294,7 +296,7 @@ def test_nodes_evolve_independently():
 
 def test_energy_bound():
     f = ex.parse("1+x1^2+x3")
-    ch = build_chart(f, None, (0, 0, 0), t_order=5, xi_order=5)
+    ch = build_chart(f, None, (0, 0, 0), t_order=5, xi_order=5, frame="rotated")
     grid = GridField.centered(9, 9, 0.01, 0.01)
     grid = init_from_potential(grid, ex.parse("x1+x2"))
     tev = TEvaluator(ch, grid)
@@ -319,7 +321,7 @@ def test_timestep_convergence_order():
 
     def final_beta(dt):
         rep_grid = GridField.centered(5, 5, 0.01, 0.01)
-        ch = build_chart(f, bindings, (0, 0, 0), t_order=5, xi_order=5)
+        ch = build_chart(f, bindings, (0, 0, 0), t_order=5, xi_order=5, frame="rotated")
         tev = TEvaluator(ch, rep_grid)
         g = init_from_potential(rep_grid, ex.parse("x1+x2"))
         nsteps = int(round(0.2 / dt))
@@ -478,7 +480,7 @@ def test_axis_sampling_matches_series_eval(orders):
     # with t_order != xi_order: V1 C V2^T against the design-matrix eval of
     # each series, which differ only in the order of the sums
     ch = build_chart(ex.parse("1+x1+x1^2*x2+x2^3+x3"), None, (0, 0, 0),
-                     t_order=orders[0], xi_order=orders[1])
+                     t_order=orders[0], xi_order=orders[1], frame="rotated")
     grid = GridField.centered(9, 13, 0.01, 0.007)
     got = TEvaluator(ch, grid).coeffs.reshape(orders[0] + 1, 2, 2, -1)
     want = t_parts(ch, grid).transpose(0, 2, 3, 1)

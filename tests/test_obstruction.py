@@ -30,7 +30,8 @@ ORIGIN = (0, 0, 0)
 
 
 def flat_chart(orders=(4, 4)):
-    return build_chart(ex.parse("1+x3"), None, ORIGIN, t_order=orders[0], xi_order=orders[1])
+    return build_chart(ex.parse("1+x3"), None, ORIGIN, t_order=orders[0], xi_order=orders[1],
+                       frame="rotated")
 
 
 def test_tensor_T_flat():
@@ -64,7 +65,7 @@ def test_tensor_T_trace_free():
         f = ex.parse(
             f"1 + x3 + ({c[0]})*x1 + ({c[1]})*x2^2 + ({c[2]})*x1*x2 + ({c[3]})*x1^3"
         )
-        T = tensor_T(build_chart(f, None, ORIGIN, t_order=3, xi_order=3))
+        T = tensor_T(build_chart(f, None, ORIGIN, t_order=3, xi_order=3, frame="rotated"))
         trace = T.entry(0, 0) + T.entry(1, 1)
         assert trace.max_abs() < 1e-12
 
