@@ -6,6 +6,10 @@ coordinate t flows along X = grad f / |grad f|^2, so that f = c0 + t along
 the flow and the ambient metric splits into chi^2 dt^2 + g_ij dxi_i dxi_j
 with no cross terms.
 
+The graph function h is solved by series Newton from h = 0: step k leaves h
+right through degree 2^k - 1, so xi-order n takes n.bit_length() steps,
+fewer when a residual is exactly zero, and one more compose checks the last.
+
 The flow is solved by graded Picard sweeps: sweep k fixes t-degree k and
 composes at t-order k - 1 only, below the order of the whole flow.
 1/|w|^2 is carried from sweep to sweep and refined by one Newton step, and a
@@ -171,7 +175,7 @@ def _check_residual(residual: TruncatedSeries, solution: TruncatedSeries, level,
 
 def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> TruncatedSeries:
     """Solve f(p + R^T (xi1, xi2, h(xi))) = c0 for the graph function h by
-    series Newton; the slope is the frame-x3 row of R grad f."""
+    series Newton (module docstring); the slope is the frame-x3 row of R grad f."""
     c0 = bp.level
     normal = bp.rotation[2]
     rows = [f] + [g for g, w in zip(grad, normal) if w != 0]
@@ -179,13 +183,12 @@ def _graph_solve_from_jet(f, grad, bindings, bp: BasePoint, order: int) -> Trunc
     xi1 = TruncatedSeries.variable(XI_VARS, order, "xi1", bp.kind)
     xi2 = TruncatedSeries.variable(XI_VARS, order, "xi2", bp.kind)
     h = TruncatedSeries.zeros(XI_VARS, order, bp.kind)
-    steps = max(3, order.bit_length() + 2)
-    for _ in range(steps):
+    for _ in range(order.bit_length()):
         value, *partials = ex.compose(rows, bindings, _world(bp, (xi1, xi2, h)))
         residual = value - c0
+        if residual.max_abs() == 0:
+            return h
         h = h - residual * _combine(weights, partials).reciprocal()
-        if residual.max_abs() == 0.0:
-            break
     final = ex.compose(f, bindings, _world(bp, (xi1, xi2, h))) - c0
     _check_residual(final, h, c0, "graph solve did not converge")
     return h

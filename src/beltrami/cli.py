@@ -344,7 +344,7 @@ def _cmd_evolve(args):
     dt = _number(args.dt, "--dt")
     spacing = _number(args.spacing, "--spacing")
     if args.init == "affine-exact":
-        e = tuple(gradient(f, bindings, point)) if ex.poly_degree(f) in (0, 1) else ()
+        e = tuple(gradient(f, bindings, point)) if ex.is_affine(f) else ()
         if not any(e):
             raise BeltramiError("--init affine-exact requires a nonconstant affine factor f")
         u0 = orthogonal_unit(e)

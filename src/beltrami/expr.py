@@ -134,18 +134,28 @@ def _tokenize(text: str):
 
 _LEAF_VALUES = (int, str, Fraction)  # the argument types of a node that are not nodes
 
+# How deep an expression may nest: the nodes on a path of its tree, and the
+# brackets, function calls and signs open at once in its text.  Every walker
+# recurses once or twice per level, and a partial (:func:`diff`) nests up
+# to three times as deep as its factor, so a tree at the bound stays well
+# inside the interpreter's default recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
 
 class _Parser:
     """Recursive descent over the tokens of one text.  Nodes are built through
     :meth:`node`, which interns them in ``table``: equal subtrees become one
     object, so :func:`compose`, which memoises by node identity, evaluates
-    each once, and :func:`evaluate` compiles each once."""
+    each once, and :func:`evaluate` compiles each once.  Each node keeps the
+    depth of its tree, and the parse stops with a ParseError where the tree
+    or the text nests deeper than MAX_DEPTH."""
 
     def __init__(self, text: str, table: dict):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.table = table
+        self.nesting = 0
 
     def node(self, cls, *args):
         """The one node ``cls(*args)`` of the table.  Its children are interned
@@ -155,8 +165,16 @@ class _Parser:
         key = (cls, *[a if type(a) in _LEAF_VALUES else id(a) for a in args])
         hit = self.table.get(key)
         if hit is None:
+            depth = 1 + max((a._depth for a in args if type(a) not in _LEAF_VALUES), default=0)
+            self.check_depth(depth)
             hit = self.table[key] = cls(*args)
+            object.__setattr__(hit, "_depth", depth)
         return hit
+
+    def check_depth(self, depth: int):
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             self.tokens[self.pos - 1][2])
 
     def peek(self):
         return self.tokens[self.pos]
@@ -226,6 +244,14 @@ class _Parser:
         return node
 
     def base(self):
+        """A base, one level inside the brackets, calls and signs around it."""
+        self.nesting += 1
+        self.check_depth(self.nesting)
+        node = self.atom()
+        self.nesting -= 1
+        return node
+
+    def atom(self):
         kind, val, off = self.advance()
         if kind == "num":
             return self.node(Num, Fraction(val))
@@ -327,8 +353,6 @@ def _as_number(v):
     if isinstance(v, (Fraction, float)):
         return v
     if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
         return Fraction(v)
     raise DomainError(f"cannot interpret {v!r} as a number")
 
@@ -520,7 +544,9 @@ class _Composition:
         return hit[1]
 
     def value(self, n):
-        ev, inner, bindings = self, self.inner, self.bindings
+        # a bound method: calling the instance would count a C-level call
+        # against the recursion limit as well, a third frame per level
+        ev, inner, bindings = self.__call__, self.inner, self.bindings
         a, k = inner[0], inner[0].kind
         if isinstance(n, Var):
             return inner[n.index]
@@ -555,11 +581,16 @@ class _Composition:
             arg = ev(n.arg)
             series = isinstance(arg, TruncatedSeries)
             at = float(arg.constant_term()) if series else arg
-            try:  # a number takes the 0th coefficient: the same domain checks
-                taylor = _TAYLOR[n.name](at, a.space.top if series else 0)
+            # a number is one point: it takes evaluate's domain and the math value
+            if not series and n.name in _DOMAIN and _DOMAIN[n.name][0](at):
+                raise DomainError(_DOMAIN[n.name][1])
+            try:
+                if not series:
+                    return getattr(math, n.name)(at)
+                taylor = _TAYLOR[n.name](at, a.space.top)
             except (OverflowError, ValueError):
                 raise DomainError(f"{n.name}({at!r}) leaves the double range") from None
-            return apply_univariate(arg, taylor) if series else taylor[0]
+            return apply_univariate(arg, taylor)
         raise TypeError(f"not an expression node: {n!r}")
 
 
@@ -625,26 +656,7 @@ def diff(node, i: int):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def poly_degree(node):
-    """Total degree of a polynomial expression, or None if not polynomial."""
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, (Num, Param)):
-        return 0
-    if isinstance(node, Neg):
-        return poly_degree(node.arg)
-    if isinstance(node, (Add, Sub)):
-        a, b = poly_degree(node.lhs), poly_degree(node.rhs)
-        return None if a is None or b is None else max(a, b)
-    if isinstance(node, Mul):
-        a, b = poly_degree(node.lhs), poly_degree(node.rhs)
-        return None if a is None or b is None else a + b
-    if isinstance(node, Div):
-        a, b = poly_degree(node.lhs), poly_degree(node.rhs)
-        if a is None or b != 0:
-            return None
-        return a
-    if isinstance(node, Pow):
-        a = poly_degree(node.base)
-        return None if a is None else a * node.exp
-    return None
+def is_affine(node) -> bool:
+    """Whether every second partial is the zero node of :func:`diff`: affine in
+    x1, x2, x3, short of second partials that cancel without vanishing."""
+    return all(diff(diff(node, i), j) is _ZERO for i in range(3) for j in range(i, 3))

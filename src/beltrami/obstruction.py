@@ -30,18 +30,6 @@ from .series import SeriesMatrix2, TruncatedSeries, as_double
 DEFAULT_INDICES = (2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class ConstraintVector4:
-    """Four series components multiplying (beta1, beta2, d1 beta1, d2 beta1)."""
-
-    n: int
-    components: tuple
-
-    @property
-    def order(self):
-        return self.components[0].order
-
-
 @dataclass(frozen=True, eq=False)
 class ObstructionPoly:
     """Obstruction determinant restricted to t = 0, as a polynomial in xi.
@@ -114,14 +102,15 @@ def tensor_Tn(T: SeriesMatrix2, n: int) -> SeriesMatrix2:
     return Tn
 
 
-def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int = 0) -> ConstraintVector4:
-    """Constraint 4-vector of T_n against T; costs one xi-order.
+def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2) -> tuple:
+    """Constraint 4-vector of T_n against T: four series multiplying
+    (beta1, beta2, d1 beta1, d2 beta1); costs one xi-order.
 
     Works on the (t, xi) series and on their t = 0 slices alike.  Division is
     by the (0,1) entry of T, whose constant term is guaranteed nonzero away
-    from the zero level set.  `n` is carried as metadata only.
+    from the zero level set.
     """
-    return _constraint(_pivot_terms(T, Tn.order), Tn, n)
+    return _constraint(_pivot_terms(T, Tn.order), Tn)
 
 
 def _bracket(M: SeriesMatrix2, low):
@@ -145,18 +134,17 @@ def _pivot_terms(T: SeriesMatrix2, order) -> tuple:
     return low, Tl.entry(0, 1).truncate(low).reciprocal(), _bracket(Tl, low)
 
 
-def _constraint(shared: tuple, Tn: SeriesMatrix2, n: int) -> ConstraintVector4:
+def _constraint(shared: tuple, Tn: SeriesMatrix2) -> tuple:
     low, inverse_pivot, bracket_T = shared
     ratio = Tn.entry(0, 1).truncate(low) * inverse_pivot
-    components = tuple(a - ratio * b for a, b in zip(_bracket(Tn, low), bracket_T))
-    return ConstraintVector4(n=n, components=components)
+    return tuple(a - ratio * b for a, b in zip(_bracket(Tn, low), bracket_T))
 
 
 def hierarchy_vectors(chart: ChartData, indices) -> dict:
-    """Constraint vectors for every requested recursion index, sharing work,
-    as series in (xi1, xi2) at t = 0: T is cut to the t-degrees the recursion
-    to the largest index reads, each T_n is sliced before its constraint is
-    built, and the pivot's reciprocal and the bracket of T are built once."""
+    """Constraint 4-vectors ``{n: (c1, c2, c3, c4)}``, sharing work, as series
+    in (xi1, xi2) at t = 0: T is cut to the t-degrees the recursion to the
+    largest index reads, each T_n is sliced before its constraint is built,
+    and the pivot's reciprocal and the bracket of T are built once."""
     indices = tuple(indices)
     if min(indices) < 2:
         raise DomainError(f"recursion indices must be >= 2, got {indices}")
@@ -170,7 +158,7 @@ def hierarchy_vectors(chart: ChartData, indices) -> dict:
     for n in range(2, max(indices) + 1):
         Tn = _recursion_step(T, Tn, n - 1)
         if n in indices:
-            out[n] = _constraint(shared, Tn.slice_at_zero("t"), n)
+            out[n] = _constraint(shared, Tn.slice_at_zero("t"))
     return out
 
 
@@ -238,7 +226,7 @@ def obstruction_from_chart(chart: ChartData, degree: int,
     vectors = hierarchy_vectors(chart, indices)
     # every constraint vector is a t = 0 series in xi at xi-order
     # xi_order - 1 >= degree; the determinant reads it through degree
-    det = det4([tuple(c.truncate(degree) for c in vectors[n].components) for n in indices])
+    det = det4([tuple(c.truncate(degree) for c in vectors[n]) for n in indices])
     coeffs = dict(det.nonzero_terms())
     return ObstructionPoly(
         coeffs=coeffs,

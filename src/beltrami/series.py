@@ -701,16 +701,14 @@ class SeriesMatrix2:
         return SeriesMatrix2(*(a + b for ra, rb in zip(self.m, other.m) for a, b in zip(ra, rb)))
 
     def __mul__(self, other):
-        """Matrix product (both operands SeriesMatrix2) or scalar/series scaling."""
-        if isinstance(other, SeriesMatrix2):
-            a, b = self.m, other.m
-            return SeriesMatrix2(
-                a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                a[0][0] * b[0][1] + a[0][1] * b[1][1],
-                a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                a[1][0] * b[0][1] + a[1][1] * b[1][1],
-            )
-        return self._map(lambda e: e * other)
+        """Matrix product with another SeriesMatrix2."""
+        a, b = self.m, other.m
+        return SeriesMatrix2(
+            a[0][0] * b[0][0] + a[0][1] * b[1][0],
+            a[0][0] * b[0][1] + a[0][1] * b[1][1],
+            a[1][0] * b[0][0] + a[1][1] * b[1][0],
+            a[1][0] * b[0][1] + a[1][1] * b[1][1],
+        )
 
     def _map(self, fn):
         """The matrix of ``fn`` applied to each entry."""

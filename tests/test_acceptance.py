@@ -175,9 +175,9 @@ def test_criterion_5_chart_property_suite():
         T = tensor_T(ch)
         t1_vec = script_Tn(T, T)
         t1_scale = max(1.0, T.max_abs())
-        assert max(c.max_abs() for c in t1_vec.components) < 1e-9 * t1_scale
+        assert max(c.max_abs() for c in t1_vec) < 1e-9 * t1_scale
         vectors = hierarchy_vectors(ch, (2, 3, 4, 5))
-        cols = [vectors[n].components for n in (2, 3, 4, 5)]
+        cols = [vectors[n] for n in (2, 3, 4, 5)]
         common = min(c[0].order for c in cols)
         cols = [tuple(s.truncate(common) for s in col) for col in cols]
         base = det4(cols)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beltrami import cli
+from beltrami import expr as ex
 from beltrami.cli import build_parser, main
 from beltrami.series import DOUBLE
 
@@ -48,6 +49,52 @@ def test_p_eval_divides_by_a_series_in_both_modes(capsys):
     assert got["double"].keys() == want.keys()
     for m, c in want.items():
         assert abs(got["double"][m] - float(c)) <= 1e-13 * abs(c)
+
+
+# f nested ``n`` levels deep, in the three shapes that ran out of stack
+# before the parser bounded the depth, and in the right-nested quotient,
+# whose partials nest three times as deep as f
+_DEEP = {
+    "brackets": lambda n: "(" * (n - 1) + "1+x3" + ")" * (n - 1),
+    "sum": lambda n: "1+x3" + "".join(f"+{k}/{k + 1}*x1^2" for k in range(1, n - 2)),
+    "product": lambda n: "*".join(["(1+x1/7)"] * (n - 2)),
+    "quotient": lambda n: "x3+x1" + "/(x1" * (n - 2) + ")" * (n - 2),
+}
+
+
+def _at_depth(frames, fn):
+    """fn() called ``frames`` frames further down the stack."""
+    return fn() if frames == 0 else _at_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_expression_depth_is_bounded_at_parse_time(capsys, shape):
+    make = _DEEP[shape]
+    argv = ("p-eval", "--point", "0.1,0.2,0.3", "--degree", "1", "--f")
+    deep = make(ex.MAX_DEPTH)
+    f = ex.parse(deep)
+    # every walker runs at the bound with 300 frames of the stack to spare
+    walkers = [lambda: ex.parse(deep), lambda: ex.to_string(f), lambda: ex.is_affine(f),
+               lambda: ex.evaluate(ex.parse(deep), None, (0.1, 0.2, 0.3)),
+               lambda: [ex.evaluate(ex.diff(ex.parse(deep), i), None, (0.1, 0.2, 0.3))
+                        for i in range(3)],
+               lambda: main([*argv, deep])]
+    for walk in walkers:
+        _at_depth(300, walk)
+    assert (main([*argv, deep]), capsys.readouterr().err) == (0, "")
+    code, out, err = run_cli(capsys, *argv, make(ex.MAX_DEPTH + 1))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(f"expression nests deeper than {ex.MAX_DEPTH} levels")
+
+
+def test_p_eval_sqrt_of_a_zero_parameter_is_zero(capsys):
+    # sqrt(a) is a number, which takes evaluate's domain: sqrt(0) = 0
+    code, out, err = run_cli(capsys, "p-eval", "--f", "1+sqrt(a)*x1+x3", "--param", "a=0",
+                             "--degree", "0")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "p-eval", "--f", "1+x3", "--degree", "0")
 
 
 @pytest.mark.parametrize("mode", ["rational", "double"])
@@ -343,6 +390,14 @@ def test_evolve_affine_exact_requires_affine(capsys):
         )
         assert code == 1 and out == "", f
         assert "affine" in json.loads(err)["message"], f
+
+
+def test_evolve_affine_exact_takes_an_affine_f_with_transcendental_coefficients(capsys):
+    argv = ("evolve", "--point", "0,0,0", "--tmax", "0.01", "--dt", "0.005", "--grid", "9x9",
+            "--spacing", "0.01", "--init", "affine-exact", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--f", "1+sin(a)*x1+x3", "--param", "a=1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["final"]["max_drift"] == 0.0
 
 
 def test_cross_check_passes(capsys):

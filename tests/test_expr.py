@@ -135,6 +135,28 @@ def test_jet_exponential():
     assert np.allclose(got, expected)
 
 
+def test_jet_sqrt_is_the_binomial_series():
+    j = ex.jet(ex.parse("sqrt(4+x1)"), None, (0, 0, 0), 4)
+    assert [j.coeff((k, 0, 0)) for k in range(5)] == [2, 1 / 4, -1 / 64, 1 / 512, -5 / 16384]
+    for text in ("sqrt(x1)", "sqrt(x1-1)"):
+        with pytest.raises(DomainError, match="strictly positive"):
+            ex.jet(ex.parse(text), None, (0, 0, 0), 2)
+
+
+def test_compose_takes_a_number_on_the_domain_of_evaluate():
+    # a number argument is one point, so sqrt(0) is 0 as in evaluate; the
+    # jet of a series argument needs sqrt's derivatives and refuses 0
+    j = ex.jet(ex.parse("1+sqrt(a)*x1+x3"), {"a": 0.0}, (0, 0, 0), 2)
+    assert dict(j.nonzero_terms()) == {(0, 0, 0): 1.0, (0, 0, 1): 1.0}
+    assert ex.evaluate(ex.parse("sqrt(a)"), {"a": 0.0}, (0, 0, 0)) == 0.0
+    for text, message in (("sqrt(a-1)*x1", "sqrt of a negative"),
+                          ("log(a)*x1", "log of a non-positive")):
+        for run in (lambda e: ex.jet(e, {"a": 0.0}, (0, 0, 0), 2),
+                    lambda e: ex.evaluate(e, {"a": 0.0}, (0, 0, 0))):
+            with pytest.raises(DomainError, match=message):
+                run(ex.parse(text))
+
+
 def test_jet_rational_rejects_transcendental():
     with pytest.raises(DomainError):
         ex.jet(ex.parse("sin(x1)"), None, (0, 0, 0), 2, mode="rational")
@@ -302,10 +324,12 @@ def test_parse_shares_equal_subtrees():
     assert ex.parse(c) == third and ex.parse(c) is not third
 
 
-def test_poly_degree():
-    assert ex.poly_degree(ex.parse("1+a*x1+b*x1^3+x3")) == 3
-    assert ex.poly_degree(ex.parse("sin(x1)")) is None
-    assert ex.poly_degree(ex.parse("(x1+x2)^2*x3")) == 3
+def test_is_affine():
+    for text in ("1+a*x1+x3", "sin(a)*x1+x3", "2", "-x1/3+(x2-x3)*exp(a)", "(x1+x2)^1"):
+        assert ex.is_affine(ex.parse(text)), text
+    for text in ("1+a*x1+b*x1^3+x3", "1+x1^2+x3", "sin(x1)", "(x1+x2)^2*x3", "x1*x2",
+                 "1/x1"):
+        assert not ex.is_affine(ex.parse(text)), text
 
 
 def test_walkers_leave_no_reference_cycles():

@@ -97,7 +97,7 @@ def test_script_Tn_vanishes_flat_and_affine():
         T = tensor_T(ch)
         for n in (1, 2, 3, 4):
             cv = script_Tn(T, tensor_Tn(T, n))
-            assert max(c.max_abs() for c in cv.components) < 1e-12, (text, n)
+            assert max(c.max_abs() for c in cv) < 1e-12, (text, n)
 
 
 def test_script_T1_vanishes_generic():
@@ -111,7 +111,7 @@ def test_script_T1_vanishes_generic():
         ch = build_chart(f, None, ORIGIN, t_order=4, xi_order=4, frame="rotated")
         T = tensor_T(ch)
         cv = script_Tn(T, T)
-        assert max(c.max_abs() for c in cv.components) < 1e-10
+        assert max(c.max_abs() for c in cv) < 1e-10
 
 
 def test_cubic_family_double():
@@ -232,7 +232,7 @@ def test_hierarchy_vectors_are_t0_slices():
     vectors = hierarchy_vectors(chart, (2, 3, 4, 5))
     for n in (2, 3, 4, 5):
         full = script_Tn(T, tensor_Tn(T, n))
-        for got, want in zip(vectors[n].components, full.components):
+        for got, want in zip(vectors[n], full):
             assert got.vars == ("xi1", "xi2")
             assert got.equals(want.slice_at_zero("t")), n
 
@@ -250,7 +250,7 @@ def test_determinant_antisymmetry():
     chart = build_chart(f, {"a": Fraction(1), "b": Fraction(1)}, ORIGIN,
                         t_order=6, xi_order=6, frame="graph", mode="rational")
     vectors = hierarchy_vectors(chart, (2, 3, 4, 5))
-    cols = [vectors[n].components for n in (2, 3, 4, 5)]
+    cols = [vectors[n] for n in (2, 3, 4, 5)]
     common = min(c[0].order for c in cols)
     cols = [tuple(s.truncate(common) for s in col) for col in cols]
     base = det4(cols)
@@ -373,7 +373,7 @@ def _gamma_dot(cv, psi, order):
         beta1.derive("xi2").truncate(order),
     ]
     total = TruncatedSeries.zeros(CHART_VARS, order, kind=psi.kind)
-    for comp, gamma in zip(cv.components, parts):
+    for comp, gamma in zip(cv, parts):
         total = total + comp.truncate(order) * gamma
     return total
 
@@ -387,7 +387,7 @@ def test_two_path_identity(n):
     psi = _psi_series(seed=23 + n)
     direct = dT_beta(ch, Tn, psi, T=T)
     cv = script_Tn(T, Tn)
-    order = tuple(map(min, direct.order, cv.order))
+    order = tuple(map(min, direct.order, cv[0].order))
     dotted = _gamma_dot(cv, psi, order)
     scale = max(1.0, dotted.max_abs())
     assert np.max(np.abs(direct.truncate(order).coeffs - dotted.coeffs)) < 1e-9 * scale
@@ -404,7 +404,7 @@ def test_raw_vs_eliminated_decomposition(n):
     raw_n = dT_beta(ch, Tn, psi)
     raw_1 = dT_beta(ch, T, psi)
     cv = script_Tn(T, Tn)
-    order = tuple(map(min, raw_n.order, cv.order, raw_1.order))
+    order = tuple(map(min, raw_n.order, cv[0].order, raw_1.order))
     ratio = Tn.entry(0, 1).truncate(order) * T.entry(0, 1).truncate(order).reciprocal()
     recomposed = _gamma_dot(cv, psi, order) + ratio * raw_1.truncate(order)
     scale = max(1.0, recomposed.max_abs())
