@@ -81,14 +81,22 @@ def _rng(args):
 
 def _parse_site(args, mode: str):
     """The factor, its parameter bindings and the base point, from --f,
-    --param and --point."""
+    --param and --point.  Each --param names a parameter of the grammar
+    once; a name that the factor does not read is accepted."""
     f = ex.parse(args.f)
     bindings = {}
     for item in args.param or []:
-        if "=" not in item:
+        name, sep, value = item.partition("=")
+        name = name.strip()
+        if not sep:
             raise BeltramiError(f"--param needs name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        bindings[name.strip()] = _number(value, f"--param {name.strip()}", mode)
+        if not ex.is_param_name(name):
+            raise BeltramiError(
+                f"--param needs a parameter name, an identifier other than x1, x2, x3; "
+                f"got {name!r}")
+        if name in bindings:
+            raise BeltramiError(f"--param {name} is given more than once")
+        bindings[name] = _number(value, f"--param {name}", mode)
     parts = args.point.split(",")
     if len(parts) != 3:
         raise BeltramiError(f"--point needs three comma-separated values, got {args.point!r}")
@@ -259,9 +267,9 @@ def _cmd_conformal_check(args):
     v = _random_poly_field(rng)
     metric = conformal_metric(f)
     points = rng.uniform(-0.8, 0.8, size=(args.samples, 3))
+    u = VectorExpr(tuple(Mul(Pow(f, 2), comp) for comp in v.components))
 
     def rel_err(p):
-        u = VectorExpr(tuple(Mul(Pow(f, 2), comp) for comp in v.components))
         lhs, _ = curl_div(u, None, p)
         fval = ex.evaluate(f, None, p)
         rhs = fval * fval * fval * riemannian_curl(metric, v, None, p)

@@ -14,12 +14,17 @@ call time.  Numbers accept decimal and rational ``p/q`` literals; a quotient
 of two numeric literals is folded into an exact rational at parse time so
 that ``1/2`` means the rational one half in exact mode.
 
+A node is its structure: constructing one returns the live node of equal
+structure (:class:`_Node`), so equal subtrees are one object wherever a tree
+is built, by the parser, by :func:`diff` or by a caller.
+
 Series enter an expression one way: :func:`compose` evaluates the tree with
 x1, x2, x3 replaced by three series, so a Taylor jet is the expression
 composed with ``p_i + x_i``, and the chart composes f and its partials
-(:func:`diff`, taken on the tree) with the chart series directly.  Points
-enter through :func:`evaluate`, which compiles a tree into nested closures
-once and keeps them on its nodes.  Both take ``^`` by repeated squaring
+(:func:`diff`, taken on the tree) with the chart series directly; it
+evaluates each distinct subtree once per call.  Points enter through
+:func:`evaluate`, which compiles each distinct subtree into a closure once
+per process and keeps it on the node.  Both take ``^`` by repeated squaring
 (:func:`_power`).
 """
 
@@ -27,7 +32,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -39,58 +45,102 @@ VAR_NAMES = ("x1", "x2", "x3")
 FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
 
+_LIVE = weakref.WeakValueDictionary()  # every live node, by its structure
+
+
+def _key(arg):
+    """What an argument of a node adds to the node's key: a child node its
+    identity, a float its type and bits, any other leaf its type and value."""
+    if isinstance(arg, _Node):
+        return id(arg)
+    if isinstance(arg, float):
+        return type(arg), arg.hex()
+    return type(arg), arg
+
+
+class _Node:
+    """The base of the expression nodes: a node is its structure.
+
+    Constructing a node returns the live node of that class and those
+    arguments when there is one, so equal subtrees are one object wherever a
+    tree is built: by the parser, by :func:`diff` or by a caller.
+
+    ``_LIVE`` holds the nodes weakly, keyed by the class, the identities of
+    the children and the leaves' values.  A live node keeps its children
+    alive, so a child's identity cannot be reused while a key holds it, and
+    an entry dies with its node.  Floats are keyed by their bits, so
+    ``Num(0.0)``, ``Num(-0.0)`` and ``Num(Fraction(0))`` stay three nodes,
+    though they are equal under ``==``.  Each node keeps the depth of its
+    tree in ``_depth``.
+    """
+
+    def __new__(cls, *args):
+        key = (cls, *map(_key, args))
+        node = _LIVE.get(key)
+        if node is None:
+            node = _LIVE[key] = object.__new__(cls)
+            depth = 1 + max((a._depth for a in args if isinstance(a, _Node)), default=0)
+            object.__setattr__(node, "_depth", depth)
+        return node
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle construct the node again, which returns
+        # the live node of its structure
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 0, 1, 2
 
 
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: object  # Fraction (exact literal) or float
 
 
 @dataclass(frozen=True)
-class Param:
+class Param(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: object
 
 
 @dataclass(frozen=True)
-class Func:
+class Func(_Node):
     name: str
     arg: object
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Div:
+class Div(_Node):
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: object
     exp: int
 
@@ -107,11 +157,18 @@ class VectorExpr:
             raise ValueError("VectorExpr needs exactly 3 components")
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))"
 )
+
+
+def is_param_name(name: str) -> bool:
+    """Whether an expression can read ``name`` as a parameter: an identifier
+    of the grammar other than the coordinates x1, x2, x3."""
+    return re.fullmatch(_IDENT, name) is not None and name not in VAR_NAMES
 
 
 def _tokenize(text: str):
@@ -132,8 +189,6 @@ def _tokenize(text: str):
     return out
 
 
-_LEAF_VALUES = (int, str, Fraction)  # the argument types of a node that are not nodes
-
 # How deep an expression may nest: the nodes on a path of its tree, and the
 # brackets, function calls and signs open at once in its text.  Every walker
 # recurses once or twice per level, and a partial (:func:`diff`) nests up
@@ -144,32 +199,20 @@ MAX_DEPTH = 100
 
 class _Parser:
     """Recursive descent over the tokens of one text.  Nodes are built through
-    :meth:`node`, which interns them in ``table``: equal subtrees become one
-    object, so :func:`compose`, which memoises by node identity, evaluates
-    each once, and :func:`evaluate` compiles each once.  Each node keeps the
-    depth of its tree, and the parse stops with a ParseError where the tree
-    or the text nests deeper than MAX_DEPTH."""
+    :meth:`node`, and the parse stops with a ParseError where the tree or the
+    text nests deeper than MAX_DEPTH."""
 
-    def __init__(self, text: str, table: dict):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.table = table
         self.nesting = 0
 
     def node(self, cls, *args):
-        """The one node ``cls(*args)`` of the table.  Its children are interned
-        already, so their identities stand for their structure; the leaves'
-        values (indices, names, and literals, every one a Fraction) key
-        themselves."""
-        key = (cls, *[a if type(a) in _LEAF_VALUES else id(a) for a in args])
-        hit = self.table.get(key)
-        if hit is None:
-            depth = 1 + max((a._depth for a in args if type(a) not in _LEAF_VALUES), default=0)
-            self.check_depth(depth)
-            hit = self.table[key] = cls(*args)
-            object.__setattr__(hit, "_depth", depth)
-        return hit
+        """The node ``cls(*args)``, once the depth of its tree is checked."""
+        node = cls(*args)
+        self.check_depth(node._depth)
+        return node
 
     def check_depth(self, depth: int):
         if depth > MAX_DEPTH:
@@ -280,20 +323,18 @@ class _Parser:
 
 
 def parse(text: str):
-    """Parse an expression string into an AST, in which equal subtrees are
-    one node."""
-    return _Parser(text, {}).parse()
+    """Parse an expression string into an AST."""
+    return _Parser(text).parse()
 
 
 def parse_vector(texts) -> VectorExpr:
-    """Parse three component strings into a vector field.  The components
-    share subtrees: a subexpression that occurs in several of them, such as
-    ``cos(x3)``, is one node, so ``compose`` evaluates it once for all three."""
+    """Parse three component strings into a vector field.  A subexpression
+    that occurs in several of them, such as ``cos(x3)``, is one node, as
+    everywhere, so ``compose`` evaluates it once for all three."""
     texts = list(texts)
     if len(texts) != 3:
         raise ValueError("a vector field needs exactly 3 component expressions")
-    table = {}
-    return VectorExpr(tuple(_Parser(t, table).parse() for t in texts))
+    return VectorExpr(tuple(map(parse, texts)))
 
 
 # -- printing ---------------------------------------------------------------
@@ -310,7 +351,8 @@ def _prec(node) -> int:
 
 
 def to_string(node) -> str:
-    """Serialize an AST back to the grammar; parse(to_string(e)) == e."""
+    """Serialize an AST back to the grammar; parse(to_string(e)) == e, and
+    is e for a parsed tree."""
     if isinstance(node, Var):
         return VAR_NAMES[node.index]
     if isinstance(node, Param):
@@ -384,9 +426,9 @@ def evaluate(node, bindings: dict | None, point):
     """IEEE-double value of the expression at a point, or one value per row
     of an (N, 3) batch.
 
-    The tree is compiled into a kernel of nested closures on its first
-    evaluation, and later calls reuse it; ``^`` is repeated squaring
-    (:func:`_power`), as in :func:`compose`.
+    Each distinct subtree is compiled into a kernel of nested closures once
+    per process, on its first evaluation in any tree, and later calls reuse
+    it; ``^`` is repeated squaring (:func:`_power`), as in :func:`compose`.
     """
     pts = np.asarray(point, dtype=np.float64)
     out = _kernel(node)(pts.T, bindings or {})
@@ -398,10 +440,11 @@ def evaluate(node, bindings: dict | None, point):
 
 def _kernel(n):
     """The compiled evaluator of ``n``, a function of the coordinate columns
-    and the bindings.  It is kept in the node's ``__dict__``, outside the
-    dataclass fields, so equality, hashing and repr do not see it; a kernel
-    holds its children's kernels and never a node, so no reference cycle
-    forms."""
+    and the bindings, compiled once per distinct subtree per process: every
+    tree that holds the node shares it.  It is kept in the node's
+    ``__dict__``, outside the dataclass fields, so equality, hashing and repr
+    do not see it; a kernel holds its children's kernels and never a node,
+    so no reference cycle forms."""
     k = getattr(n, "_kernel", None)
     if k is None:
         k = _compile(n)
@@ -515,8 +558,8 @@ def compose(nodes, bindings: dict | None, inner):
 
     ``nodes`` is one expression or a list of them; the result is one series,
     or a list, over the variables and order of ``inner``.  Subexpressions
-    free of x1, x2, x3 stay numbers, which scale the series they meet.  The
-    nodes of a list share the values of common subtrees by node identity.
+    free of x1, x2, x3 stay numbers, which scale the series they meet.  Each
+    distinct subtree of the nodes is composed once.
     """
     a, b, c = inner
     a._check(b), a._check(c)
@@ -528,9 +571,10 @@ def compose(nodes, bindings: dict | None, inner):
 
 
 class _Composition:
-    """The walk of :func:`compose`, memoised by node identity.  A class and
-    not nested recursive closures, which would leave a reference cycle holding
-    the cache of series until the cyclic collector runs."""
+    """The walk of :func:`compose`, memoised by node identity: a node is its
+    structure, so each distinct subtree is composed once per call.  A class
+    and not nested recursive closures, which would leave a reference cycle
+    holding the cache of series until the cyclic collector runs."""
 
     def __init__(self, inner, bindings: dict):
         self.inner = inner
@@ -631,8 +675,9 @@ def _plus(lhs, rhs, cls=Add):
 
 
 def diff(node, i: int):
-    """Symbolic partial derivative in x_(i+1).  It shares the subtrees of
-    ``node``, so ``compose`` on f and its partials evaluates each once."""
+    """Symbolic partial derivative in x_(i+1).  Its nodes are those of
+    ``node`` and of the other partials where equal, so ``compose`` on f and
+    its partials evaluates each once."""
     if isinstance(node, Var):
         return _ONE if node.index == i else _ZERO
     if isinstance(node, (Num, Param)):

@@ -225,6 +225,20 @@ def test_chart_pullback_affine_solution():
         assert res["closedness"] < 1e-8, frame
 
 
+def test_affine_pullback_product_budget(op_counts):
+    # the run of verify-affine --a 1: the field's three components share one
+    # cos(phase) and one sin(phase); 102 products and 6 univariate
+    # compositions when each component built its own
+    e = (1.0, 0.0, 1.0)
+    u = affine_field(1.0, e, orthogonal_unit(e))
+    ch = build_chart(ex.parse("1+a*x1+x3"), {"a": 1.0}, (0, 0, 0), t_order=6, xi_order=6,
+                     frame="graph")
+    op_counts.reset()
+    pullback_system_residuals(u, ch, tensor_T(ch), {"a": 1.0})
+    assert op_counts.products.total() <= 46
+    assert op_counts.univariate <= 2
+
+
 def test_chart_pullback_gradient_field():
     # u = grad f for f = 1 + x3 is dual to dt: no surface components
     u = ex.parse_vector(["0", "0", "1"])

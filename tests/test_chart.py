@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 import math
 
@@ -16,7 +15,7 @@ from beltrami.chart import (
     build_chart,
 )
 from beltrami.errors import CriticalPointError, DomainError, FrameError
-from beltrami.series import CONSTANT_CHECK_PAIRS, RATIONAL, TruncatedSeries, _Space
+from beltrami.series import CONSTANT_CHECK_PAIRS, RATIONAL, TruncatedSeries
 
 
 def chart_residuals(ch):
@@ -318,64 +317,33 @@ def test_graded_flow_equals_full_order_picard(monkeypatch, text, bindings, point
             assert np.max(np.abs(a.num - b.num)) <= 1e-12 * b.max_abs()
 
 
-def _count_flow_products(monkeypatch):
-    """A Counter of the orders of the series products made inside the flow,
-    and under "pairs" the entries of the pair tables they fetched; a product
-    with a constant factor is a scaling and fetches none."""
-    flow, mul, orders, inside = chart._flow_from_jet, TruncatedSeries.__mul__, Counter(), []
-    pairs = _Space.pairs
-
-    def counting(a, b):
-        if inside and isinstance(b, TruncatedSeries):
-            orders[a.order] += 1
-        return mul(a, b)
-
-    def fetching(space):
-        if inside:
-            orders["pairs"] += space.npairs
-        return pairs(space)
-
-    def flagged(*args):
-        inside.append(True)
-        try:
-            return flow(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-    monkeypatch.setattr(_Space, "pairs", fetching)
-    monkeypatch.setattr(chart, "_flow_from_jet", flagged)
-    return orders
-
-
-def test_rational_quadratic_flow_budget(monkeypatch):
+def test_rational_quadratic_flow_budget(op_counts):
     # full-order sweeps made 112 products over 1,330,560 pair entries here,
     # summed over every product (223,080 for these sweeps, summed the same way)
-    orders = _count_flow_products(monkeypatch)
+    op_counts.only_inside(chart, "_flow_from_jet")
     build_chart(ex.parse("1+x1^2+a*x2^2+x3"), {"a": Fraction(2)}, (0, 0, 0), 6, 6,
                 frame="graph", mode="rational")
-    assert sum(v for k, v in orders.items() if k != "pairs") == 60
-    assert orders["pairs"] == 166_650
+    assert op_counts.products.total() == 60
+    assert sum(op_counts.tables) == 166_650
 
 
-def test_odd_flow_stops_checking_after_a_failed_check(monkeypatch):
+def test_odd_flow_stops_checking_after_a_failed_check(op_counts):
     # x3 = t - t^3 + ...: the sweep to t-degree 2 adds nothing, the full-order
     # check at (7, 7) fails, and t-degrees 4 and 6, which add nothing either,
     # are not checked again: one (7, 7) sweep, not three
-    orders = _count_flow_products(monkeypatch)
+    orders = op_counts.only_inside(chart, "_flow_from_jet").products
     build_chart(ex.parse("1+x3+x3^3"), None, (0, 0, 0), 6, 6, frame="graph", mode="rational")
     assert orders[7, 7] == 11
-    assert sum(v for k, v in orders.items() if k != "pairs") == 69
-    assert orders["pairs"] == 172_260
+    assert orders.total() == 69
+    assert sum(op_counts.tables) == 172_260
 
 
 @pytest.mark.parametrize("mode", ["double", "rational"])
-def test_affine_flow_runs_one_full_order_sweep(monkeypatch, mode):
+def test_affine_flow_runs_one_full_order_sweep(op_counts, mode):
     # x = x0 + t w / |w|^2: sweeps at (0, 7) and (1, 7) find no t^2 term, and
     # one sweep at the full order (7, 7) confirms the fixed point
-    orders = _count_flow_products(monkeypatch)
+    orders = op_counts.only_inside(chart, "_flow_from_jet").products
     ch = build_chart(ex.parse("1+x1+2*x2+x3"), None, (0, 0, 0), 6, 6, frame="graph", mode=mode)
-    del orders["pairs"]
     assert set(orders) == {(0, 7), (1, 7), (7, 7)}
     # |w|^2: three products, two Newton steps from t-degree 1 to 7, w / |w|^2: three
     assert orders[7, 7] == 3 + 2 * 2 + 3
@@ -387,28 +355,15 @@ def test_affine_flow_runs_one_full_order_sweep(monkeypatch, mode):
     ("1+x3", "rational", 64, 0), ("1+x3", "double", 64, 20),
     ("1+x3+x3^2", "rational", 97, 25), ("1+x3+x3^2", "double", 97, 48),
 ])
-def test_constant_factors_skip_the_pair_table(monkeypatch, f, mode, products, tables):
+def test_constant_factors_skip_the_pair_table(op_counts, f, mode, products, tables):
     # f = g(x3) makes mostly constant series (grad f = (0, 0, g'), ...); every
     # product fetched the pair table before a constant factor became a
     # scaling.  Double mode looks for one only above CONSTANT_CHECK_PAIRS pairs,
     # and every product of 1 + x3 it still takes to the table is below that
-    mul, pairs, made, fetched = TruncatedSeries.__mul__, _Space.pairs, [], []
-
-    def counting_mul(a, b):
-        if isinstance(b, TruncatedSeries):
-            made.append(b)
-        return mul(a, b)
-
-    def counting_pairs(space):
-        fetched.append(space.npairs)
-        return pairs(space)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
-    monkeypatch.setattr(_Space, "pairs", counting_pairs)
     build_chart(ex.parse(f), None, (0, 0, 0), 6, 6, mode=mode)
-    assert (len(made), len(fetched)) == (products, tables)
+    assert (op_counts.products.total(), len(op_counts.tables)) == (products, tables)
     if f == "1+x3":
-        assert max(fetched, default=0) <= CONSTANT_CHECK_PAIRS
+        assert max(op_counts.tables, default=0) <= CONSTANT_CHECK_PAIRS
 
 
 def _linear_substitution(f, M):

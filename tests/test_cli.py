@@ -255,6 +255,34 @@ def test_unread_flags_are_usage_errors(capsys, command, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
+@pytest.mark.parametrize("command", ["p-eval", "evolve", "dump-chart"])
+@pytest.mark.parametrize("params, message", [
+    (["=3"], "a parameter name"),                  # an empty name
+    (["x1=5"], "a parameter name"),                # a coordinate
+    (["2a=1"], "a parameter name"),                # not an identifier
+    (["a+b=1"], "a parameter name"),
+    (["a=1", "a=2"], "--param a is given more than once"),
+    (["a"], "--param needs name=value"),
+])
+def test_param_names_a_parameter_once(capsys, command, params, message):
+    # a binding that no expression can read is an error, not ignored
+    argv = [command, *REQUIRED[command], "--degree" if command == "p-eval" else "--t-order", "1"]
+    for item in params:
+        argv += ["--param", item]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "BeltramiError" and message in error["message"]
+    assert "--param" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["p-eval", "evolve", "dump-chart"])
+def test_param_that_the_factor_does_not_read_is_accepted(capsys, command):
+    argv = [command, *REQUIRED[command], "--degree" if command == "p-eval" else "--t-order", "1"]
+    code, _, err = run_cli(capsys, *argv, "--param", " lam =2", "--param", "sin=1")
+    assert (code, err) == (0, "")
+
+
 def _readme_examples():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

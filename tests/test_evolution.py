@@ -492,7 +492,7 @@ def test_axis_sampling_matches_series_eval(orders):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_field_pullback_composes_shared_subtrees_once(monkeypatch):
+def test_field_pullback_composes_shared_subtrees_once(op_counts):
     # the workload's field: each component reads cos(theta), sin(theta) and
     # both partials of psi, which the parser makes one node each; 94 series
     # products and 4 univariate compositions when each component built its own
@@ -502,20 +502,9 @@ def test_field_pullback_composes_shared_subtrees_once(monkeypatch):
     u = ex.parse_vector([f"cos{th}*{p1}-sin{th}*{p2}", f"sin{th}*{p1}+cos{th}*{p2}", "0"])
     ch = build_chart(ex.parse("1+x3"), None, (0, 0, 0), frame="auto")
     x0 = tuple(s.slice_at_zero("t") for s in ch.x_world())
-    mul, uni, counts = series.TruncatedSeries.__mul__, ex.apply_univariate, [0, 0]
-
-    def counting_mul(a, b):
-        counts[0] += isinstance(b, series.TruncatedSeries)
-        return mul(a, b)
-
-    def counting_uni(s, taylor):
-        counts[1] += 1
-        return uni(s, taylor)
-
-    monkeypatch.setattr(series.TruncatedSeries, "__mul__", counting_mul)
-    monkeypatch.setattr(ex, "apply_univariate", counting_uni)
+    op_counts.reset()
     chart_pullback(u, x0)
-    assert counts == [38, 2]
+    assert (op_counts.products.total(), op_counts.univariate) == (38, 2)
 
 
 def test_csv_format():

@@ -1,5 +1,8 @@
+import copy
 import gc
 import math
+import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +216,17 @@ def test_print_parse_round_trip(tree):
     assert ex.parse(ex.to_string(first)) == first
 
 
+@settings(max_examples=120, deadline=None)
+@given(ast())
+def test_nodes_are_their_structure(tree):
+    # constructing a node returns the node of equal structure, so a parsed
+    # tree is the tree parsed again from its text, and a copy is the node
+    first = ex.parse(ex.to_string(tree))
+    assert ex.parse(ex.to_string(first)) is first
+    assert copy.copy(first) is first and copy.deepcopy(first) is first
+    assert pickle.loads(pickle.dumps(first)) is first
+
+
 BINDINGS = {"a": 0.7, "b": -1.3, "lam": 2.1}
 
 
@@ -268,20 +282,11 @@ def test_diff_rules(text):
         assert err is not None and err <= 1e-5, (text, i, err)
 
 
-def test_compose_keeps_constants_as_numbers(monkeypatch):
+def test_compose_keeps_constants_as_numbers(op_counts):
     # 2*a*x1 scales the series of x1 instead of multiplying constant series,
     # and x1^3 costs two products
-    products = 0
-    mul = TruncatedSeries.__mul__
-
-    def counting(s, other):
-        nonlocal products
-        products += isinstance(other, TruncatedSeries)
-        return mul(s, other)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     j = ex.jet(ex.parse("2*a*x1 + x1^3"), {"a": Fraction(3)}, (1, 0, 0), 3, mode="rational")
-    assert products == 2
+    assert op_counts.products.total() == 2
     assert [j.coeff((k, 0, 0)) for k in range(4)] == [7, 9, 3, 1]
 
 
@@ -320,8 +325,35 @@ def test_parse_shares_equal_subtrees():
     assert tree.lhs.rhs is tree.rhs  # the literals 1.5 and 3/2 are one Fraction
     for e in (*v.components, tree):
         assert ex.parse(ex.to_string(e)) == e
-    # separate calls share nothing
-    assert ex.parse(c) == third and ex.parse(c) is not third
+    # separate calls share every equal subtree too
+    assert ex.parse(c) is third
+
+
+def test_constructing_a_node_returns_the_node_of_its_structure():
+    a, b = ex.Var(0), ex.Func("sin", ex.Param("a"))
+    assert ex.Mul(a, b) is ex.Mul(a, b) is ex.parse("x1*sin(a)")
+    assert ex.Mul(a, b) is not ex.Mul(b, a)
+    # the partials of sin(u) share its cos(u), which diff builds once per partial
+    f = ex.parse("sin(0.8*x1+0.6*x3)")
+    d0, d2 = ex.diff(f, 0), ex.diff(f, 2)
+    assert d0.rhs is d2.rhs is ex.Func("cos", f.arg)
+    # distinct literals stay distinct nodes, though equal under ==
+    literals = [ex.Num(0.0), ex.Num(-0.0), ex.Num(Fraction(0))]
+    assert len(set(map(id, literals))) == 3
+    assert literals[0] == literals[1] == literals[2]
+    for n in literals:
+        assert copy.copy(n) is n and copy.deepcopy(n) is n
+        assert pickle.loads(pickle.dumps(n)) is n
+    assert ex.Num(1) is not ex.Num(Fraction(1)) and ex.Num(1) is ex.Num(1)
+
+
+def test_an_unreferenced_tree_is_collected():
+    tree = ex.parse("exp(x1*x2) + lam*x3^7 - 1/(2+x2)")
+    ex.evaluate(tree, {"lam": 1.0}, (0.1, 0.2, 0.3))  # keeps kernels on its nodes
+    refs = [weakref.ref(tree), weakref.ref(tree.lhs.lhs.arg)]
+    del tree
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_is_affine():

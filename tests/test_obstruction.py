@@ -24,7 +24,7 @@ from beltrami.reference import (
     cubic_family_coeffs,
     quadratic_family_form,
 )
-from beltrami.series import DOUBLE, RATIONAL, TruncatedSeries, _Space
+from beltrami.series import DOUBLE, RATIONAL, TruncatedSeries
 
 ORIGIN = (0, 0, 0)
 
@@ -469,43 +469,20 @@ def test_divergence_form_vs_explicit_laplacian():
     )
 
 
-def test_rational_quadratic_product_budget(monkeypatch):
+def test_rational_quadratic_product_budget(op_counts):
     # operation counts are deterministic, so a budget on them catches a
     # performance regression without timing
-    products = 0
-    mul = TruncatedSeries.__mul__
-
-    def counting(a, b):
-        nonlocal products
-        products += isinstance(b, TruncatedSeries)
-        return mul(a, b)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     f = ex.parse("1+x1^2+a*x2^2+x3")
     obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, t_order=6, xi_order=6,
                   frame="graph", mode="rational")
     # 281 when every Picard sweep ran at the flow's full order, 229 when each
     # constraint vector inverted the pivot again and tensor_T formed T01 twice
-    assert products <= 210
+    assert op_counts.products.total() <= 210
 
 
-def test_rational_quadratic_default_order_budget(monkeypatch):
+def test_rational_quadratic_default_order_budget(op_counts):
     # the default call builds at minimum_orders(2, 5) = (4, 3): fewer products
     # than at (6, 6), and each over a much smaller pair table
-    products, tables = 0, []
-    mul, fetch = TruncatedSeries.__mul__, _Space.pairs
-
-    def counting(a, b):
-        nonlocal products
-        products += isinstance(b, TruncatedSeries)
-        return mul(a, b)
-
-    def fetching(space):
-        tables.append(space.npairs)
-        return fetch(space)
-
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
-    monkeypatch.setattr(_Space, "pairs", fetching)
     f = ex.parse("1+x1^2+a*x2^2+x3")
     P = obstruction_P(f, {"a": Fraction(2)}, ORIGIN, degree=2, frame="graph", mode="rational")
     assert (P.t_order, P.xi_order) == (4, 3)
@@ -513,9 +490,23 @@ def test_rational_quadratic_default_order_budget(monkeypatch):
     # 203 when each constraint vector inverted the pivot again and tensor_T
     # formed T01 twice.  The products with a constant factor are scalings;
     # only the others fetch a pair table
-    assert products <= 190
+    tables = op_counts.tables
+    assert op_counts.products.total() <= 190
     assert len(tables) <= 158
     assert sum(tables) <= 42_359
+
+
+@pytest.mark.parametrize("text, point, products, univariate", [
+    ("2+sin(0.8*x1+0.6*x3)+exp(0.3*x2+0.5*x3)", ORIGIN, 361, 25),
+    ("sin(x1+x2)*cos(x2-x3)+2+x3", (0.1, 0.2, 0.3), 465, 35),
+])
+def test_transcendental_product_budget(op_counts, text, point, products, univariate):
+    # f and its partials share every equal subtree, such as the cos(u) of
+    # both partials of sin(u): 401 and 550 products, with 30 and 45 univariate
+    # compositions, when each partial built its own
+    obstruction_P(ex.parse(text), None, point)
+    assert op_counts.products.total() <= products
+    assert op_counts.univariate <= univariate
 
 
 def test_rational_quadratic_fraction_budget(monkeypatch):

@@ -1,6 +1,8 @@
 """Smoke runs of the example scripts: each one must finish with exit 0."""
 
+import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,25 @@ def test_script_runs(argv):
     done = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_snapshot_writes_each_report_and_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(Path(beltrami.__file__).parents[1]))
+    script = runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))
+    commands = dict(script["COMMANDS"])
+    picked = [(name, commands[name]) for name in ("readme-coeffs-prop4", "cubic-rational")]
+    script["snapshot"](picked, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.{ext}" for name, _ in picked for ext in ("out", "err", "code"))
+    for name, _ in picked:
+        assert (tmp_path / f"{name}.code").read_text() == "0\n"
+        assert (tmp_path / f"{name}.err").read_bytes() == b""
+    assert json.loads((tmp_path / "readme-coeffs-prop4.out").read_text())["pass"] is True
+    assert json.loads((tmp_path / "cubic-rational.out").read_text())["mode"] == "rational"
+
+
+def test_cli_snapshot_runs_every_readme_example():
+    from test_cli import _readme_examples
+
+    listed = [argv for _, argv in runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))["COMMANDS"]]
+    assert all(argv in listed for argv in _readme_examples())
