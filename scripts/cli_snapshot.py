@@ -13,7 +13,8 @@ byte-identical output by snapshotting two checkouts and comparing them::
 
 The list is the examples of the README's CLI section, then runs that reach
 the transcendental, rational and double paths, the chart dump, the checks
-and both start-ups of the evolution.
+both start-ups of the evolution, affine and other flows, and a factor on
+which ``auto`` picks the rotated frame.
 """
 
 import argparse
@@ -63,6 +64,18 @@ COMMANDS = (
     ("dump-chart-rational", ["dump-chart", "--f", "1+x3+x3^3", "--mode", "rational"]),
     ("dump-chart-double", ["dump-chart", "--f", "1+x1^2+x2^2+x3+x1^4*x2",
                            "--point", "0.1,0.2,0", "--t-order", "4", "--xi-order", "4"]),
+    # flows: affine factors take one sweep, the others every graded sweep
+    ("dump-chart-affine", ["dump-chart", "--f", "1+x1+2*x2+x3"]),
+    ("dump-chart-affine-rational", ["dump-chart", "--f", "1+x1+2*x2+x3", "--mode", "rational"]),
+    ("dump-chart-affine-rotated", ["dump-chart", "--f", "1+0.3*x1-0.7*x2+x3",
+                                   "--frame", "rotated"]),
+    ("dump-chart-odd-flow", ["dump-chart", "--f", "1+x3+x3^3"]),
+    ("dump-chart-polynomial-flow", ["dump-chart", "--f", "x3+x1^8"]),
+    ("evolve-affine-rotated", ["evolve", "--f", "1+0.5*x1+x3", "--tmax", "0.02",
+                               "--dt", "0.005", "--grid", "9x9", "--init", "affine-exact",
+                               "--frame", "rotated"]),
+    # a shallow d3 f, where auto picks the rotated frame
+    ("p-eval-auto-rotated", ["p-eval", "--f", "1+x1+x2^2+x1*x3+0.005*x3"]),
 )
 
 

@@ -12,9 +12,9 @@ fewer when a residual is exactly zero, and one more compose checks the last.
 
 The flow is solved by graded Picard sweeps: sweep k fixes t-degree k and
 composes at t-order k - 1 only, below the order of the whole flow.
-1/|w|^2 is carried from sweep to sweep and refined by one Newton step, and a
-sweep that adds nothing at its t-degree is followed by one full-order sweep
-that checks for the fixed point (an affine f ends there).
+1/|w|^2 is carried from sweep to sweep and refined by one Newton step.  An
+affine f (``expr.is_affine``) has a constant gradient, so its flow is the line
+x0 + t w / |w|^2 that the first sweep gives: it takes that sweep and no other.
 
 Two frames are supported at the base point:
 
@@ -26,7 +26,8 @@ Two frames are supported at the base point:
 
 Every entry point defaults to ``auto``, which picks ``graph`` where it exists
 and either |d3 f| >= 1e-2 |grad f| at the base point (``AUTO_GRAPH_RATIO``) or
-``rotated`` does not exist, and ``rotated`` otherwise (:func:`base_point`).
+``rotated`` does not exist, and ``rotated`` otherwise (:func:`resolve_frame`,
+which the finite-difference oracle calls too).
 
 f enters through its expression: the graph solve puts p + R^T (xi1, xi2, h)
 into f and into the frame-x3 row of R grad f, and the flow puts p + R^T x
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import RATIONAL, TruncatedSeries, as_double
+from .series import DOUBLE, RATIONAL, TruncatedSeries, as_double
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -96,18 +97,36 @@ def _minimal_rotation(direction):
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> BasePoint:
-    """Validate the base point and fix the chart frame.
+def resolve_frame(frame: str, grad, level, kind=DOUBLE) -> str:
+    """The frame ``frame`` names where f = ``level`` has gradient ``grad``,
+    ``auto`` resolved (module docstring).  The kind's zero test decides which
+    frames exist: ``graph`` where d3 f is not negligible against the floor
+    GRAD_FLOOR * max(1, |level|), ``rotated`` in double mode or where grad f
+    is parallel to the third axis, as an exact rotation must be eye(3) or
+    diag(1, -1, -1).  A frame that does not exist raises FrameError, naming
+    a remedy that works there."""
+    floor = GRAD_FLOOR * max(1.0, abs(as_double(level)))
+    exists = {"graph": not kind.negligible(grad[2], floor),
+              "rotated": kind is not RATIONAL or grad[0] == grad[1] == 0}
+    if frame == "auto":
+        gnorm = math.hypot(*map(as_double, grad))
+        steep = not kind.negligible(grad[2], AUTO_GRAPH_RATIO * gnorm)
+        frame = "graph" if exists["graph"] and (steep or not exists["rotated"]) else "rotated"
+    if frame not in exists:
+        raise FrameError(f"unknown frame {frame!r}")
+    if not exists[frame]:
+        # double mode builds the rotated frame wherever grad f clears the floor
+        other = "rotated" if frame == "graph" else "graph"
+        remedy = (f"frame={other!r}" if exists[other] else
+                  "mode='double'" + (" with frame='rotated'" if frame == "graph" else ""))
+        raise FrameError(_FRAME_NEEDS[frame] + "; use " + remedy)
+    return frame
 
-    The frames that exist at p are worked out once, by the kind's zero test
-    (``negligible``): ``graph`` where d3 f is not negligible against the floor
-    GRAD_FLOOR * max(1, |f(p)|), and ``rotated`` in double mode or where
-    grad f is parallel to the third axis, as an exact rotation must be eye(3)
-    or diag(1, -1, -1).  ``auto`` chooses between them (module docstring).
-    Raises DomainError when a component of grad f is NaN, CriticalPointError
-    when grad f is negligible against the floor, and FrameError, naming a
-    remedy that works at p, when the frame asked for does not exist there.
-    """
+
+def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> BasePoint:
+    """Validate the base point and fix the chart frame (:func:`resolve_frame`).
+    Raises DomainError when a component of grad f is NaN and
+    CriticalPointError when grad f is negligible against the floor."""
     j1 = ex.jet(f, bindings, p, 1, mode=mode)
     kind = j1.kind
     c0 = j1.constant_term()
@@ -124,20 +143,7 @@ def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> Bas
     if all(kind.negligible(v, floor) for v in (gnorm, *grad)):
         raise CriticalPointError(f"grad f vanishes at {where}" if gnorm == 0 else
                                  f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {where}")
-
-    exists = {"graph": not kind.negligible(grad[2], floor),
-              "rotated": kind is not RATIONAL or grad[0] == grad[1] == 0}
-    if frame == "auto":
-        steep = not kind.negligible(grad[2], AUTO_GRAPH_RATIO * gnorm)
-        frame = "graph" if exists["graph"] and (steep or not exists["rotated"]) else "rotated"
-    if frame not in exists:
-        raise FrameError(f"unknown frame {frame!r}")
-    if not exists[frame]:
-        # double mode builds the rotated frame wherever grad f clears the floor
-        other = "rotated" if frame == "graph" else "graph"
-        remedy = (f"frame={other!r}" if exists[other] else
-                  "mode='double'" + (" with frame='rotated'" if frame == "graph" else ""))
-        raise FrameError(_FRAME_NEEDS[frame] + "; use " + remedy)
+    frame = resolve_frame(frame, grad, c0, kind)
     R = np.eye(3, dtype=int) if frame == "graph" else _minimal_rotation(dgrad)
     return BasePoint(point=point, level=c0, rotation=tuple(map(tuple, R.tolist())),
                      frame=frame, kind=kind)
@@ -221,7 +227,7 @@ def _sweep(grad, bindings, bp: BasePoint, x0, x, inv):
     return xn, inv
 
 
-def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
+def _flow_from_jet(grad, bindings, bp: BasePoint, x0, affine: bool):
     """Power-series solution of dx/dt = w / |w|^2 with w = R grad f(p + R^T x)
     and x(0, xi) = x0 = (xi1, xi2, h), through the order pair (T, X) of x0.
 
@@ -231,28 +237,15 @@ def _flow_from_jet(grad, bindings, bp: BasePoint, x0):
     carried from sweep to sweep: the first sweep inverts at (0, X), and each
     later one takes a single Newton step from the last inverse, which is
     correct modulo t^(k - 1) and so becomes correct modulo t^(2k - 2), past
-    t^k.  When a sweep adds nothing at its new t-degree, x may already be the
-    solution (an affine f gives x0 + t w / |w|^2): x is embedded at (T, X)
-    and one full-order sweep decides it.  If that sweep returns x unchanged,
-    x is the fixed point; otherwise its result, exact one t-degree further,
-    continues the graded sweeps, and no later sweep is checked: a flow odd
-    in t adds nothing at every even t-degree and would fail each check.
+    t^k.  For an ``affine`` f, w is constant and the first sweep's
+    x0 + t w / |w|^2 is the whole flow, embedded at (T, X).
     """
     T, X = x0[0].order
-    x, inv = tuple(s.truncate((0, X)) for s in x0), None
-    checking = True
+    x, inv = _sweep(grad, bindings, bp, x0, tuple(s.truncate((0, X)) for s in x0), None)
+    if affine:
+        return tuple(s.embed(CHART_VARS, (T, X)) for s in x)
     while x[0].order[0] < T:
         x, inv = _sweep(grad, bindings, bp, x0, x, inv)
-        k = x[0].order[0]
-        if checking and k < T and not any(
-                np.any(s.num[s.space.grades[:, 0] == k] != 0) for s in x):
-            full = tuple(s.embed(CHART_VARS, x0[0].order) for s in x)
-            x, inv = _sweep(grad, bindings, bp, x0, full, inv)
-            if all(a.equals(b) for a, b in zip(full, x)):
-                return x
-            x = tuple(s.truncate((k + 1, X)) for s in x)
-            inv = inv.truncate((k, X))
-            checking = False
     return x
 
 
@@ -390,5 +383,6 @@ def build_chart(f, bindings, p, t_order: int = 6, xi_order: int = 6,
           for v in XI_VARS]
     grad = [ex.diff(f, i) for i in range(3)]
     h = _graph_solve_from_jet(f, grad, bindings, bp, xi_order + 1)
-    x = _flow_from_jet(grad, bindings, bp, (*xi, h.embed(CHART_VARS, xi[0].order)))
+    x = _flow_from_jet(grad, bindings, bp, (*xi, h.embed(CHART_VARS, xi[0].order)),
+                       ex.is_affine(f))
     return metric_data(f, bindings, bp, x, t_order, xi_order)

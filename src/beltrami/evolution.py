@@ -49,7 +49,7 @@ SPACING_RTOL = 1e-9
 
 
 def _check_extent(r: float):
-    if r > PATCH_RADIUS + 1e-12:
+    if not r <= PATCH_RADIUS + 1e-12:  # a NaN extent fails too
         raise DomainError(f"grid extent {r:.3g} exceeds the chart validity patch "
                           f"{PATCH_RADIUS:.3g}")
 
@@ -75,15 +75,15 @@ class GridField:
             raise DomainError("grids need at least 5 nodes per axis for central stencils")
         for xi in (self.xi1, self.xi2):
             d = np.diff(xi)
-            if np.any(d <= 0):
-                raise DomainError("grid coordinates must be strictly increasing")
+            if not np.all((0 < d) & (d < math.inf)):  # a NaN difference fails too
+                raise DomainError("grid coordinates must be finite and strictly increasing")
             if np.any(np.abs(d - d[0]) > SPACING_RTOL * d[0]):
                 raise DomainError("grid coordinates must be evenly spaced")
 
     @classmethod
     def centered(cls, n1: int, n2: int, h1: float, h2: float):
-        if h1 <= 0 or h2 <= 0:
-            raise DomainError("grid spacings must be positive")
+        if not (0 < h1 < math.inf and 0 < h2 < math.inf):  # a NaN fails too
+            raise DomainError(f"grid spacings must be finite and positive, got {h1}, {h2}")
         xi1 = (np.arange(n1) - (n1 - 1) / 2.0) * h1
         xi2 = (np.arange(n2) - (n2 - 1) / 2.0) * h2
         return cls(xi1=xi1, xi2=xi2, beta=np.zeros((n1, n2, 2)), time=0.0)
@@ -250,8 +250,9 @@ def run(f, bindings, p, init, t_max: float, dt: float, n1: int, n2: int,
 
     ``init`` is either ``("psi", expr)`` for beta = d psi, or
     ``("field", vector_expr)`` for the pullback of an explicit field.  The
-    step, the final time (each finite), the step count, the grid's extent and
-    its node count are checked before the grid is allocated or the chart built.
+    step, the final time and the grid spacings (each finite), the step count,
+    the grid's extent and its node count are checked before the grid is
+    allocated or the chart built.
     """
     # a NaN fails both comparisons; an inf dt would make 0 * inf = nan below
     if not (0 < dt < math.inf and 0 <= t_max < math.inf):

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .chart import _minimal_rotation
+from .chart import _minimal_rotation, resolve_frame
 from .errors import DomainError
 from .series import as_double
 
@@ -196,7 +196,7 @@ def _cross_derivs(w, vals):
     return d1, d2
 
 
-def P_point_fd(f, bindings, p, frame: str = "graph", indices=(2, 3, 4, 5)) -> float:
+def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> float:
     """Degree-0 obstruction coefficient at p, entirely by numerics.
 
     Builds the evolution tensor on a (t, xi) sample lattice via Newton graph
@@ -204,7 +204,8 @@ def P_point_fd(f, bindings, p, frame: str = "graph", indices=(2, 3, 4, 5)) -> fl
     recorded at every t node), runs the recursion with stencil t-derivatives
     (the usable t-window shrinks by one stencil radius per level), forms the
     constraint vectors with stencil xi-derivatives, and takes the 4x4
-    determinant at the origin.
+    determinant at the origin.  A frame other than ``graph`` is resolved by
+    the chart's rule (``chart.resolve_frame``) on the stencil gradient at p.
     """
     indices = tuple(indices)
     max_n = max(indices)
@@ -213,17 +214,15 @@ def P_point_fd(f, bindings, p, frame: str = "graph", indices=(2, 3, 4, 5)) -> fl
     def F_world(pts):
         return ex.evaluate(f, bindings, pts)
 
-    if frame == "graph":
-        R = np.eye(3)
-    elif frame == "rotated":
-        R = _minimal_rotation(_partials(F_world, p[None, :], STEP, RADIUS)[0])
-    else:
-        raise DomainError(f"oracle supports frames 'graph' and 'rotated', not {frame!r}")
+    c0 = float(F_world(p[None, :])[0])
+    R = np.eye(3)
+    if frame != "graph":  # the gradient decides the frame and the rotation
+        grad = _partials(F_world, p[None, :], STEP, RADIUS)[0]
+        if resolve_frame(frame, grad, c0) == "rotated":
+            R = _minimal_rotation(grad)
 
     def F(pts):
         return F_world(pts @ R + p)
-
-    c0 = float(F(np.zeros((1, 3)))[0])
 
     rt, step = RADIUS, STEP
     levels = max_n - 1

@@ -300,15 +300,18 @@ def _full_order_picard(grad, bindings, bp, x0):
     ("x1^2+x2^2+x3^2", None, (Fraction(1, 3), Fraction(1, 5), Fraction(3, 4)), "graph",
      "rational"),
     ("1+sin(x1)+exp(x2)*x3+x3", None, (0.1, 0.2, 0.0), "rotated", "double"),
-    # x3 = t - t^3 + 3 t^5 - ...: each even t-degree adds nothing, and the
-    # full-order sweep that follows must find x not yet fixed
+    # x3 = t - t^3 + 3 t^5 - ...: each even t-degree adds nothing
     ("1+x3+x3^3", None, (0, 0, 0), "graph", "rational"),
+    # affine: the one sweep at (0, 7) is the whole flow, in a rotated frame too
+    ("1+0.3*x1-0.7*x2+x3", None, (0, 0, 0), "rotated", "double"),
+    # affine, but its second partials are not the zero node: every graded sweep
+    ("x1*x2-x2*x1+x3", None, (0, 0, 0), "graph", "rational"),
 ])
 def test_graded_flow_equals_full_order_picard(monkeypatch, text, bindings, point, frame, mode):
     # the fixed point is unique: graded sweeps and a warm-started inverse
     # reach the same series as full-order sweeps, exactly in rational mode
     args, x = _flow_call(monkeypatch, text, bindings, point, frame, mode)
-    ref = _full_order_picard(*args)
+    ref = _full_order_picard(*args[:4])
     for a, b in zip(x, ref, strict=True):
         assert a.order == b.order == (7, 7)
         if mode == "rational":
@@ -327,32 +330,35 @@ def test_rational_quadratic_flow_budget(op_counts):
     assert sum(op_counts.tables) == 166_650
 
 
-def test_odd_flow_stops_checking_after_a_failed_check(op_counts):
-    # x3 = t - t^3 + ...: the sweep to t-degree 2 adds nothing, the full-order
-    # check at (7, 7) fails, and t-degrees 4 and 6, which add nothing either,
-    # are not checked again: one (7, 7) sweep, not three
+def test_odd_flow_runs_only_graded_sweeps(op_counts):
+    # x3 = t - t^3 + ...: t-degrees 2, 4 and 6 add nothing, and f is not
+    # affine, so no sweep runs at the full order (7, 7)
     orders = op_counts.only_inside(chart, "_flow_from_jet").products
     build_chart(ex.parse("1+x3+x3^3"), None, (0, 0, 0), 6, 6, frame="graph", mode="rational")
-    assert orders[7, 7] == 11
-    assert orders.total() == 69
-    assert sum(op_counts.tables) == 172_260
+    assert orders[7, 7] == 0
+    assert orders.total() == 67
+    assert sum(op_counts.tables) == 118_800
 
 
-@pytest.mark.parametrize("mode", ["double", "rational"])
-def test_affine_flow_runs_one_full_order_sweep(op_counts, mode):
-    # x = x0 + t w / |w|^2: sweeps at (0, 7) and (1, 7) find no t^2 term, and
-    # one sweep at the full order (7, 7) confirms the fixed point
+@pytest.mark.parametrize("text, frame, mode", [
+    ("1+x1+2*x2+x3", "graph", "double"), ("1+x1+2*x2+x3", "graph", "rational"),
+    ("1+0.3*x1-0.7*x2+x3", "rotated", "double"),
+])
+def test_affine_flow_runs_one_sweep(op_counts, text, frame, mode):
+    # x = x0 + t w / |w|^2 is the first sweep's result: every product is made
+    # at (0, 7), and none at a higher t-order
     orders = op_counts.only_inside(chart, "_flow_from_jet").products
-    ch = build_chart(ex.parse("1+x1+2*x2+x3"), None, (0, 0, 0), 6, 6, frame="graph", mode=mode)
-    assert set(orders) == {(0, 7), (1, 7), (7, 7)}
-    # |w|^2: three products, two Newton steps from t-degree 1 to 7, w / |w|^2: three
-    assert orders[7, 7] == 3 + 2 * 2 + 3
-    t = ch.x[2].coeff((1, 0, 0))
-    assert t == (Fraction(1, 6) if mode == "rational" else 1 / 6)
+    ch = build_chart(ex.parse(text), None, (0, 0, 0), 6, 6, frame=frame, mode=mode)
+    assert set(orders) == {(0, 7)}
+    assert orders.total() == 12
+    assert ch.x[0].order == (7, 7)
+    if frame == "graph":
+        t = ch.x[2].coeff((1, 0, 0))
+        assert t == (Fraction(1, 6) if mode == "rational" else 1 / 6)
 
 
 @pytest.mark.parametrize("f, mode, products, tables", [
-    ("1+x3", "rational", 64, 0), ("1+x3", "double", 64, 20),
+    ("1+x3", "rational", 46, 0), ("1+x3", "double", 46, 12),
     ("1+x3+x3^2", "rational", 97, 25), ("1+x3+x3^2", "double", 97, 48),
 ])
 def test_constant_factors_skip_the_pair_table(op_counts, f, mode, products, tables):

@@ -116,6 +116,14 @@ def test_grid_validation():
         GridField.centered(3, 9, 0.05, 0.05)
     with pytest.raises(DomainError):
         GridField.centered(9, 9, -0.05, 0.05)
+    # a NaN fails every comparison, and "h <= 0" let it through
+    for h1, h2 in [(math.nan, 0.01), (0.01, math.nan), (math.inf, 0.01)]:
+        with pytest.raises(DomainError, match="finite and positive"):
+            GridField.centered(9, 9, h1, h2)
+    xi = GridField.centered(7, 7, 0.01, 0.01).xi1
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite and strictly increasing"):
+            GridField(np.append(xi[:-1], bad), xi, np.zeros((7, 7, 2)), 0.0)
     big = GridField.centered(9, 9, 0.2, 0.2)
     with pytest.raises(DomainError):
         TEvaluator(flat_chart(), big)
@@ -388,6 +396,21 @@ def test_run_rejects_non_finite_steps_and_times(monkeypatch, t_max, dt):
             t_max=t_max, dt=dt, n1=9, n2=9, h1=0.01, h2=0.01)
     assert str(err.value) == (f"need a finite dt > 0 and a finite t_max >= 0, got dt = {dt}, "
                               f"t_max = {t_max}")
+
+
+@pytest.mark.parametrize("h1, h2", [
+    (math.nan, 0.01), (0.01, math.nan), (math.nan, math.nan), (math.inf, 0.01), (0.01, math.inf),
+])
+def test_run_rejects_non_finite_spacings_before_building_a_chart(monkeypatch, h1, h2):
+    # a NaN fails every comparison: "h <= 0" let it through, and the run
+    # reported a NaN max drift with a normalized drift of 0
+    def no_chart(*args, **kwargs):
+        raise AssertionError("a chart was built before the spacings were checked")
+
+    monkeypatch.setattr(evolution, "build_chart", no_chart)
+    with pytest.raises(DomainError):
+        run(ex.parse("1+x3"), None, (0, 0, 0), ("psi", ex.parse("x1+x2")),
+            t_max=0.01, dt=0.005, n1=9, n2=9, h1=h1, h2=h2)
 
 
 def test_run_rejects_a_grid_beyond_the_patch_before_allocating(monkeypatch):

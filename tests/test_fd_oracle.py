@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beltrami import expr as ex
-from beltrami.errors import DomainError
+from beltrami.errors import DomainError, FrameError
 from beltrami.fd_oracle import (
     P_point_fd,
     _first_stencil,
@@ -137,6 +137,24 @@ def test_P_point_fd_reads_trajectories_in_time_order():
     f = ex.parse("1+x3+x1*x3+x2^2")
     fd = P_point_fd(f, None, (0, 0, 0))
     assert abs(fd - 11520) / 11520 < 1e-3
+
+
+def test_P_point_fd_defaults_to_the_charts_frame():
+    # |d3 f| = 0.005 |grad f| at the origin, so auto picks the rotated frame,
+    # as the series does; the graph frame's oracle value there is -1.57e13
+    from beltrami.obstruction import obstruction_P
+
+    f = ex.parse("1+x1+x2^2+x1*x3+0.005*x3")
+    fd = P_point_fd(f, None, (0, 0, 0))
+    assert fd == P_point_fd(f, None, (0, 0, 0), frame="rotated")
+    series = obstruction_P(f, None, (0, 0, 0), degree=0)
+    assert series.frame == "rotated"
+    assert abs(fd - series.coeff((0, 0))) / abs(series.coeff((0, 0))) < 1e-3
+
+
+def test_P_point_fd_refuses_a_frame_the_chart_refuses():
+    with pytest.raises(FrameError, match="unknown frame"):
+        P_point_fd(ex.parse("1+x1+x3"), None, (0, 0, 0), frame="tilted")
 
 
 SMALL_RATIONALS = tuple(Fraction(v) for v in

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beltrami import expr as ex
-from beltrami.chart import base_point
+from beltrami.chart import resolve_frame
 from beltrami.errors import BudgetError, DomainError, SeriesMismatchError
 from beltrami.series import (
     DOUBLE,
@@ -196,10 +196,10 @@ def test_truncated_series_does_not_branch_on_its_kind():
 
 def test_only_exactness_rules_outside_series_name_the_exact_kind():
     # each kind owns its zero test (negligible), so outside series the exact
-    # kind is named only where exactness is the rule itself: base_point's
+    # kind is named only where exactness is the rule itself: resolve_frame's
     # exact rotations and expr's refusal of transcendental functions
     pattern = re.compile(r"is (not )?RATIONAL\b")
-    rotation = inspect.getsource(base_point)
+    rotation = inspect.getsource(resolve_frame)
     hits = []
     for path in sorted(Path(ex.__file__).parent.glob("*.py")):
         lines = path.read_text().splitlines()
