@@ -13,8 +13,9 @@ byte-identical output by snapshotting two checkouts and comparing them::
 
 The list is the examples of the README's CLI section, then runs that reach
 the transcendental, rational and double paths, the chart dump, the checks
-both start-ups of the evolution, affine and other flows, and a factor on
-which ``auto`` picks the rotated frame.
+both start-ups of the evolution, affine and other flows, a factor on
+which ``auto`` picks the rotated frame, and an exact high-index hierarchy
+member.  Every subcommand of the CLI runs at least once.
 """
 
 import argparse
@@ -76,6 +77,10 @@ COMMANDS = (
                                "--frame", "rotated"]),
     # a shallow d3 f, where auto picks the rotated frame
     ("p-eval-auto-rotated", ["p-eval", "--f", "1+x1+x2^2+x1*x3+0.005*x3"]),
+    # a high-index hierarchy member: the exact T_n recursion to n = 7
+    ("p-eval-hierarchy-rational", ["p-eval", "--f", "1+a*x1+b*x1^3+x3", "--param", "a=1/2",
+                                   "--param", "b=3", "--indices", "2,3,5,7", "--degree", "2",
+                                   "--mode", "rational"]),
 )
 
 

@@ -16,7 +16,7 @@ from .errors import (
     SeriesMismatchError,
 )
 from .expr import VectorExpr, evaluate, jet, parse, parse_vector, to_string
-from .series import SeriesMatrix2, TruncatedSeries
+from .series import TruncatedSeries
 
 __all__ = [
     "BeltramiError",
@@ -27,7 +27,6 @@ __all__ = [
     "ParseError",
     "SeriesMismatchError",
     "TruncatedSeries",
-    "SeriesMatrix2",
     "parse",
     "parse_vector",
     "to_string",

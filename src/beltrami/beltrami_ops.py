@@ -180,9 +180,10 @@ def pullback_system_residuals(u: VectorExpr, chart: ChartData, T, bindings=None)
     """Max coefficient residuals of the chart-coordinate system for a field:
     the two evolution rows, the closedness constraint, and the dt-component."""
     beta_t, beta1, beta2 = chart_pullback(u, chart.x_world(), bindings)
-    b1, b2 = beta1.truncate(T.order), beta2.truncate(T.order)
-    row1 = beta1.derive("t").truncate(T.order) - (T.entry(0, 0) * b1 + T.entry(0, 1) * b2)
-    row2 = beta2.derive("t").truncate(T.order) - (T.entry(1, 0) * b1 + T.entry(1, 1) * b2)
+    order = T[0][0].order
+    b1, b2 = beta1.truncate(order), beta2.truncate(order)
+    row1 = beta1.derive("t").truncate(order) - (T[0][0] * b1 + T[0][1] * b2)
+    row2 = beta2.derive("t").truncate(order) - (T[1][0] * b1 + T[1][1] * b2)
     closed = b2.derive("xi1") - b1.derive("xi2")
     return {
         "evolution_row1": row1.max_abs(),

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -262,7 +263,8 @@ class ChartData:
     ``chi`` and ``sqrt(det g)`` are not stored: the tensor pipeline needs only
     their product ``chi_sqrt_detg`` (the flow-map Jacobian determinant), which
     is square-root free.  Take ``chi2.sqrt()`` or ``detg.sqrt()`` where a
-    factor on its own is wanted.
+    factor on its own is wanted.  Nothing in the pipeline reads ``chi2``, so
+    it is computed on demand, when first read, and kept.
     """
 
     bp: BasePoint
@@ -270,7 +272,6 @@ class ChartData:
     xi_order: int
     h: TruncatedSeries
     x: tuple
-    chi2: TruncatedSeries
     g11: TruncatedSeries
     g12: TruncatedSeries
     g22: TruncatedSeries
@@ -284,6 +285,13 @@ class ChartData:
     @property
     def level(self):
         return self.bp.level
+
+    @cached_property
+    def chi2(self) -> TruncatedSeries:
+        """|dx/dt|^2 at the metric's order pair."""
+        order = (self.t_order, self.xi_order)
+        dxt = [s.derive("t").truncate(order) for s in self.x]
+        return dxt[0] * dxt[0] + dxt[1] * dxt[1] + dxt[2] * dxt[2]
 
     def x_world(self):
         """Flow map in world coordinates: p + R^T x_frame."""
@@ -317,7 +325,7 @@ class ChartData:
 
 
 def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> ChartData:
-    """Assemble chi^2, g_ij, their inverses, and the volume factor from the flow."""
+    """Assemble g_ij, their inverses, and the volume factor from the flow."""
     order = (t_order, xi_order)
 
     dxt = [s.derive("t").truncate(order) for s in x]
@@ -327,7 +335,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
     def dot(a, b):
         return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
-    chi2 = dot(dxt, dxt)
     g11 = dot(dx1, dx1)
     g12 = dot(dx1, dx2)
     g22 = dot(dx2, dx2)
@@ -360,7 +367,6 @@ def metric_data(f, bindings, bp: BasePoint, x, t_order: int, xi_order: int) -> C
         xi_order=xi_order,
         h=x[2].slice_at_zero("t"),
         x=x,
-        chi2=chi2,
         g11=g11,
         g12=g12,
         g22=g22,

@@ -114,13 +114,14 @@ class TEvaluator:
     of shape (t_order + 1, 4N): row k holds the t^k coefficients of T00 on
     every node, then those of T01, T10 and T11.  A call multiplies the power row
     (1, t, ..., t^K) into that matrix, one matrix-vector product, and returns
-    T(t) as an (N, 2, 2) view whose entries T[:, i, j] are contiguous.
+    T(t) as its (2, 2, N) reshape: ``T[i][j]`` is entry [i][j] on every node,
+    contiguous, in the index order of the series T (``obstruction``).
     """
 
     def __init__(self, chart: ChartData, grid: GridField):
         _check_extent(float(max(np.max(np.abs(grid.xi1)), np.max(np.abs(grid.xi2)))))
         self.xi1, self.xi2 = grid.xi1, grid.xi2
-        entries = [e for row in tensor_T(chart).m for e in row]
+        entries = [e for row in tensor_T(chart) for e in row]
         t, p, q = entries[0].space.expo.T
         # C[k, e, p, q]: the coefficient of t^k xi1^p xi2^q in entry e
         C = np.zeros((chart.t_order + 1, 4, chart.xi_order + 1, chart.xi_order + 1))
@@ -129,16 +130,14 @@ class TEvaluator:
         self._degrees = np.arange(len(C))
 
     def __call__(self, t: float) -> np.ndarray:
-        """T at time t on every node of the grid; returns (N, 2, 2)."""
+        """T at time t on every node of the grid; returns (2, 2, N)."""
         if abs(t) > PATCH_RADIUS + 1e-12:
             raise DomainError(f"time {t} outside the chart validity patch")
-        flat = np.power(t, self._degrees) @ self.coeffs
-        return flat.reshape(2, 2, -1).transpose(2, 0, 1)
+        return (np.power(t, self._degrees) @ self.coeffs).reshape(2, 2, -1)
 
 
 def _apply(T, u):
     """T u on every node: column j of T, (T0j, T1j), times the row u[j]."""
-    T = T.transpose(1, 2, 0)
     return T[:, 0] * u[0] + T[:, 1] * u[1]
 
 

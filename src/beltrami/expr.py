@@ -669,9 +669,12 @@ def _times(d, cofactor):
 
 
 def _plus(lhs, rhs, cls=Add):
+    """lhs + rhs or lhs - rhs; a zero operand drops, and u - u is zero."""
     if rhs is _ZERO:
         return lhs
-    return (rhs if cls is Add else Neg(rhs)) if lhs is _ZERO else cls(lhs, rhs)
+    if lhs is _ZERO:
+        return rhs if cls is Add else Neg(rhs)
+    return _ZERO if cls is Sub and lhs is rhs else cls(lhs, rhs)
 
 
 def diff(node, i: int):
@@ -703,5 +706,5 @@ def diff(node, i: int):
 
 def is_affine(node) -> bool:
     """Whether every second partial is the zero node of :func:`diff`: affine in
-    x1, x2, x3, short of second partials that cancel without vanishing."""
+    x1, x2, x3, short of second partials that cancel other than as u - u."""
     return all(diff(diff(node, i), j) is _ZERO for i in range(3) for j in range(i, 3))

@@ -204,8 +204,9 @@ def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> flo
     recorded at every t node), runs the recursion with stencil t-derivatives
     (the usable t-window shrinks by one stencil radius per level), forms the
     constraint vectors with stencil xi-derivatives, and takes the 4x4
-    determinant at the origin.  A frame other than ``graph`` is resolved by
-    the chart's rule (``chart.resolve_frame``) on the stencil gradient at p.
+    determinant at the origin.  The frame is resolved by the chart's rule
+    (``chart.resolve_frame``) on the stencil gradient at p, so the oracle
+    refuses a frame where the chart refuses it.
     """
     indices = tuple(indices)
     max_n = max(indices)
@@ -215,11 +216,9 @@ def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> flo
         return ex.evaluate(f, bindings, pts)
 
     c0 = float(F_world(p[None, :])[0])
-    R = np.eye(3)
-    if frame != "graph":  # the gradient decides the frame and the rotation
-        grad = _partials(F_world, p[None, :], STEP, RADIUS)[0]
-        if resolve_frame(frame, grad, c0) == "rotated":
-            R = _minimal_rotation(grad)
+    # the gradient decides whether the frame exists, and the rotation
+    grad = _partials(F_world, p[None, :], STEP, RADIUS)[0]
+    R = _minimal_rotation(grad) if resolve_frame(frame, grad, c0) == "rotated" else np.eye(3)
 
     def F(pts):
         return F_world(pts @ R + p)

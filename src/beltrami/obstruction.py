@@ -5,8 +5,10 @@ For a solution dual 1-form beta on the adapted chart, the evolution is
 
     T = (c0 + t) * chi * sqrt(det g) * [[g^12, g^22], [-g^11, -g^12]]
 
-acting on the component column (beta_1, beta_2); entry ``(row, col)`` of the
-matrix is the tensor component with lower index row+1 and upper index col+1.
+acting on the component column (beta_1, beta_2).  T and every T_n are plain
+2x2 tuples ``((M00, M01), (M10, M11))`` of series, read as ``M[row][col]``:
+entry ``[i][j]`` is the tensor component with lower index i+1 and upper index
+j+1, so ``T[0][1]`` has upper index 2 and lower index 1.
 The recursion ``T_{n+1} = dT_n/dt + T_n T`` generates the coefficients of the
 higher time derivatives of beta, and each one yields a linear constraint
 ``script_T(n) . (beta_1, beta_2, d1 beta_1, d2 beta_1) = 0`` on closed data.
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .chart import ChartData, build_chart
 from .errors import BudgetError, DomainError
-from .series import SeriesMatrix2, TruncatedSeries, as_double
+from .series import TruncatedSeries, as_double
 
 DEFAULT_INDICES = (2, 3, 4, 5)
 
@@ -71,28 +73,44 @@ class ObstructionPoly:
         }
 
 
-def tensor_T(chart: ChartData) -> SeriesMatrix2:
+def _entrywise(M: tuple, fn) -> tuple:
+    """The 2x2 tuple of ``fn`` applied to each entry of M."""
+    return tuple(tuple(map(fn, row)) for row in M)
+
+
+def _matmul(A: tuple, B: tuple) -> tuple:
+    """The 2x2 product A B: entry [i][j] is A[i][0] B[0][j] + A[i][1] B[1][j]."""
+    return tuple(tuple(a0 * b0 + a1 * b1 for b0, b1 in zip(*B)) for a0, a1 in A)
+
+
+def tensor_T(chart: ChartData) -> tuple:
     """The evolution tensor of the chart, at the metric truncation order."""
     order = chart.chi_sqrt_detg.order
     tvar = TruncatedSeries.variable(chart.x[0].vars, order, "t", chart.bp.kind)
     prefactor = (tvar + chart.level) * chart.chi_sqrt_detg
     t01 = prefactor * chart.ginv12
-    T = SeriesMatrix2(t01, prefactor * chart.ginv22, -(prefactor * chart.ginv11), -t01)
-    if as_double(chart.level) > 0 and as_double(T.entry(0, 1).constant_term()) <= 0:
+    T = ((t01, prefactor * chart.ginv22), (-(prefactor * chart.ginv11), -t01))
+    if as_double(chart.level) > 0 and as_double(T[0][1].constant_term()) <= 0:
         raise DomainError("evolution tensor entry (0,1) lost positivity")
     return T
 
 
-def _recursion_step(T: SeriesMatrix2, Tn: SeriesMatrix2, n: int) -> SeriesMatrix2:
+def _recursion_step(T: tuple, Tn: tuple, n: int) -> tuple:
     """T_{n+1} = dT_n/dt + T_n T, one t-order below T_n."""
-    a, b = Tn.order
+    a, b = Tn[0][0].order
     if a < 1:
-        raise BudgetError(f"recursion to n={n + 1} needs t_order >= {n}, have {T.order[0]}",
-                          required={"t_order": n})
-    return Tn.derive("t") + Tn.truncate((a - 1, b)) * T.truncate((a - 1, b))
+        raise BudgetError(f"recursion to n={n + 1} needs t_order >= {n}, "
+                          f"have {T[0][0].order[0]}", required={"t_order": n})
+
+    def cut(e):
+        return e.truncate((a - 1, b))
+
+    product = _matmul(_entrywise(Tn, cut), _entrywise(T, cut))
+    return tuple(tuple(e.derive("t") + p for e, p in zip(row, prow))
+                 for row, prow in zip(Tn, product))
 
 
-def tensor_Tn(T: SeriesMatrix2, n: int) -> SeriesMatrix2:
+def tensor_Tn(T: tuple, n: int) -> tuple:
     """n-th tensor of the recursion; consumes one t-order per step."""
     if n < 1:
         raise DomainError("recursion index must be >= 1")
@@ -102,41 +120,41 @@ def tensor_Tn(T: SeriesMatrix2, n: int) -> SeriesMatrix2:
     return Tn
 
 
-def script_Tn(T: SeriesMatrix2, Tn: SeriesMatrix2) -> tuple:
+def script_Tn(T: tuple, Tn: tuple) -> tuple:
     """Constraint 4-vector of T_n against T: four series multiplying
     (beta1, beta2, d1 beta1, d2 beta1); costs one xi-order.
 
     Works on the (t, xi) series and on their t = 0 slices alike.  Division is
-    by the (0,1) entry of T, whose constant term is guaranteed nonzero away
+    by the [0][1] entry of T, whose constant term is guaranteed nonzero away
     from the zero level set.
     """
-    return _constraint(_pivot_terms(T, Tn.order), Tn)
+    return _constraint(_pivot_terms(T, Tn[0][0].order), Tn)
 
 
-def _bracket(M: SeriesMatrix2, low):
+def _bracket(M: tuple, low):
     """(d1 M10 - d2 M00, d1 M11 - d2 M01, M10, M11 - M00), cut to ``low``."""
-    (m00, m01), (m10, m11) = M.m
+    (m00, m01), (m10, m11) = M
     return (m10.derive("xi1") - m00.derive("xi2"),
             m11.derive("xi1") - m01.derive("xi2"),
             m10.truncate(low),
             m11.truncate(low) - m00.truncate(low))
 
 
-def _pivot_terms(T: SeriesMatrix2, order) -> tuple:
+def _pivot_terms(T: tuple, order) -> tuple:
     """What every constraint vector against T at ``order`` shares: the order
-    one xi-order down, the reciprocal of T's pivot entry (0,1) there, and
+    one xi-order down, the reciprocal of T's pivot entry [0][1] there, and
     the bracket of T."""
-    pivot = T.entry(0, 1)
+    pivot = T[0][1]
     if pivot.kind.negligible(pivot.constant_term(), 1e-12):
         raise DomainError("pivot entry of T has (near-)zero constant term")
-    Tl = T.truncate(order)
-    low = Tl.entry(0, 0).derive("xi1").order
-    return low, Tl.entry(0, 1).truncate(low).reciprocal(), _bracket(Tl, low)
+    Tl = _entrywise(T, lambda e: e.truncate(order))
+    low = Tl[0][0].derive("xi1").order
+    return low, Tl[0][1].truncate(low).reciprocal(), _bracket(Tl, low)
 
 
-def _constraint(shared: tuple, Tn: SeriesMatrix2) -> tuple:
+def _constraint(shared: tuple, Tn: tuple) -> tuple:
     low, inverse_pivot, bracket_T = shared
-    ratio = Tn.entry(0, 1).truncate(low) * inverse_pivot
+    ratio = Tn[0][1].truncate(low) * inverse_pivot
     return tuple(a - ratio * b for a, b in zip(_bracket(Tn, low), bracket_T))
 
 
@@ -149,16 +167,20 @@ def hierarchy_vectors(chart: ChartData, indices) -> dict:
     if min(indices) < 2:
         raise DomainError(f"recursion indices must be >= 2, got {indices}")
     T = tensor_T(chart)
-    a, b = T.order
-    T = T.truncate((min(a, max(indices) - 1), b))
-    T0 = T.slice_at_zero("t")
-    shared = _pivot_terms(T0, T0.order)  # every T_n slice has the order of T0
+    a, b = T[0][0].order
+    T = _entrywise(T, lambda e: e.truncate((min(a, max(indices) - 1), b)))
+
+    def at_zero(e):
+        return e.slice_at_zero("t")
+
+    T0 = _entrywise(T, at_zero)
+    shared = _pivot_terms(T0, T0[0][0].order)  # every T_n slice has the order of T0
     out = {}
     Tn = T
     for n in range(2, max(indices) + 1):
         Tn = _recursion_step(T, Tn, n - 1)
         if n in indices:
-            out[n] = _constraint(shared, Tn.slice_at_zero("t"))
+            out[n] = _constraint(shared, _entrywise(Tn, at_zero))
     return out
 
 
@@ -261,8 +283,8 @@ def obstruction_P(f, bindings, p, degree: int = 4, t_order: int | None = None,
 
 # -- closed-form checks on potentials ----------------------------------------
 
-def dT_beta(chart: ChartData, Tn: SeriesMatrix2, psi: TruncatedSeries,
-            T: SeriesMatrix2 | None = None) -> TruncatedSeries:
+def dT_beta(chart: ChartData, Tn: tuple, psi: TruncatedSeries,
+            T: tuple | None = None) -> TruncatedSeries:
     """Coefficient of d(T_n beta) w.r.t. dxi1 ^ dxi2, for beta = d psi.
 
     Given the base tensor ``T``, the d2 beta_2 occurrence is replaced by its
@@ -271,15 +293,15 @@ def dT_beta(chart: ChartData, Tn: SeriesMatrix2, psi: TruncatedSeries,
     """
     beta1 = psi.derive("xi1")
     beta2 = psi.derive("xi2")
-    top = tuple(map(min, beta1.order, Tn.order))
+    top = tuple(map(min, beta1.order, Tn[0][0].order))
     b1 = beta1.truncate(top)
     b2 = beta2.truncate(top)
-    A = Tn.truncate(top)
+    A = _entrywise(Tn, lambda e: e.truncate(top))
     if T is None:
-        row2 = A.entry(1, 0) * b1 + A.entry(1, 1) * b2
-        row1 = A.entry(0, 0) * b1 + A.entry(0, 1) * b2
+        row2 = A[1][0] * b1 + A[1][1] * b2
+        row1 = A[0][0] * b1 + A[0][1] * b2
         return row2.derive("xi1") - row1.derive("xi2")
-    B = T.truncate(top)
+    B = _entrywise(T, lambda e: e.truncate(top))
 
     def low(s):
         return s.truncate((top[0], top[1] - 1))
@@ -287,19 +309,19 @@ def dT_beta(chart: ChartData, Tn: SeriesMatrix2, psi: TruncatedSeries,
     d1b1 = b1.derive("xi1")
     d2b1 = b1.derive("xi2")
     # d2 beta2 isolated from the n = 1 constraint
-    pivot = low(B.entry(0, 1)).reciprocal()
+    pivot = low(B[0][1]).reciprocal()
     d2b2 = pivot * (
-        (B.entry(1, 0).derive("xi1") - B.entry(0, 0).derive("xi2")) * low(b1)
-        + (B.entry(1, 1).derive("xi1") - B.entry(0, 1).derive("xi2")) * low(b2)
-        + low(B.entry(1, 0)) * d1b1
-        + (low(B.entry(1, 1)) - low(B.entry(0, 0))) * d2b1
+        (B[1][0].derive("xi1") - B[0][0].derive("xi2")) * low(b1)
+        + (B[1][1].derive("xi1") - B[0][1].derive("xi2")) * low(b2)
+        + low(B[1][0]) * d1b1
+        + (low(B[1][1]) - low(B[0][0])) * d2b1
     )
     return (
-        (A.entry(1, 0).derive("xi1") - A.entry(0, 0).derive("xi2")) * low(b1)
-        + (A.entry(1, 1).derive("xi1") - A.entry(0, 1).derive("xi2")) * low(b2)
-        + low(A.entry(1, 0)) * d1b1
-        + (low(A.entry(1, 1)) - low(A.entry(0, 0))) * d2b1
-        - low(A.entry(0, 1)) * d2b2
+        (A[1][0].derive("xi1") - A[0][0].derive("xi2")) * low(b1)
+        + (A[1][1].derive("xi1") - A[0][1].derive("xi2")) * low(b2)
+        + low(A[1][0]) * d1b1
+        + (low(A[1][1]) - low(A[0][0])) * d2b1
+        - low(A[0][1]) * d2b2
     )
 
 

@@ -675,54 +675,3 @@ def apply_univariate(s: TruncatedSeries, taylor: list):
     return out
 
 
-class SeriesMatrix2:
-    """A 2x2 matrix of series sharing variables and order.
-
-    Index convention: ``entry(i, j)`` is row i, column j (0-based).  In the
-    tensor notation used by the obstruction module the row is the lower index
-    and the column is the upper index, so entry ``(0, 1)`` is the component
-    with upper index 2 and lower index 1.
-    """
-
-    __slots__ = ("m",)
-
-    def __init__(self, m00, m01, m10, m11):
-        m00._check(m01), m00._check(m10), m00._check(m11)
-        self.m = ((m00, m01), (m10, m11))
-
-    def entry(self, i, j) -> TruncatedSeries:
-        return self.m[i][j]
-
-    @property
-    def order(self):
-        return self.m[0][0].order
-
-    def __add__(self, other):
-        return SeriesMatrix2(*(a + b for ra, rb in zip(self.m, other.m) for a, b in zip(ra, rb)))
-
-    def __mul__(self, other):
-        """Matrix product with another SeriesMatrix2."""
-        a, b = self.m, other.m
-        return SeriesMatrix2(
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        )
-
-    def _map(self, fn):
-        """The matrix of ``fn`` applied to each entry."""
-        return SeriesMatrix2(*(fn(e) for row in self.m for e in row))
-
-    def derive(self, name: str):
-        return self._map(lambda e: e.derive(name))
-
-    def truncate(self, order):
-        return self._map(lambda e: e.truncate(order))
-
-    def slice_at_zero(self, name: str):
-        return self._map(lambda e: e.slice_at_zero(name))
-
-    def max_abs(self) -> float | Fraction:
-        return max(e.max_abs() for row in self.m for e in row)
-

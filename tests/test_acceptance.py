@@ -174,7 +174,7 @@ def test_criterion_5_chart_property_suite():
         assert gg_diag.max_abs() < 1e-9 * scale
         T = tensor_T(ch)
         t1_vec = script_Tn(T, T)
-        t1_scale = max(1.0, T.max_abs())
+        t1_scale = max(1.0, *(e.max_abs() for row in T for e in row))
         assert max(c.max_abs() for c in t1_vec) < 1e-9 * t1_scale
         vectors = hierarchy_vectors(ch, (2, 3, 4, 5))
         cols = [vectors[n] for n in (2, 3, 4, 5)]

@@ -31,7 +31,7 @@ class ZeroEvaluator:
         self.xi1, self.xi2 = grid.xi1, grid.xi2
 
     def __call__(self, t):
-        return np.zeros((self.xi1.size * self.xi2.size, 2, 2))
+        return np.zeros((2, 2, self.xi1.size * self.xi2.size))
 
 
 @pytest.mark.parametrize("text", ["x1 + x2", "x1^3*x2 - 3*x2^2 + x1",
@@ -163,24 +163,24 @@ def test_t_evaluator_matches_series_eval():
                      frame="rotated")
     grid = GridField.centered(7, 5, 0.03, 0.04)
     tev = TEvaluator(ch, grid)
-    entries = tensor_T(ch).m
+    entries = tensor_T(ch)
     for t in (0.0, 0.07, -0.2):
         pts = np.column_stack([np.full(35, t), grid.nodes()])
         expect = np.stack([[entries[i][j].eval(pts) for j in range(2)] for i in range(2)])
-        err = np.max(np.abs(tev(t) - expect.transpose(2, 0, 1)))
+        err = np.max(np.abs(tev(t) - expect))
         assert err <= 1e-14 * np.max(np.abs(expect))
 
 
 def t_parts(chart, grid):
     """The t^k part of each entry of tensor_T, as a series in xi, evaluated
-    on the grid's nodes; shape (t_order + 1, N, 2, 2)."""
+    on the grid's nodes; shape (t_order + 1, 2, 2, N)."""
     nodes = grid.nodes()
-    coeffs = np.zeros((chart.t_order + 1, len(nodes), 2, 2))
-    for i, row in enumerate(tensor_T(chart).m):
+    coeffs = np.zeros((chart.t_order + 1, 2, 2, len(nodes)))
+    for i, row in enumerate(tensor_T(chart)):
         for j, entry in enumerate(row):
             for k in range(chart.t_order + 1):
                 part = {m[1:]: c for m, c in entry.nonzero_terms() if m[0] == k}
-                coeffs[k, :, i, j] = series.TruncatedSeries.from_terms(
+                coeffs[k, i, j] = series.TruncatedSeries.from_terms(
                     entry.vars[1:], chart.xi_order, part).eval(nodes)
     return coeffs
 
@@ -203,7 +203,7 @@ def einsum_step(beta, T, t, dt):
     b = beta.reshape(-1, 2)
 
     def apply(tval, vec):
-        return np.einsum("nij,nj->ni", T(tval), vec)
+        return np.einsum("ijn,nj->ni", T(tval), vec)
 
     k1 = apply(t, b)
     k2 = apply(t + dt / 2.0, b + (dt / 2.0) * k1)
@@ -314,7 +314,7 @@ def test_energy_bound():
     g = grid
     for _ in range(steps):
         Ts = tev(g.time)
-        integral += np.linalg.norm(Ts, ord=2, axis=(1, 2)) * dt
+        integral += np.linalg.norm(Ts, ord=2, axis=(0, 1)) * dt
         g = step(g, tev, dt)
     norm_t = np.linalg.norm(g.beta, axis=2)
     bound = norm0 * np.exp(integral.reshape(norm0.shape)) * (1.0 + 1e-6)
@@ -506,7 +506,7 @@ def test_axis_sampling_matches_series_eval(orders):
                      t_order=orders[0], xi_order=orders[1], frame="rotated")
     grid = GridField.centered(9, 13, 0.01, 0.007)
     got = TEvaluator(ch, grid).coeffs.reshape(orders[0] + 1, 2, 2, -1)
-    want = t_parts(ch, grid).transpose(0, 2, 3, 1)
+    want = t_parts(ch, grid)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     u = ex.parse_vector(["x2 + x1*x2^2", "sin(x1) + x3*x2", "x1*x3"])
     got = init_from_field(grid, u, ch).beta.reshape(-1, 2)

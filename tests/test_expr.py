@@ -364,6 +364,16 @@ def test_is_affine():
         assert not ex.is_affine(ex.parse(text)), text
 
 
+def test_diff_folds_u_minus_u_to_the_zero_node():
+    # the partials of x1*x2 - x2*x1 are x2 - x2 and x1 - x1: one node each side
+    f = ex.parse("x1*x2-x2*x1+x3")
+    assert ex.diff(f, 0) is ex.diff(f, 1) is ex._ZERO
+    assert ex.diff(f, 2) is ex._ONE
+    assert ex.is_affine(f)
+    assert ex.diff(ex.parse("x1*x2-x1*x2"), 0) is ex._ZERO
+    assert ex.diff(ex.parse("x1*x2-x2*x3"), 1) is ex.Sub(ex.Var(0), ex.Var(2))
+
+
 def test_walkers_leave_no_reference_cycles():
     # a cycle would keep the point batch or the series cache alive until
     # the cyclic collector runs

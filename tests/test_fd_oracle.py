@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beltrami import expr as ex
+from beltrami.chart import build_chart
 from beltrami.errors import DomainError, FrameError
 from beltrami.fd_oracle import (
     P_point_fd,
@@ -155,6 +156,13 @@ def test_P_point_fd_defaults_to_the_charts_frame():
 def test_P_point_fd_refuses_a_frame_the_chart_refuses():
     with pytest.raises(FrameError, match="unknown frame"):
         P_point_fd(ex.parse("1+x1+x3"), None, (0, 0, 0), frame="tilted")
+    # d3 f = 1e-9 lies below the floor 1e-8: the graph frame does not exist
+    # there, for the chart and the oracle alike
+    f = ex.parse("1+x1+1e-9*x3")
+    with pytest.raises(FrameError, match="use frame='rotated'"):
+        build_chart(f, None, (0, 0, 0), frame="graph")
+    with pytest.raises(FrameError, match="use frame='rotated'"):
+        P_point_fd(f, None, (0, 0, 0), frame="graph")
 
 
 SMALL_RATIONALS = tuple(Fraction(v) for v in
@@ -210,14 +218,15 @@ def test_numeric_flow_evaluation_count(monkeypatch):
     assert len(calls) == 4 * steps + 2
 
 
-@pytest.mark.parametrize("frame, count", [("graph", 136), ("rotated", 139)])
+@pytest.mark.parametrize("frame, count", [("graph", 137), ("rotated", 139)])
 def test_P_point_fd_evaluation_count(monkeypatch, frame, count):
     # the flow marches 33 starts each way (66 rows) and checks the level
-    # increment at all 8 x 66 records
+    # increment at all 8 x 66 records; every frame takes the 12-row stencil
+    # gradient at p that decides whether it exists
     calls = _count_evaluations(monkeypatch)
     P_point_fd(ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0}, (0, 0, 0), frame=frame)
     assert len(calls) == count
-    assert sum(calls) == {"graph": 104_137, "rotated": 104_314}[frame]
+    assert sum(calls) == {"graph": 104_149, "rotated": 104_314}[frame]
 
 
 def _nodes(tree):
@@ -261,13 +270,13 @@ def test_numeric_flow_compiles_each_tree_once(monkeypatch):
 def test_P_point_fd_builds_each_stencil_once(frame):
     # one first-derivative stencil along all three axes (the 32 RK4 steps,
     # the gradient, the rotation) and one along the vertical axis (the graph
-    # Newton steps), each built once for the 131 (graph) or 133 (rotated)
+    # Newton steps), each built once for the 132 (graph) or 133 (rotated)
     # stencil derivatives of the call
     _first_stencil.cache_clear()
     P_point_fd(ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0}, (0, 0, 0), frame=frame)
     info = _first_stencil.cache_info()
     assert info.misses == info.currsize == 2
-    assert info.hits == {"graph": 129, "rotated": 131}[frame]
+    assert info.hits == {"graph": 130, "rotated": 131}[frame]
 
 
 @pytest.mark.parametrize("indices, series", [

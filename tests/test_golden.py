@@ -47,8 +47,8 @@ GOLDEN_T_ENTRY = {
 def test_golden_series_json_flat_T():
     ch = build_chart(ex.parse("1+x3"), None, (0, 0, 0), t_order=3, xi_order=3)
     T = tensor_T(ch)
-    assert T.entry(0, 1).to_json() == GOLDEN_T_ENTRY
-    assert T.entry(1, 0).to_json()["coeffs"] == [
+    assert T[0][1].to_json() == GOLDEN_T_ENTRY
+    assert T[1][0].to_json()["coeffs"] == [
         {"mi": [0, 0, 0], "c": -1.0},
         {"mi": [1, 0, 0], "c": -1.0},
     ]

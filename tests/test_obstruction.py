@@ -36,12 +36,12 @@ def flat_chart(orders=(4, 4)):
 
 def test_tensor_T_flat():
     T = tensor_T(flat_chart())
-    order = T.order
+    order = T[0][0].order
     t = TruncatedSeries.variable(CHART_VARS, order, "t")
-    assert T.entry(0, 1).equals(t + 1.0)
-    assert T.entry(1, 0).equals(-(t + 1.0))
-    assert T.entry(0, 0).max_abs() == 0.0
-    assert T.entry(1, 1).max_abs() == 0.0
+    assert T[0][1].equals(t + 1.0)
+    assert T[1][0].equals(-(t + 1.0))
+    assert T[0][0].max_abs() == 0.0
+    assert T[1][1].max_abs() == 0.0
 
 
 def test_tensor_T_affine_rotated():
@@ -50,12 +50,12 @@ def test_tensor_T_affine_rotated():
                      frame="rotated")
     T = tensor_T(ch)
     scale = 1.0 / np.sqrt(1.0 + a * a)
-    t = TruncatedSeries.variable(CHART_VARS, T.order, "t")
+    t = TruncatedSeries.variable(CHART_VARS, T[0][0].order, "t")
     expect = (t + 1.0) * scale
-    assert np.max(np.abs(T.entry(0, 1).coeffs - expect.coeffs)) < 1e-12
-    assert np.max(np.abs(T.entry(1, 0).coeffs + expect.coeffs)) < 1e-12
-    assert T.entry(0, 0).max_abs() < 1e-14
-    assert T.entry(1, 1).max_abs() < 1e-14
+    assert np.max(np.abs(T[0][1].coeffs - expect.coeffs)) < 1e-12
+    assert np.max(np.abs(T[1][0].coeffs + expect.coeffs)) < 1e-12
+    assert T[0][0].max_abs() < 1e-14
+    assert T[1][1].max_abs() < 1e-14
 
 
 def test_tensor_T_trace_free():
@@ -66,7 +66,7 @@ def test_tensor_T_trace_free():
             f"1 + x3 + ({c[0]})*x1 + ({c[1]})*x2^2 + ({c[2]})*x1*x2 + ({c[3]})*x1^3"
         )
         T = tensor_T(build_chart(f, None, ORIGIN, t_order=3, xi_order=3, frame="rotated"))
-        trace = T.entry(0, 0) + T.entry(1, 1)
+        trace = T[0][0] + T[1][1]
         assert trace.max_abs() < 1e-12
 
 
@@ -75,19 +75,19 @@ def test_tensor_Tn_base_case_and_flat_T2():
     assert tensor_Tn(T, 1) is T
     T2 = tensor_Tn(T, 2)
     # T2 = J - (1+t)^2 I in the rotation algebra
-    order = T2.order
+    order = T2[0][0].order
     t = TruncatedSeries.variable(CHART_VARS, order, "t")
     sq = -((t + 1.0) * (t + 1.0))
-    assert np.max(np.abs(T2.entry(0, 0).coeffs - sq.coeffs)) < 1e-14
-    assert np.max(np.abs(T2.entry(1, 1).coeffs - sq.coeffs)) < 1e-14
-    assert T2.entry(0, 1).equals(TruncatedSeries.constant(CHART_VARS, order, 1.0))
-    assert T2.entry(1, 0).equals(TruncatedSeries.constant(CHART_VARS, order, -1.0))
+    assert np.max(np.abs(T2[0][0].coeffs - sq.coeffs)) < 1e-14
+    assert np.max(np.abs(T2[1][1].coeffs - sq.coeffs)) < 1e-14
+    assert T2[0][1].equals(TruncatedSeries.constant(CHART_VARS, order, 1.0))
+    assert T2[1][0].equals(TruncatedSeries.constant(CHART_VARS, order, -1.0))
 
 
 def test_tensor_Tn_budget():
     T = tensor_T(flat_chart((2, 2)))
     with pytest.raises(BudgetError):
-        tensor_Tn(T, T.order[0] + 2)
+        tensor_Tn(T, T[0][0].order[0] + 2)
 
 
 def test_script_Tn_vanishes_flat_and_affine():
@@ -405,7 +405,7 @@ def test_raw_vs_eliminated_decomposition(n):
     raw_1 = dT_beta(ch, T, psi)
     cv = script_Tn(T, Tn)
     order = tuple(map(min, raw_n.order, cv[0].order, raw_1.order))
-    ratio = Tn.entry(0, 1).truncate(order) * T.entry(0, 1).truncate(order).reciprocal()
+    ratio = Tn[0][1].truncate(order) * T[0][1].truncate(order).reciprocal()
     recomposed = _gamma_dot(cv, psi, order) + ratio * raw_1.truncate(order)
     scale = max(1.0, recomposed.max_abs())
     assert np.max(np.abs(raw_n.truncate(order).coeffs - recomposed.coeffs)) < 1e-9 * scale
@@ -567,7 +567,7 @@ def test_bigraded_series_sizes():
     ch = build_chart(ex.parse("1+x1^2+a*x2^2+x3"), {"a": 2.0}, ORIGIN, t_order=6,
                      xi_order=6, frame="graph")
     assert [s.coeffs.size for s in ch.x] == [288] * 3
-    assert [e.coeffs.size for row in tensor_T(ch).m for e in row] == [196] * 4
+    assert [e.coeffs.size for row in tensor_T(ch) for e in row] == [196] * 4
     assert ch.h.coeffs.size == 36
 
 

@@ -45,3 +45,11 @@ def test_cli_snapshot_runs_every_readme_example():
 
     listed = [argv for _, argv in runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))["COMMANDS"]]
     assert all(argv in listed for argv in _readme_examples())
+
+
+def test_cli_snapshot_runs_every_subcommand():
+    from beltrami.cli import build_parser
+
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    listed = {argv[0] for _, argv in runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))["COMMANDS"]}
+    assert len(subcommands) == 8 and set(subcommands) <= listed

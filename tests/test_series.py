@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from beltrami import expr as ex
 from beltrami.chart import resolve_frame
 from beltrami.errors import BudgetError, DomainError, SeriesMismatchError
+from beltrami.obstruction import _matmul
 from beltrami.series import (
     DOUBLE,
     MAX_PAIRS,
     RATIONAL,
-    SeriesMatrix2,
     TruncatedSeries,
     _lowered,
     _space,
@@ -586,23 +586,24 @@ def test_json_round_trip():
 
 
 def test_matrix_rotation_algebra():
+    # T and T_n are plain 2x2 tuples of series (obstruction._matmul)
     one = TruncatedSeries.constant(("t",), 3, 1)
     zero = TruncatedSeries.zeros(("t",), 3)
-    J = SeriesMatrix2(zero, one, -one, zero)
-    JJ = J * J
-    assert JJ.entry(0, 0).coeff((0,)) == -1.0
-    assert JJ.entry(0, 1).max_abs() == 0.0
-    I = SeriesMatrix2(one, zero, zero, one)
-    A = SeriesMatrix2(
-        _series_from_list([1, 2], vars=("t",), order=3),
-        _series_from_list([0, 1], vars=("t",), order=3),
-        _series_from_list([3], vars=("t",), order=3),
-        _series_from_list([1, 1, 1], vars=("t",), order=3),
+    J = ((zero, one), (-one, zero))
+    JJ = _matmul(J, J)
+    assert JJ[0][0].coeff((0,)) == -1.0
+    assert JJ[0][1].max_abs() == 0.0
+    I = ((one, zero), (zero, one))
+    A = (
+        (_series_from_list([1, 2], vars=("t",), order=3),
+         _series_from_list([0, 1], vars=("t",), order=3)),
+        (_series_from_list([3], vars=("t",), order=3),
+         _series_from_list([1, 1, 1], vars=("t",), order=3)),
     )
-    AI = A * I
+    AI = _matmul(A, I)
     for i in range(2):
         for j in range(2):
-            assert AI.entry(i, j).equals(A.entry(i, j))
+            assert AI[i][j].equals(A[i][j])
 
 
 def test_series_eval_batch():
