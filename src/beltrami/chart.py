@@ -52,7 +52,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CriticalPointError, DomainError, FrameError
-from .series import DOUBLE, RATIONAL, TruncatedSeries, as_double
+from .series import DOUBLE, RATIONAL, TruncatedSeries, as_double, kind
 
 CHART_VARS = ("t", "xi1", "xi2")
 XI_VARS = ("xi1", "xi2")
@@ -98,19 +98,42 @@ def _minimal_rotation(direction):
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 
 
-def resolve_frame(frame: str, grad, level, kind=DOUBLE) -> str:
-    """The frame ``frame`` names where f = ``level`` has gradient ``grad``,
-    ``auto`` resolved (module docstring).  The kind's zero test decides which
-    frames exist: ``graph`` where d3 f is not negligible against the floor
-    GRAD_FLOOR * max(1, |level|), ``rotated`` in double mode or where grad f
-    is parallel to the third axis, as an exact rotation must be eye(3) or
-    diag(1, -1, -1).  A frame that does not exist raises FrameError, naming
-    a remedy that works there."""
+def finite_point(p, kind=DOUBLE) -> tuple:
+    """The base point ``p`` as coefficients of the kind; a coordinate that is
+    not finite is refused (DomainError) before f is evaluated there."""
+    point = tuple(map(kind.coerce, p))
+    if not all(abs(c) < math.inf for c in point):  # an exact value is always finite
+        raise DomainError(f"base point {point} is not finite")
+    return point
+
+
+def resolve_frame(frame: str, grad, level, point, kind=DOUBLE) -> tuple:
+    """The base-point rule: ``(frame, rotation)`` where f = ``level`` has
+    gradient ``grad`` at ``point``.  A NaN in grad f, then a non-finite level,
+    raises DomainError, and grad f negligible against the floor GRAD_FLOOR *
+    max(1, |level|) CriticalPointError.  The kind's zero test decides which
+    frames exist: ``graph`` where d3 f is not negligible against the floor,
+    ``rotated`` in double mode or where grad f is parallel to the third axis,
+    as an exact rotation must be eye(3) or diag(1, -1, -1).  ``auto`` is
+    resolved (module docstring); a frame that does not exist raises
+    FrameError, naming a remedy that works there.  The rotation is eye(3)
+    for ``graph``, else the minimal rotation of grad f onto the third axis."""
+    where = "(" + ", ".join(str(kind.json(c)) for c in point) + ")"
+    dgrad = tuple(map(as_double, grad))
+    if any(map(math.isnan, dgrad)):  # no frame is decided on a NaN
+        raise DomainError(f"grad f is not a number at {where}")
+    if not abs(level) < math.inf:
+        raise DomainError(f"f is not finite at {where}")
+    # magnitudes are compared, never squared, so huge values cannot overflow;
+    # the components keep the test exact where the norm's doubles underflow
     floor = GRAD_FLOOR * max(1.0, abs(as_double(level)))
+    gnorm = math.hypot(*dgrad)
+    if all(kind.negligible(v, floor) for v in (gnorm, *grad)):
+        raise CriticalPointError(f"grad f vanishes at {where}" if gnorm == 0 else
+                                 f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {where}")
     exists = {"graph": not kind.negligible(grad[2], floor),
               "rotated": kind is not RATIONAL or grad[0] == grad[1] == 0}
     if frame == "auto":
-        gnorm = math.hypot(*map(as_double, grad))
         steep = not kind.negligible(grad[2], AUTO_GRAPH_RATIO * gnorm)
         frame = "graph" if exists["graph"] and (steep or not exists["rotated"]) else "rotated"
     if frame not in exists:
@@ -121,33 +144,19 @@ def resolve_frame(frame: str, grad, level, kind=DOUBLE) -> str:
         remedy = (f"frame={other!r}" if exists[other] else
                   "mode='double'" + (" with frame='rotated'" if frame == "graph" else ""))
         raise FrameError(_FRAME_NEEDS[frame] + "; use " + remedy)
-    return frame
+    return frame, np.eye(3, dtype=int) if frame == "graph" else _minimal_rotation(dgrad)
 
 
 def base_point(f, bindings, p, frame: str = "auto", mode: str = "double") -> BasePoint:
-    """Validate the base point and fix the chart frame (:func:`resolve_frame`).
-    Raises DomainError when a component of grad f is NaN and
-    CriticalPointError when grad f is negligible against the floor."""
-    j1 = ex.jet(f, bindings, p, 1, mode=mode)
-    kind = j1.kind
+    """Validate the base point (:func:`finite_point`), then decide the chart
+    frame and its rotation by :func:`resolve_frame` on the first-order jet."""
+    point = finite_point(p, kind(mode))
+    j1 = ex.jet(f, bindings, point, 1, mode=mode)
     c0 = j1.constant_term()
     grad = (j1.coeff((1, 0, 0)), j1.coeff((0, 1, 0)), j1.coeff((0, 0, 1)))
-    point = tuple(map(kind.coerce, p))
-    # magnitudes are compared, never squared, so huge values cannot overflow;
-    # the components keep the test exact where the norm's doubles underflow
-    floor = GRAD_FLOOR * max(1.0, abs(as_double(c0)))
-    dgrad = tuple(map(as_double, grad))
-    gnorm = math.hypot(*dgrad)
-    where = "(" + ", ".join(str(kind.json(c)) for c in point) + ")"
-    if any(map(math.isnan, dgrad)):  # no frame is decided on a NaN
-        raise DomainError(f"grad f is not a number at {where}")
-    if all(kind.negligible(v, floor) for v in (gnorm, *grad)):
-        raise CriticalPointError(f"grad f vanishes at {where}" if gnorm == 0 else
-                                 f"|grad f| = {gnorm:.3e} below floor {floor:.3e} at {where}")
-    frame = resolve_frame(frame, grad, c0, kind)
-    R = np.eye(3, dtype=int) if frame == "graph" else _minimal_rotation(dgrad)
+    frame, R = resolve_frame(frame, grad, c0, point, j1.kind)
     return BasePoint(point=point, level=c0, rotation=tuple(map(tuple, R.tolist())),
-                     frame=frame, kind=kind)
+                     frame=frame, kind=j1.kind)
 
 
 def _combine(weights, series):

@@ -1,12 +1,16 @@
 """Independent numerical pipeline used to cross-validate the series pipeline.
 
-Nothing here touches jet arithmetic: derivatives come from central finite
-differences, the flow map from Runge-Kutta integration, and the obstruction
-determinant from stencil derivatives of pointwise-assembled tensors.  Each
-stencil derivative is one batched evaluation or slice and one contraction
-with the weights of :func:`deriv_weights`.  The numerics are fixed: every
-stencil has the step ``STEP`` and the radius ``RADIUS``, and the flow's RK4
-step is at most ``FLOW_DT``.
+It shares with the series pipeline the rules on what may be asked: the
+request rule of ``obstruction_P`` and the base-point rule (``chart``'s
+``finite_point`` and ``resolve_frame``, given the stencil gradient), so it
+refuses what the series refuses, with the same error.  It owns its numerics
+and no jet arithmetic: derivatives come from central finite differences, the
+flow map from Runge-Kutta integration, and the obstruction determinant from
+the stencil recursion on pointwise-assembled tensors.  Each stencil
+derivative is one batched evaluation or slice and one contraction with the
+weights of :func:`deriv_weights`.  The numerics are fixed: every stencil has
+the step ``STEP`` and the radius ``RADIUS``, and the flow's RK4 step is at
+most ``FLOW_DT``.
 
 Its agreement with the series pipeline is measured, not guaranteed.  The
 ``cross-check`` battery holds 2e-5 relative and its zeros 1e-10 absolute;
@@ -29,8 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .chart import _minimal_rotation, resolve_frame
+from .chart import finite_point, resolve_frame
 from .errors import DomainError
+from .obstruction import DEFAULT_INDICES, _validate_request
 from .series import as_double
 
 _E3 = np.eye(3)
@@ -74,24 +79,24 @@ def deriv_weights(k: int, radius: int, step: float) -> np.ndarray:
     return np.array(_unit_weights(k, radius)) / step**k
 
 
-@functools.lru_cache(maxsize=64)
-def _first_stencil(step: float, radius: int, axes: tuple):
+@functools.lru_cache(maxsize=None)
+def _first_stencil(axes: tuple):
     """The central first-derivative stencil along `axes` without its zero
     centre: the nonzero weights, shape (node,), and the node offsets, shape
-    (axis, node, 3).  Built once per argument triple; read-only, as shared."""
-    w = deriv_weights(1, radius, step)
+    (axis, node, 3).  Built once per axes; read-only, as shared."""
+    w = deriv_weights(1, RADIUS, STEP)
     nz = np.flatnonzero(w)
-    offsets = ((nz - radius) * step)[None, :, None] * _E3[list(axes)][:, None, :]
+    offsets = ((nz - RADIUS) * STEP)[None, :, None] * _E3[list(axes)][:, None, :]
     weights = w[nz]
     weights.flags.writeable = offsets.flags.writeable = False
     return weights, offsets
 
 
-def _partials(F, pts, step, radius, axes=(0, 1, 2)):
+def _partials(F, pts, axes=(0, 1, 2)):
     """First partials along `axes` of an R^3 scalar evaluator on an (N, 3)
     batch, shape (N, len(axes)): every stencil node of the batch in one F
     call, contracted once with the central weights (the zero centre skipped)."""
-    w, offsets = _first_stencil(step, radius, tuple(axes))
+    w, offsets = _first_stencil(tuple(axes))
     vals = F((pts[None, None] + offsets[:, :, None]).reshape(-1, 3))
     return np.einsum("j,ajn->na", w, vals.reshape(len(axes), w.size, -1))
 
@@ -113,7 +118,7 @@ def _flow_batch(F, starts, times, flow_dt: float, records: int = 1):
     ds = 1.0 / (per * records)
 
     def rhs(x):
-        g = _partials(F, x, STEP, RADIUS)
+        g = _partials(F, x)
         nsq = (g * g).sum(axis=1, keepdims=True)
         if (nsq < 1e-8**2).any():
             raise DomainError("gradient collapsed along a flow trajectory")
@@ -160,14 +165,14 @@ def numeric_flow(f, bindings, x0, t, dt: float = 1e-2):
     return out[0] if single else out
 
 
-def _newton_graph(F, xi, c0, step, radius):
+def _newton_graph(F, xi, c0):
     """Solve F(xi1, xi2, z) = c0 for z on an (N, 2) batch of xi values, to
     1e-13 relative to max(1, |c0|) in at most 60 Newton steps."""
     z = np.zeros(xi.shape[0])
     for _ in range(60):
         pts = np.column_stack([xi, z])
         val = F(pts) - c0
-        slope = _partials(F, pts, step, radius, axes=(2,))[:, 0]
+        slope = _partials(F, pts, axes=(2,))[:, 0]
         if np.any(np.abs(slope) < 1e-10):
             raise DomainError("graph Newton: vertical derivative collapsed")
         z = z - val / slope
@@ -176,13 +181,13 @@ def _newton_graph(F, xi, c0, step, radius):
     return z
 
 
-def _cross_offsets(radius, step):
-    """xi offsets of a stencil cross, shape (1 + 4*radius, 2): the center, then
-    j*step along axis 0 and along axis 1 for j = -radius..radius, j != 0."""
-    arm = np.delete(np.arange(-radius, radius + 1), radius) * step
-    out = np.zeros((1 + 4 * radius, 2))
-    out[1 : 1 + 2 * radius, 0] = arm
-    out[1 + 2 * radius :, 1] = arm
+def _cross_offsets():
+    """xi offsets of a stencil cross, shape (1 + 4 RADIUS, 2): the center, then
+    j STEP along axis 0 and along axis 1 for j = -RADIUS..RADIUS, j != 0."""
+    arm = np.delete(np.arange(-RADIUS, RADIUS + 1), RADIUS) * STEP
+    out = np.zeros((1 + 4 * RADIUS, 2))
+    out[1 : 1 + 2 * RADIUS, 0] = arm
+    out[1 + 2 * RADIUS :, 1] = arm
     return out
 
 
@@ -196,7 +201,7 @@ def _cross_derivs(w, vals):
     return d1, d2
 
 
-def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> float:
+def P_point_fd(f, bindings, p, frame: str = "auto", indices=DEFAULT_INDICES) -> float:
     """Degree-0 obstruction coefficient at p, entirely by numerics.
 
     Builds the evolution tensor on a (t, xi) sample lattice via Newton graph
@@ -204,41 +209,35 @@ def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> flo
     recorded at every t node), runs the recursion with stencil t-derivatives
     (the usable t-window shrinks by one stencil radius per level), forms the
     constraint vectors with stencil xi-derivatives, and takes the 4x4
-    determinant at the origin.  The frame is resolved by the chart's rule
-    (``chart.resolve_frame``) on the stencil gradient at p, so the oracle
-    refuses a frame where the chart refuses it.
-    """
-    indices = tuple(indices)
-    max_n = max(indices)
-    p = np.asarray(p, dtype=np.float64)
+    determinant at the origin.  Refusals are the series pipeline's (module
+    docstring)."""
+    indices, _, _ = _validate_request(0, indices)
+    point = finite_point(p)
+    p = np.array(point)
 
     def F_world(pts):
         return ex.evaluate(f, bindings, pts)
 
     c0 = float(F_world(p[None, :])[0])
-    # the gradient decides whether the frame exists, and the rotation
-    grad = _partials(F_world, p[None, :], STEP, RADIUS)[0]
-    R = _minimal_rotation(grad) if resolve_frame(frame, grad, c0) == "rotated" else np.eye(3)
+    # the stencil gradient stands in for the jet's in the base-point rule
+    _, R = resolve_frame(frame, _partials(F_world, p[None, :])[0], c0, point)
 
     def F(pts):
         return F_world(pts @ R + p)
 
-    rt, step = RADIUS, STEP
-    levels = max_n - 1
-    t_half = rt * levels
-    t_nodes = np.arange(-t_half, t_half + 1, dtype=np.float64) * step
-    n_t = t_nodes.size
+    t_half = RADIUS * (indices[-1] - 1)  # indices[-1] is the largest
+    t_nodes = np.arange(-t_half, t_half + 1, dtype=np.float64) * STEP
 
-    cross = _cross_offsets(rt, step)
+    cross = _cross_offsets()
     n_cross = cross.shape[0]
 
     # unique xi start points (cross position + metric offset), then one batched flow
     xi_all = (cross[:, None, :] + cross[None, :, :]).reshape(-1, 2)
-    key = np.round(xi_all / step * 4).astype(np.int64)
+    key = np.round(xi_all / STEP * 4).astype(np.int64)
     _, first_idx, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     xi_uniq = xi_all[first_idx]
 
-    h_uniq = _newton_graph(F, xi_uniq, c0, step, rt)
+    h_uniq = _newton_graph(F, xi_uniq, c0)
     starts_u = np.column_stack([xi_uniq, h_uniq])
 
     # one trajectory per start and direction, recorded at every t node
@@ -250,9 +249,9 @@ def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> flo
     # evolution tensor at every (cross position, t node); the metric cross
     # around each position leads, its center first
     x = np.moveaxis(flowed[inverse.reshape(n_cross, n_cross)], 1, 0)
-    grad = _partials(F, x[0].reshape(-1, 3), step, rt).reshape(n_cross, n_t, 3)
+    grad = _partials(F, x[0].reshape(-1, 3)).reshape(n_cross, t_nodes.size, 3)
     dxt = grad / np.sum(grad * grad, axis=-1, keepdims=True)
-    w = deriv_weights(1, rt, step)
+    w = deriv_weights(1, RADIUS, STEP)
     dxi1, dxi2 = _cross_derivs(w, x)
     g11 = np.sum(dxi1 * dxi1, axis=-1)
     g12 = np.sum(dxi1 * dxi2, axis=-1)
@@ -264,7 +263,7 @@ def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> flo
         [np.stack([-g12, g11], axis=-1), np.stack([-g22, g12], axis=-1)], axis=-2
     )
 
-    # recursion with stencil t-derivatives; valid window shrinks by rt per level
+    # recursion with stencil t-derivatives; valid window shrinks by RADIUS per level
     def ddt(arr):
         windows = np.lib.stride_tricks.sliding_window_view(arr, w.size, axis=1)
         return np.einsum("ctijw,w->ctij", windows, w)
@@ -272,12 +271,12 @@ def P_point_fd(f, bindings, p, frame: str = "auto", indices=(2, 3, 4, 5)) -> flo
     Tn = T_vals
     lo = 0
     Tn_at = {}
-    for n in range(2, max_n + 1):
+    for n in range(2, indices[-1] + 1):
         dTn = ddt(Tn)
         width = dTn.shape[1]
         trim = (Tn.shape[1] - width) // 2
         core_Tn = Tn[:, trim : trim + width]
-        lo += rt
+        lo += RADIUS
         core_T = T_vals[:, lo : lo + width]
         Tn = dTn + np.einsum("ctij,ctjk->ctik", core_Tn, core_T)
         if n in indices:

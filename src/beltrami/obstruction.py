@@ -219,10 +219,17 @@ MAX_INDEX = 24
 
 def _validate_request(degree, indices, t_order=None, xi_order=None) -> tuple:
     """``(indices, t_order, xi_order)`` after the one rule on what may be
-    asked: four indices MAX_INDEX >= l > k > j > i >= 2, degree >= 0, and
-    t_order and xi_order each reaching the bound of ``minimum_orders``.  An
-    order left as None is resolved to that bound."""
-    indices = tuple(int(i) for i in indices)
+    asked: four integer indices MAX_INDEX >= l > k > j > i >= 2, degree >= 0,
+    and t_order and xi_order each reaching the bound of ``minimum_orders``.
+    An order left as None is resolved to that bound."""
+    try:
+        indices = tuple(indices)
+        whole = tuple(map(int, indices))
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole != indices:  # 5.5 is not rounded to 5, nor "5" read as 5
+        raise DomainError(f"indices must be integers, got {indices!r}")
+    indices = whole
     if len(indices) != 4 or any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 2:
         raise DomainError(f"indices must satisfy l > k > j > i >= 2, got {indices}")
     if indices[-1] > MAX_INDEX:

@@ -239,6 +239,7 @@ class _Double:
     ratio = staticmethod(lambda value: (as_double(value), 1))  # a scalar over 1
     divide = staticmethod(lambda num, div: (num / div, 1))  # antiderivative division
     max_abs = staticmethod(lambda num, den: float(np.max(np.abs(num))))
+    __repr__ = lambda self: self.name  # the kind by its name, as in a result's repr
 
     @staticmethod
     def scale(num: np.ndarray, p) -> np.ndarray:
@@ -276,6 +277,7 @@ class _Rational:
     negligible = staticmethod(lambda value, tol: value == 0)  # exact: tol plays no part
     value, floats, scale = Fraction, staticmethod(as_double), staticmethod(np.multiply)
     max_abs = staticmethod(lambda num, den: Fraction(max(map(abs, num)), den))
+    __repr__ = lambda self: self.name  # the kind by its name, as in a result's repr
 
     @staticmethod
     def ratio(value) -> tuple:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from beltrami.chart import (
     _minimal_rotation,
     base_point,
     build_chart,
+    finite_point,
 )
 from beltrami.errors import CriticalPointError, DomainError, FrameError
 from beltrami.series import CONSTANT_CHECK_PAIRS, RATIONAL, TruncatedSeries
@@ -453,6 +455,32 @@ def test_a_nan_gradient_decides_no_frame(frame):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
         base_point(ex.parse("x1+(1e200*1e200-1e200*1e200)*x3"), None, (0, 0, 0), frame=frame)
     assert str(err.value) == "grad f is not a number at (0.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize("frame", ["auto", "graph", "rotated"])
+def test_a_non_finite_level_decides_no_frame(frame):
+    # f(p) overflows to inf while grad f = (0, 0, 1): the floor would be inf
+    with warnings.catch_warnings(), pytest.raises(DomainError) as err:
+        warnings.simplefilter("error")
+        base_point(ex.parse("1e200*1e200+x3"), None, (0, 0, 0), frame=frame)
+    assert str(err.value) == "f is not finite at (0.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize("p, shown", [
+    ((0, 0, float("inf")), "(0.0, 0.0, inf)"), ((float("nan"), 0, 0), "(nan, 0.0, 0.0)")])
+def test_a_non_finite_point_is_refused_before_f_is_evaluated(monkeypatch, p, shown):
+    def no_jet(*args, **kwargs):
+        raise AssertionError("f evaluated at a non-finite point")
+
+    monkeypatch.setattr(ex, "jet", no_jet)
+    with pytest.raises(DomainError) as err:
+        base_point(ex.parse("1+x3"), None, p)
+    assert str(err.value) == f"base point {shown} is not finite"
+
+
+def test_an_exact_point_of_any_size_is_finite():
+    big = Fraction(10**400)
+    assert finite_point((big, 0, Fraction(1, 3)), RATIONAL) == (big, 0, Fraction(1, 3))
 
 
 def test_the_residual_bound_is_included():

@@ -1,4 +1,5 @@
 import functools
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 
 from beltrami import expr as ex
 from beltrami.chart import build_chart
-from beltrami.errors import DomainError, FrameError
+from beltrami.errors import BeltramiError, DomainError, FrameError
 from beltrami.fd_oracle import (
     P_point_fd,
     _first_stencil,
@@ -163,6 +164,40 @@ def test_P_point_fd_refuses_a_frame_the_chart_refuses():
         build_chart(f, None, (0, 0, 0), frame="graph")
     with pytest.raises(FrameError, match="use frame='rotated'"):
         P_point_fd(f, None, (0, 0, 0), frame="graph")
+
+
+_CUBIC = (ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0})
+
+
+@pytest.mark.parametrize("f, bindings, p, indices", [
+    # grad f is 0, then 1e-12 < GRAD_FLOOR: the chart's CriticalPointError
+    (ex.parse("1+x1^2+x2^2+x3^2"), None, (0, 0, 0), (2, 3, 4, 5)),
+    (ex.parse("1+x1^2+x2^2+x3^2+1e-12*x3"), None, (0, 0, 0), (2, 3, 4, 5)),
+    # a point that is not finite is refused before f is evaluated there
+    (*_CUBIC, (0, 0, float("inf")), (2, 3, 4, 5)),
+    (*_CUBIC, (float("inf"), 0, 0), (2, 3, 4, 5)),
+    (*_CUBIC, (float("nan"), 0, 0), (2, 3, 4, 5)),
+    # the request rule of obstruction_P
+    (*_CUBIC, (0, 0, 0), (1, 2, 3, 4)),
+    (*_CUBIC, (0, 0, 0), (5, 4, 3, 2)),
+    (*_CUBIC, (0, 0, 0), (2, 3, 4)),
+    (*_CUBIC, (0, 0, 0), (2, 3, 4, 30)),
+    (*_CUBIC, (0, 0, 0), (2, 3, 4, 5.5)),
+], ids=["critical", "below-floor", "x3-inf", "x1-inf", "x1-nan", "indices-1234",
+        "indices-5432", "indices-234", "indices-23430", "indices-2345.5"])
+def test_the_oracle_refuses_what_the_series_refuses(f, bindings, p, indices):
+    # the same BeltramiError subclass from both pipelines, and no numpy
+    # warning on the way to it
+    from beltrami.obstruction import obstruction_P
+
+    errors = []
+    for call in (lambda: P_point_fd(f, bindings, p, indices=indices),
+                 lambda: obstruction_P(f, bindings, p, degree=0, indices=indices)):
+        with warnings.catch_warnings(), pytest.raises(BeltramiError) as err:
+            warnings.simplefilter("error")
+            call()
+        errors.append(type(err.value))
+    assert errors[0] is errors[1], errors
 
 
 SMALL_RATIONALS = tuple(Fraction(v) for v in

@@ -306,6 +306,34 @@ def test_budget_rule_runs_before_the_chart(monkeypatch):
     assert _validate_request(0, (2, 3, 4, 24)) == ((2, 3, 4, 24), 23, 1)
 
 
+@pytest.mark.parametrize("indices, shown", [
+    ((2, 3, 4, 5.5), "(2, 3, 4, 5.5)"), ("abcd", "('a', 'b', 'c', 'd')"),
+    ((2, 3, 4, None), "(2, 3, 4, None)"), ((2, 3, 4, float("nan")), "(2, 3, 4, nan)"),
+    (5, "5")])
+def test_indices_are_integers(indices, shown):
+    # 5.5 was read as 5, which computed the (2, 3, 4, 5) member; the oracle
+    # applies the same rule
+    from beltrami.fd_oracle import P_point_fd
+
+    f, bindings = ex.parse("1+a*x1+b*x1^3+x3"), {"a": 1.0, "b": 1.0}
+    for call in (lambda: obstruction_P(f, bindings, ORIGIN, degree=0, indices=indices),
+                 lambda: P_point_fd(f, bindings, ORIGIN, indices=indices)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"indices must be integers, got {shown}"
+    # an integral value of another type is its integer
+    assert _validate_request(0, (2, 3.0, Fraction(4), np.int64(5)))[0] == (2, 3, 4, 5)
+
+
+def test_equal_results_have_equal_repr():
+    # the kind shows by its name, not by its address
+    f = ex.parse("1+a*x1+b*x1^3+x3")
+    first, second = (repr(obstruction_P(f, {"a": 1, "b": 1}, ORIGIN, degree=1, mode="rational"))
+                     for _ in range(2))
+    assert first == second and first.endswith("kind=rational)")
+    assert (repr(DOUBLE), repr(RATIONAL)) == ("double", "rational")
+
+
 def test_order_stability():
     f = ex.parse("1+x1^2+a*x2^2+x3")
     P = obstruction_P(f, {"a": 2.0}, ORIGIN, degree=2, t_order=6, xi_order=6,

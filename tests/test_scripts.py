@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beltrami
@@ -53,3 +54,15 @@ def test_cli_snapshot_runs_every_subcommand():
     subcommands = build_parser()._subparsers._group_actions[0].choices
     listed = {argv[0] for _, argv in runpy.run_path(str(SCRIPTS / "cli_snapshot.py"))["COMMANDS"]}
     assert len(subcommands) == 8 and set(subcommands) <= listed
+
+
+def test_result_snapshot_writes_each_operation_and_its_result(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on it
+    script = runpy.run_path(str(SCRIPTS / "result_snapshot.py"))
+    script["snapshot"]("evolve_grid", 1, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["evolve_grid-1.txt"]
+    lines = (tmp_path / "evolve_grid-1.txt").read_text().splitlines()
+    assert lines[::2] == ["evolve evolve 41x41 init=field", "evolve evolve 41x41 init=psi"]
+    assert all(line.startswith("DriftReport(times=[0.0, 0.005, ") for line in lines[1::2])
+    # an array is written as its list, every double in full
+    assert script["show"](np.array([0.1, 1 / 3])) == "[0.1, 0.3333333333333333]"
